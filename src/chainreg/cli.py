@@ -22,6 +22,11 @@ from .oracle import DEFAULT_SUBSET_BUDGET, regularity
 from .verify import run_suite
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, a subclass of int.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_spec(path: str):
     try:
         with open(path) as fh:
@@ -34,10 +39,10 @@ def load_spec(path: str):
         raise errors.ParseError('spec file must be an object {"r": ..., "edges": [...]}')
     r, edges = data["r"], data["edges"]
     if (
-        not isinstance(r, int)
+        not _is_int(r)
         or not isinstance(edges, list)
         or not all(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)
+            isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)
             for e in edges
         )
     ):

@@ -5,11 +5,22 @@ which the independence complex of some induced subgraph carries reduced
 homology over the chosen prime field.  This module scans vertex subsets in
 increasing cardinality, computing boundary-matrix ranks for each survivor.
 
-Two prunes are applied, both forced: a subset in which some vertex has no
-neighbour makes the complex a cone (all reduced homology vanishes), and a
-subset in which some vertex is adjacent to everything else only repeats, in
-positive dimensions, the homology of the subset without that vertex, which was
-scanned earlier.  Dimension 0 is covered once and for all by any single edge.
+Three prunes are applied, all exact, each skipping a subset W whose homology
+is already accounted for by a smaller subset, which was scanned earlier:
+
+- a vertex with no neighbour in W makes the complex a cone, so all reduced
+  homology vanishes;
+- a vertex adjacent to everything else in W only repeats, in positive
+  dimensions, the homology of W without that vertex;
+- a fold: when N(u) is contained in N(v) inside W for some u != v,
+  Engström's fold lemma ("Complexes of directed trees and independence
+  complexes", Discrete Math. 2009) makes Ind(G[W]) homotopy equivalent to
+  Ind(G[W - v]).  The cone case is the fold with N(u) empty.
+
+Dimension 0 is covered once and for all by any single edge.  The prunes never
+remove the first subset in scan order that attains the maximum dimension, since
+the smaller subset it reduces to would attain it earlier, so the certificate is
+the same as that of the unpruned scan.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from .graphs import (
     SimpleGraph,
     _bit,
     _iter_bits,
-    induced_matching_number,
+    _matching_search,
     induced_subgraph,
     is_cochordal,
 )
@@ -250,17 +261,26 @@ def regularity(
             count += 1
             if progress is not None and count % 65536 == 0:
                 progress(count, total)
+            # W = mask survives when no vertex u of W (bit b, a = N(u) in W)
+            # dominates W or has a non-neighbour x with N(u) inside N(x); an
+            # isolated u has every x (the cone case).  Only survivors reach
+            # the else branch.
             w = mask
-            ok = True
             while w:
                 b = w & -w
-                v = b.bit_length()
                 w ^= b
-                a = adj[v] & mask
-                if a == 0 or a == mask ^ b:
-                    ok = False
+                a = adj[b.bit_length()] & mask
+                x = mask ^ b ^ a
+                if not x:
                     break
-            if ok:
+                while x:
+                    t = x & -x
+                    if not a & ~adj[t.bit_length()]:
+                        break
+                    x ^= t
+                if x:
+                    break
+            else:
                 faces = _independent_faces(adj, mask)
                 if len(faces) - 2 > best_d:
                     d = _top_nonzero_excess(faces, field_char, best_d)
@@ -283,8 +303,11 @@ def regularity_bounds(G: SimpleGraph) -> tuple[int, bool]:
     """(lower bound, exact-at-2 flag) for the regularity of the edge ideal.
 
     The lower bound is 1 plus the induced matching number; the flag reports
-    cochordality, in which case the regularity is exactly 2.
+    cochordality, in which case the regularity is exactly 2 and the matching
+    number is 1, so the matching search is skipped.
     """
     if not G.edges:
         raise EdgelessGraph("regularity bounds need at least one edge")
-    return 1 + induced_matching_number(G), is_cochordal(G)
+    if is_cochordal(G):
+        return 2, True
+    return 1 + _matching_search(G)[0], False

@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's own algorithms: expansion is
 checked against explicit enumeration of increasing maps, cycles and matchings
-against raw subset search, monomial counts against direct enumeration.
+against raw subset search, monomial counts against direct enumeration.  The
+pruned homology scan is checked against a copy of the scan without its fold
+prune, which shares only the face enumeration and rank code.
 """
 
 from __future__ import annotations
@@ -13,6 +15,15 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from chainreg import ChainSpec, SimpleGraph, normalize_spec
+from chainreg.errors import SubsetBudgetExceeded
+from chainreg.graphs import _bit, _iter_bits, induced_subgraph
+from chainreg.oracle import (
+    DEFAULT_SUBSET_BUDGET,
+    RegularityReport,
+    _independent_faces,
+    _is_prime,
+    _top_nonzero_excess,
+)
 
 
 @pytest.fixture
@@ -91,6 +102,73 @@ def brute_indmatch(G: SimpleGraph) -> int:
         else:
             break
     return best
+
+
+def reference_regularity(
+    G: SimpleGraph,
+    field_char: int = 2,
+    subset_budget: int = DEFAULT_SUBSET_BUDGET,
+    progress=None,
+) -> RegularityReport:
+    """The oracle's subset scan with only the cone and dominating-vertex prunes.
+
+    A verbatim copy of ``oracle.regularity`` before the fold prune, kept as
+    the reference that the pruned scan must match, certificate included.
+    """
+    if not _is_prime(field_char):
+        raise ValueError(f"field characteristic must be prime, got {field_char}")
+    if not G.edges:
+        return RegularityReport(value=None, method="hochster-oracle", field_char=field_char)
+    support = [v for v in range(1, G.n + 1) if G.adj[v]]
+    if len(support) > subset_budget:
+        raise SubsetBudgetExceeded(
+            f"{len(support)} supported vertices exceed the budget of {subset_budget}"
+        )
+    H = induced_subgraph(G, support)
+    labels = H.labels
+    adj = H.adj
+    nn = H.n
+    full = (1 << nn) - 1
+
+    # Any edge realizes dimension 0, so seed with the smallest edge subset.
+    best_d = 0
+    best_mask = min(_bit(u) | _bit(v) for u, v in H.edges)
+
+    count = 0
+    total = 1 << nn
+    for card in range(2, nn + 1):
+        mask = (1 << card) - 1
+        while mask <= full:
+            count += 1
+            if progress is not None and count % 65536 == 0:
+                progress(count, total)
+            w = mask
+            ok = True
+            while w:
+                b = w & -w
+                v = b.bit_length()
+                w ^= b
+                a = adj[v] & mask
+                if a == 0 or a == mask ^ b:
+                    ok = False
+                    break
+            if ok:
+                faces = _independent_faces(adj, mask)
+                if len(faces) - 2 > best_d:
+                    d = _top_nonzero_excess(faces, field_char, best_d)
+                    if d is not None:
+                        best_d, best_mask = d, mask
+            c = mask & -mask
+            r2 = mask + c
+            mask = r2 | (((mask ^ r2) >> 2) // c)
+
+    subset = sorted(labels[v - 1] for v in _iter_bits(best_mask))
+    return RegularityReport(
+        value=2 + best_d,
+        method="hochster-oracle",
+        field_char=field_char,
+        certificate={"subset": subset, "dimension": best_d},
+    )
 
 
 def brute_low_degree_survivors(p: int, edges) -> int:

@@ -38,6 +38,14 @@ class TestLoadSpec:
         with pytest.raises(ParseError):
             load_spec(spec_file({"r": 3, "edges": [[1, "a"]]}))
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{"r": 3, "edges": [[True, 3], [2, 3]]}, {"r": True, "edges": [[1, 2]]}],
+    )
+    def test_booleans_are_not_integers(self, spec_file, payload, capsys):
+        assert main(["expand", spec_file(payload), "--n", "4"]) == 2
+        assert "ParseError" in capsys.readouterr().err
+
 
 class TestExpandCommand:
     def test_text_output(self, spec_file, capsys):

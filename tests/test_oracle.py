@@ -16,7 +16,7 @@ from chainreg import (
 )
 from chainreg.errors import EdgelessGraph, SubsetBudgetExceeded
 
-from conftest import random_graph
+from conftest import random_graph, reference_regularity
 
 
 def disjoint_edges(k):
@@ -165,11 +165,46 @@ class TestRegularity:
             assert rep.value == 2 + cert["dimension"]
 
 
+class TestAgainstReference:
+    """The fold-pruned scan against the scan with only the two older prunes."""
+
+    def test_random_graphs(self):
+        rng = random.Random(71)
+        for _ in range(400):
+            g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9))
+            for p in (2, 3):
+                assert regularity(g, p) == reference_regularity(g, p), (g, p)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_golden_windows(self, table_spec, reg3_spec, p):
+        windows = [(table_spec, n) for n in range(10, 17)]
+        windows += [(reg3_spec, n) for n in range(6, 11)]
+        for spec, n in windows:
+            g = expand(spec, n)
+            assert regularity(g, p) == reference_regularity(g, p), (spec, n)
+
+    def test_progress_counts_every_subset(self):
+        # 17 supported vertices: 2**17 - 18 subsets of size >= 2 are scanned,
+        # so the 2**16 reporting step fires exactly once.
+        g = SimpleGraph(17, [(1, 2), (2, 3)] + [(2 * i, 2 * i + 1) for i in range(2, 9)])
+        calls, ref_calls = [], []
+        regularity(g, 2, progress=lambda *a: calls.append(a))
+        reference_regularity(g, 2, progress=lambda *a: ref_calls.append(a))
+        assert calls == ref_calls == [(1 << 16, 1 << 17)]
+
+
 class TestRegularityBounds:
     def test_basics(self):
         assert regularity_bounds(disjoint_edges(2)) == (3, False)
         k4 = SimpleGraph(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
         assert regularity_bounds(k4) == (2, True)
+
+    def test_matches_its_definition(self):
+        rng = random.Random(81)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.1, 0.95))
+            if g.edges:
+                assert regularity_bounds(g) == (1 + induced_matching_number(g), is_cochordal(g)), g
 
     def test_strict_gap_window(self, reg3_spec):
         lower, exact2 = regularity_bounds(expand(reg3_spec, 9))
