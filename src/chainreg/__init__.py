@@ -32,7 +32,6 @@ from .chain import (
     orbit_witness,
     q_invariant,
     reduce_index,
-    triangle_contains,
 )
 from .classify import (
     ClassifierVerdict,
@@ -47,6 +46,7 @@ from .graphs import (
     complement,
     enumerate_induced_cycles,
     find_induced_kK2,
+    induced_matching,
     induced_matching_number,
     induced_subgraph,
     is_chordal,

@@ -20,7 +20,7 @@ from .graphs import SimpleGraph
 
 Edge = tuple[int, int]
 
-#: expand() materializes an explicit edge set only up to this vertex count;
+#: expand() materializes adjacency rows only up to this vertex count;
 #: membership at larger indices goes through orbit_witness().
 MATERIALIZE_LIMIT = 10_000
 
@@ -50,10 +50,6 @@ class Triangle:
         for b in range(self.size + 1):
             for a in range(b + 1):
                 yield (i + a, j + b)
-
-
-def triangle_contains(tri: Triangle, point: Edge) -> bool:
-    return tri.contains(point)
 
 
 @dataclass(frozen=True)
@@ -156,10 +152,11 @@ def normalize_spec(r: int, raw_edges) -> ChainSpec:
 
 
 def expand(spec: ChainSpec, n: int) -> SimpleGraph:
-    """The graph G_n of the chain on vertices 1..n, as an explicit edge set.
+    """The graph G_n of the chain on vertices 1..n, as adjacency rows.
 
     {u, v} is an edge exactly when (min, max) lies in some generator's
-    triangular window of size n - r.
+    triangular window of size n - r.  The window of (i, j) is written one
+    vertex at a time: i + a meets j + a .. j + m and j + a meets i .. i + a.
     """
     if n < spec.r:
         raise IndexBelowStability(f"n={n} is below the presentation index r={spec.r}")
@@ -168,13 +165,13 @@ def expand(spec: ChainSpec, n: int) -> SimpleGraph:
             f"refusing to materialize {n} vertices; query membership via orbit_witness"
         )
     m = n - spec.r
-    out = set()
+    rows = [0] * (n + 1)
+    span = (1 << (m + 1)) - 1
     for i, j in spec.edges:
-        for b in range(m + 1):
-            jb = j + b
-            for a in range(b + 1):
-                out.add((i + a, jb))
-    return SimpleGraph(n, out)
+        for a in range(m + 1):
+            rows[i + a] |= (span >> a) << (j + a - 1)
+            rows[j + a] |= ((2 << a) - 1) << (i - 1)
+    return SimpleGraph._from_rows(n, rows)
 
 
 def orbit_witness(spec: ChainSpec, n: int, u: int, v: int):
@@ -254,6 +251,7 @@ def reduce_index(spec: ChainSpec) -> ChainSpec:
     G_r exactly; otherwise the presentation is already minimal.
     """
     full = set(spec.edges)
+    target = SimpleGraph(spec.r, spec.edges)
     for rp in range(2, spec.r):
         m = spec.r - rp
         cand = tuple(
@@ -263,6 +261,6 @@ def reduce_index(spec: ChainSpec) -> ChainSpec:
         )
         if not cand:
             continue
-        if set(expand(ChainSpec(rp, cand), spec.r).edges) == full:
+        if expand(ChainSpec(rp, cand), spec.r) == target:
             return ChainSpec(rp, cand)
     return spec

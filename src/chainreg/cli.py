@@ -17,7 +17,7 @@ from . import errors
 from .anticycle import construct_anticycle
 from .chain import derived_chain, expand, is_quasi_saturated, normalize_spec
 from .classify import limit_regularity, sweep_verify
-from .graphs import _matching_search
+from .graphs import induced_matching
 from .oracle import DEFAULT_SUBSET_BUDGET, regularity
 from .verify import run_suite
 
@@ -85,7 +85,7 @@ def _cmd_classify(args) -> int:
 def _cmd_indmatch(args) -> int:
     spec = load_spec(args.spec)
     g = expand(spec, args.n)
-    value, witness = _matching_search(g)
+    value, witness = induced_matching(g)
     if args.format == "json":
         _emit_json({"n": args.n, "indmatch": value, "witness": [list(e) for e in witness]})
     else:

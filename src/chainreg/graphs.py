@@ -1,8 +1,11 @@
 """Exact algorithms on small simple graphs, backed by bitset adjacency rows.
 
-Vertices are the integers 1..n.  Internally every vertex set is an int whose
-bit v-1 stands for vertex v, which keeps the chordality check, the induced
-matching search and the cycle enumeration allocation-free in the inner loops.
+Vertices are the integers 1..n.  Every vertex set is an int whose bit v-1
+stands for vertex v.  A graph is its tuple of adjacency rows: expansion and
+complement write rows directly, every algorithm here reads them, and the edge
+set is built only on first access to ``edges``.  This keeps the chordality
+check, the induced matching search and the cycle enumeration allocation-free
+in the inner loops.
 """
 
 from __future__ import annotations
@@ -27,13 +30,14 @@ def _iter_bits(mask: int):
 class SimpleGraph:
     """Immutable simple graph on the vertex set {1, ..., n}.
 
-    ``edges`` is a frozenset of ordered pairs (u, v) with u < v.  ``adj`` is a
-    tuple of adjacency bitmasks indexed by vertex (entry 0 is unused).  When
-    the graph was cut out of a larger one, ``labels`` maps each vertex back to
-    its original name; equality ignores labels.
+    ``adj`` is a tuple of adjacency bitmasks indexed by vertex (entry 0 is
+    unused) and is the source of truth.  ``edges``, the frozenset of ordered
+    pairs (u, v) with u < v, is built from the rows on first access.  When the
+    graph was cut out of a larger one, ``labels`` maps each vertex back to its
+    original name; equality ignores labels.
     """
 
-    __slots__ = ("n", "edges", "adj", "labels")
+    __slots__ = ("n", "adj", "labels", "_edges")
 
     def __init__(self, n: int, edges=(), labels=None):
         if n < 0:
@@ -50,9 +54,42 @@ class SimpleGraph:
             adj[u] |= _bit(v)
             adj[v] |= _bit(u)
         self.n = n
-        self.edges = frozenset(norm)
         self.adj = tuple(adj)
         self.labels = None if labels is None else tuple(labels)
+        self._edges = frozenset(norm)
+
+    @classmethod
+    def _from_rows(cls, n: int, rows, labels=None) -> SimpleGraph:
+        """Graph whose adjacency rows are ``rows`` (entry 0 must be 0).
+
+        Checks in O(n) that every row stays inside [1, n] and has no loop bit;
+        the caller guarantees that the rows are symmetric.
+        """
+        if n < 0:
+            raise ValueError(f"vertex count must be non-negative, got {n}")
+        adj = tuple(rows)
+        if len(adj) != n + 1:
+            raise ValueError(f"expected {n + 1} adjacency rows, got {len(adj)}")
+        if adj[0]:
+            raise VertexOutOfRange("row 0 is unused and must be empty")
+        for v in range(1, n + 1):
+            row = adj[v]
+            if row >> n:  # also true for a negative row
+                raise VertexOutOfRange(f"row {v} has a neighbour outside [1, {n}]")
+            if row & _bit(v):
+                raise VertexOutOfRange(f"row {v} has a loop")
+        G = cls.__new__(cls)
+        G.n = n
+        G.adj = adj
+        G.labels = None if labels is None else tuple(labels)
+        G._edges = None
+        return G
+
+    @property
+    def edges(self) -> frozenset:
+        if self._edges is None:
+            self._edges = frozenset(self.sorted_edges())
+        return self._edges
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> (v - 1)) & 1 == 1
@@ -62,10 +99,11 @@ class SimpleGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self.adj) // 2
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        # Bit k of adj[u] >> u is the neighbour u + k + 1 above u.
+        return [(u, u + b) for u in range(1, self.n + 1) for b in _iter_bits(self.adj[u] >> u)]
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
@@ -73,10 +111,10 @@ class SimpleGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimpleGraph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, edges={self.sorted_edges()})"
@@ -102,13 +140,9 @@ class AnticycleWitness:
 
 def complement(G: SimpleGraph) -> SimpleGraph:
     """Graph with exactly the non-edges of G between distinct vertices."""
-    edges = [
-        (u, v)
-        for u in range(1, G.n + 1)
-        for v in range(u + 1, G.n + 1)
-        if not G.has_edge(u, v)
-    ]
-    return SimpleGraph(G.n, edges, labels=G.labels)
+    full = (1 << G.n) - 1
+    rows = [0] + [full & ~G.adj[v] & ~_bit(v) for v in range(1, G.n + 1)]
+    return SimpleGraph._from_rows(G.n, rows, labels=G.labels)
 
 
 def induced_subgraph(G: SimpleGraph, W) -> SimpleGraph:
@@ -122,9 +156,10 @@ def induced_subgraph(G: SimpleGraph, W) -> SimpleGraph:
         if not (1 <= w <= G.n):
             raise VertexOutOfRange(f"vertex {w} is not in [1, {G.n}]")
     pos = {w: i + 1 for i, w in enumerate(keep)}
-    edges = [(pos[u], pos[v]) for u, v in G.edges if u in pos and v in pos]
+    inside = sum(_bit(w) for w in keep)
+    rows = [0] + [sum(_bit(pos[x]) for x in _iter_bits(G.adj[w] & inside)) for w in keep]
     base = G.labels if G.labels is not None else tuple(range(1, G.n + 1))
-    return SimpleGraph(len(keep), edges, labels=tuple(base[w - 1] for w in keep))
+    return SimpleGraph._from_rows(len(keep), rows, labels=tuple(base[w - 1] for w in keep))
 
 
 def is_chordal(G: SimpleGraph) -> bool:
@@ -174,43 +209,51 @@ def is_cochordal(G: SimpleGraph) -> bool:
     return is_chordal(complement(G))
 
 
-def _matching_search(G: SimpleGraph, stop_at: int | None = None):
+def induced_matching(G: SimpleGraph, stop_at: int | None = None):
     """Branch and bound for the largest set of pairwise far-apart edges.
 
-    Edges are explored in sorted order; an edge is compatible with the chosen
-    set when neither endpoint touches the closed neighbourhood of any chosen
-    endpoint.  Returns (best size, witness edges); with ``stop_at`` the search
-    stops as soon as that size is reached, so the witness is the
-    lexicographically first one of that size.
+    A search node is the mask of vertices still allowed: choosing the edge
+    (u, v) removes both closed neighbourhoods and every vertex up to u, so
+    the candidates of a node are exactly the edges inside its mask, visited
+    in sorted order.  A node is cut when half its allowed vertices cannot
+    beat the best size found so far; such a node holds no improvement, so
+    the improvements, and the witness, are the same as an unpruned search's.
+    Returns (best size, witness edges); with ``stop_at`` the search stops as
+    soon as that size is reached, so the witness is the lexicographically
+    first one of that size.
     """
-    edges = sorted(G.edges)
-    if not edges:
-        return 0, []
     adj = G.adj
-    masks = [_bit(u) | _bit(v) for u, v in edges]
-    closed = [adj[u] | adj[v] | masks[k] for k, (u, v) in enumerate(edges)]
-
     best = 0
     best_w: list[tuple[int, int]] = []
+    chosen: list[tuple[int, int]] = []
 
-    def go(cand: list[int], forbid: int, chosen: list[tuple[int, int]]) -> bool:
+    def go(allowed: int) -> bool:
         nonlocal best, best_w
-        if len(chosen) > best:
-            best = len(chosen)
+        depth = len(chosen)
+        if depth > best:
+            best = depth
             best_w = list(chosen)
             if stop_at is not None and best >= stop_at:
                 return True
-        feas = [k for k in cand if masks[k] & forbid == 0]
-        if len(chosen) + len(feas) <= best:
-            return False
-        for pos, k in enumerate(feas):
-            chosen.append(edges[k])
-            if go(feas[pos + 1 :], forbid | closed[k], chosen):
-                return True
-            chosen.pop()
+        rest = allowed
+        # Every edge left for this node and its later siblings lies inside
+        # rest, the allowed vertices from u upwards.
+        while rest and depth + rest.bit_count() // 2 > best:
+            b = rest & -rest
+            rest ^= b
+            u = b.bit_length()
+            nbrs = adj[u] & rest
+            if not nbrs:
+                continue
+            base = rest & ~adj[u]
+            for v in _iter_bits(nbrs):
+                chosen.append((u, v))
+                if go(base & ~adj[v]):
+                    return True
+                chosen.pop()
         return False
 
-    go(list(range(len(edges))), 0, [])
+    go((1 << G.n) - 1)
     return best, best_w
 
 
@@ -218,7 +261,7 @@ def find_induced_kK2(G: SimpleGraph, k: int):
     """A witness list of k pairwise disjoint edges with no cross edges, or None."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    best, witness = _matching_search(G, stop_at=k)
+    best, witness = induced_matching(G, stop_at=k)
     return witness if best >= k else None
 
 
@@ -228,11 +271,11 @@ def induced_matching_number(G: SimpleGraph) -> int:
     A cochordal graph with an edge has value 1, which skips the search; the
     general case runs the branch and bound to completion.
     """
-    if not G.edges:
+    if not any(G.adj):
         return 0
     if is_cochordal(G):
         return 1
-    return _matching_search(G)[0]
+    return induced_matching(G)[0]
 
 
 def enumerate_induced_cycles(G: SimpleGraph, lmin: int, lmax: int, limit: int = 10**6):

@@ -32,7 +32,7 @@ from .graphs import (
     SimpleGraph,
     _bit,
     _iter_bits,
-    _matching_search,
+    induced_matching,
     induced_subgraph,
     is_cochordal,
 )
@@ -236,7 +236,7 @@ def regularity(
     """
     if not _is_prime(field_char):
         raise ValueError(f"field characteristic must be prime, got {field_char}")
-    if not G.edges:
+    if not any(G.adj):
         return RegularityReport(value=None, method="hochster-oracle", field_char=field_char)
     support = [v for v in range(1, G.n + 1) if G.adj[v]]
     if len(support) > subset_budget:
@@ -249,9 +249,12 @@ def regularity(
     nn = H.n
     full = (1 << nn) - 1
 
-    # Any edge realizes dimension 0, so seed with the smallest edge subset.
+    # Any edge realizes dimension 0, so seed with the smallest edge subset:
+    # the edge whose upper end v is least, then the least u below v.
     best_d = 0
-    best_mask = min(_bit(u) | _bit(v) for u, v in H.edges)
+    v = next(v for v in range(1, nn + 1) if adj[v] & (_bit(v) - 1))
+    below = adj[v] & (_bit(v) - 1)
+    best_mask = _bit(v) | (below & -below)
 
     count = 0
     total = 1 << nn
@@ -306,8 +309,8 @@ def regularity_bounds(G: SimpleGraph) -> tuple[int, bool]:
     cochordality, in which case the regularity is exactly 2 and the matching
     number is 1, so the matching search is skipped.
     """
-    if not G.edges:
+    if not any(G.adj):
         raise EdgelessGraph("regularity bounds need at least one edge")
     if is_cochordal(G):
         return 2, True
-    return 1 + _matching_search(G)[0], False
+    return 1 + induced_matching(G)[0], False

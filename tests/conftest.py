@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's own algorithms: expansion is
 checked against explicit enumeration of increasing maps, cycles and matchings
 against raw subset search, monomial counts against direct enumeration.  The
 pruned homology scan is checked against a copy of the scan without its fold
-prune, which shares only the face enumeration and rank code.
+prune, which shares only the face enumeration and rank code, and the
+vertex-mask matching search against a copy of the edge-list search it replaced.
 """
 
 from __future__ import annotations
@@ -102,6 +103,43 @@ def brute_indmatch(G: SimpleGraph) -> int:
         else:
             break
     return best
+
+
+def reference_matching_search(G: SimpleGraph, stop_at: int | None = None):
+    """The edge-list branch and bound that ``graphs.induced_matching`` replaced.
+
+    A verbatim copy, kept as the reference whose (size, witness) the
+    vertex-mask search must reproduce exactly.
+    """
+    edges = sorted(G.edges)
+    if not edges:
+        return 0, []
+    adj = G.adj
+    masks = [_bit(u) | _bit(v) for u, v in edges]
+    closed = [adj[u] | adj[v] | masks[k] for k, (u, v) in enumerate(edges)]
+
+    best = 0
+    best_w: list[tuple[int, int]] = []
+
+    def go(cand: list[int], forbid: int, chosen: list[tuple[int, int]]) -> bool:
+        nonlocal best, best_w
+        if len(chosen) > best:
+            best = len(chosen)
+            best_w = list(chosen)
+            if stop_at is not None and best >= stop_at:
+                return True
+        feas = [k for k in cand if masks[k] & forbid == 0]
+        if len(chosen) + len(feas) <= best:
+            return False
+        for pos, k in enumerate(feas):
+            chosen.append(edges[k])
+            if go(feas[pos + 1 :], forbid | closed[k], chosen):
+                return True
+            chosen.pop()
+        return False
+
+    go(list(range(len(edges))), 0, [])
+    return best, best_w
 
 
 def reference_regularity(

@@ -14,7 +14,6 @@ from chainreg import (
     orbit_witness,
     q_invariant,
     reduce_index,
-    triangle_contains,
 )
 from chainreg.errors import (
     DegenerateEdge,
@@ -56,8 +55,8 @@ class TestNormalizeSpec:
 class TestTriangle:
     def test_membership_chain(self):
         tri = Triangle((2, 7), 2)
-        assert triangle_contains(tri, (3, 8))
-        assert not triangle_contains(tri, (4, 8))  # middle inequality fails
+        assert tri.contains((3, 8))
+        assert not tri.contains((4, 8))  # middle inequality fails
 
     def test_zero_size_is_corner(self):
         tri = Triangle((3, 5), 0)

@@ -1,6 +1,7 @@
 """Command-line front end: output shapes, exit codes, round-trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -226,3 +227,29 @@ class TestVerifyCommand:
         assert not ok
         assert "PASS ok: fine" in out
         assert "FAIL bad: boom" in out
+
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN_SPECS = sorted((REPO / "bench" / "specs").glob("*.json"))
+GOLDEN_COMMANDS = {
+    "expand": ["--n", "30"],
+    "indmatch": ["--n", "12"],
+    "classify": [],
+    "sweep": ["--from", "30", "--to", "33"],
+}
+
+
+class TestGoldenSnapshots:
+    """The JSON output on the golden chains, byte for byte, against snapshots
+    in tests/golden/ (named <chain>.<command>.json)."""
+
+    def test_every_golden_chain_is_covered(self):
+        assert [p.stem for p in GOLDEN_SPECS] == ["near_sharp", "reg3", "six_edge", "table"]
+
+    @pytest.mark.parametrize("verb", sorted(GOLDEN_COMMANDS))
+    @pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda p: p.stem)
+    def test_json_output_is_unchanged(self, spec, verb, capsys):
+        argv = [verb, str(spec), *GOLDEN_COMMANDS[verb], "--format", "json"]
+        assert main(argv) == 0
+        want = (REPO / "tests" / "golden" / f"{spec.stem}.{verb}.json").read_text()
+        assert capsys.readouterr().out == want

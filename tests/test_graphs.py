@@ -11,6 +11,7 @@ from chainreg import (
     enumerate_induced_cycles,
     expand,
     find_induced_kK2,
+    induced_matching,
     induced_matching_number,
     induced_subgraph,
     is_chordal,
@@ -20,7 +21,21 @@ from chainreg import (
 )
 from chainreg.errors import CycleLimitExceeded, VertexOutOfRange
 
-from conftest import brute_indmatch, brute_induced_cycles, random_graph, random_specs
+from conftest import (
+    brute_expand,
+    brute_indmatch,
+    brute_induced_cycles,
+    random_graph,
+    random_specs,
+    reference_matching_search,
+)
+
+GOLDEN_CHAINS = {
+    "table": normalize_spec(10, [(1, 10), (2, 4), (3, 5), (7, 9)]),
+    "near_sharp": normalize_spec(9, [(1, 9), (6, 8)]),
+    "reg3": normalize_spec(4, [(1, 3), (2, 4)]),
+    "six_edge": normalize_spec(9, [(1, 5), (1, 8), (2, 9), (3, 6), (4, 7), (5, 9)]),
+}
 
 
 def cycle_graph(n):
@@ -48,10 +63,75 @@ class TestSimpleGraph:
         assert g.to_json() == {"n": 3, "edges": [[1, 2], [1, 3]]}
 
 
+def rows_from_edges(n, edges):
+    """Adjacency rows built by hand, independently of SimpleGraph."""
+    rows = [0] * (n + 1)
+    for u, v in edges:
+        rows[u] |= 1 << (v - 1)
+        rows[v] |= 1 << (u - 1)
+    return rows
+
+
+class TestRowBackedGraph:
+    def test_row_graph_agrees_with_edge_list_twin(self):
+        rng = random.Random(4242)
+        for _ in range(300):
+            n, prob = rng.randint(0, 14), rng.random()
+            edges = {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                     if rng.random() < prob}
+            twin = SimpleGraph(n, [(v, u) for u, v in edges])
+            g = SimpleGraph._from_rows(n, rows_from_edges(n, edges))
+            assert g == twin and hash(g) == hash(twin)
+            assert g.edges == twin.edges == frozenset(edges)
+            assert g.edge_count == twin.edge_count == len(edges)
+            assert g.sorted_edges() == sorted(edges)
+            assert g.to_json() == twin.to_json()
+
+    def test_expand_rows_symmetric_loop_free_and_brute(self):
+        for k, spec in enumerate(random_specs(60, (2, 3, 4, 5, 6), seed=9001)):
+            n = spec.r + k % 5
+            g = expand(spec, n)
+            for v in range(1, n + 1):
+                assert not g.has_edge(v, v)
+                for u in range(1, n + 1):
+                    assert g.has_edge(u, v) == g.has_edge(v, u), (spec, n, u, v)
+            twin = SimpleGraph(n, brute_expand(spec, n))
+            assert g == twin and hash(g) == hash(twin), (spec, n)
+            assert g.adj == twin.adj
+            assert g.edges == twin.edges
+            assert g.edge_count == twin.edge_count
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [0, 0b10, 0b101],  # vertex 2 has vertex 3 in a 2-vertex graph
+            [0, 0b10, 0b11],  # loop at vertex 2
+            [0, 0b1, 0],  # loop at vertex 1
+            [0b1, 0, 0],  # the unused row 0 is set
+            [0, -1, 0],  # a negative row has infinitely many bits
+        ],
+    )
+    def test_row_constructor_rejects_bad_bits(self, rows):
+        with pytest.raises(VertexOutOfRange):
+            SimpleGraph._from_rows(2, rows)
+
+    def test_row_constructor_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            SimpleGraph._from_rows(3, [0, 0, 0])
+
+
 class TestComplement:
     def test_involution_on_expanded_graph(self):
         g = expand(normalize_spec(7, [(2, 7), (3, 4)]), 9)
         assert complement(complement(g)) == g
+
+    def test_involution_on_random_graphs(self):
+        rng = random.Random(77)
+        graphs = [random_graph(rng, rng.randint(0, 14), rng.random()) for _ in range(200)]
+        graphs += [expand(spec, spec.r + 3) for spec in random_specs(40, (3, 5, 7), seed=78)]
+        for g in graphs:
+            assert complement(complement(g)) == g
+            assert complement(g).edge_count + g.edge_count == g.n * (g.n - 1) // 2
 
     def test_two_disjoint_edges(self):
         g = complement(SimpleGraph(4, [(1, 2), (3, 4)]))
@@ -156,6 +236,44 @@ class TestInducedMatching:
             r = spec.r
             vals = [induced_matching_number(expand(spec, n)) for n in range(3 * r, 3 * r + 4)]
             assert set(vals) <= {1, 2} and len(set(vals)) == 1, (spec, vals)
+
+
+class TestInducedMatchingAgainstReference:
+    """The vertex-mask search reproduces the edge-list search's (size, witness)."""
+
+    STOPS = (None, 1, 2, 3)
+
+    def test_random_graphs(self):
+        rng = random.Random(2718)
+        sizes = set()
+        for _ in range(1200):
+            g = random_graph(rng, rng.randint(0, 12), rng.random())
+            for stop_at in self.STOPS:
+                want = reference_matching_search(g, stop_at)
+                assert induced_matching(g, stop_at) == want, (g, stop_at)
+            sizes.add(reference_matching_search(g)[0])
+        assert sizes >= {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CHAINS))
+    def test_golden_chains_at_3r_and_4r(self, name):
+        spec = GOLDEN_CHAINS[name]
+        for n in (3 * spec.r, 4 * spec.r):
+            g = expand(spec, n)
+            for stop_at in self.STOPS:
+                assert induced_matching(g, stop_at) == reference_matching_search(g, stop_at)
+
+    def test_random_chains(self):
+        # Late windows almost always have value 1; the first two windows
+        # carry the larger matchings.
+        sizes = set()
+        for spec in random_specs(60, (3, 5, 7, 9), seed=1618):
+            for n in (spec.r, spec.r + 1, 3 * spec.r):
+                g = expand(spec, n)
+                for stop_at in self.STOPS:
+                    want = reference_matching_search(g, stop_at)
+                    assert induced_matching(g, stop_at) == want, (spec, n, stop_at)
+                sizes.add(reference_matching_search(g)[0])
+        assert sizes == {1, 2, 3}
 
 
 class TestFindInducedKK2:
