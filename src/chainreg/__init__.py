@@ -60,6 +60,6 @@ from .oracle import (
     regularity,
     regularity_bounds,
 )
-from .randspec import generate_random_spec
+from .randspec import generate_random_spec, spec_pool
 
 __version__ = "0.1.0"

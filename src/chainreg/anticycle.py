@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import ChainSpec, chain_indices, expand
+from .chain import ChainIndices, ChainSpec, chain_indices, expand
 from .errors import CaseMismatch, HypothesisViolated, IndexTooSmall, StartOutOfRange
 from .graphs import AnticycleWitness, verify_anticycle
 
@@ -69,17 +69,23 @@ class AnticycleTrace:
         return len(self.vertices)
 
 
-def _require_hypotheses(spec: ChainSpec) -> None:
+def _require_gap(spec: ChainSpec) -> None:
     if spec.min_gap < 2:
         raise HypothesisViolated(
             f"every generator gap must be at least 2, found gap {spec.min_gap}"
         )
+
+
+def _require_hypotheses(spec: ChainSpec) -> ChainIndices:
+    """Check the construction's hypotheses; return the chain indices."""
+    _require_gap(spec)
     idx = chain_indices(spec)
     j_q = spec.edges[idx.q - 1][1]
     if spec.max_endpoint != j_q + 1:
         raise HypothesisViolated(
             f"largest endpoint must be j_q + 1 = {j_q + 1}, found {spec.max_endpoint}"
         )
+    return idx
 
 
 def build_J_sets(spec: ChainSpec) -> JTrace:
@@ -89,8 +95,10 @@ def build_J_sets(spec: ChainSpec) -> JTrace:
     untouched positions strictly left of the current pivot, those of smallest
     gap; the walk stops once the pivot's left endpoint drops below i_b.
     """
-    _require_hypotheses(spec)
-    idx = chain_indices(spec)
+    return _j_trace(spec, _require_hypotheses(spec))
+
+
+def _j_trace(spec: ChainSpec, idx: ChainIndices) -> JTrace:
     edges = spec.edges
     i_b = edges[idx.b - 1][0]
     i_h = edges[idx.h - 1][0]
@@ -126,11 +134,11 @@ def build_K_sets(spec: ChainSpec) -> KTrace:
     those of smallest gap, until the pivot reaches the maximal right endpoint.
     When the minimum-gap block already contains it, nothing happens.
     """
-    if spec.min_gap < 2:
-        raise HypothesisViolated(
-            f"every generator gap must be at least 2, found gap {spec.min_gap}"
-        )
-    idx = chain_indices(spec)
+    _require_gap(spec)
+    return _k_trace(spec, chain_indices(spec))
+
+
+def _k_trace(spec: ChainSpec, idx: ChainIndices) -> KTrace:
     edges = spec.edges
     j_B = edges[idx.B - 1][1]
     sets = [tuple(idx.J1)]
@@ -162,6 +170,11 @@ def _head_start(i_anchor: int, gap: int, i_b: int) -> tuple[int, int]:
     return eps, eps * step + i_anchor
 
 
+def _require_index(spec: ChainSpec, n: int) -> None:
+    if n < 2 * spec.r:
+        raise IndexTooSmall(f"need n >= 2r = {2 * spec.r}, got {n}")
+
+
 def initial_vertices(spec: ChainSpec, n: int) -> list[int]:
     """Head segment a_1 .. a_{d+1} (requires i_b <= i_h and n >= 2r).
 
@@ -169,16 +182,19 @@ def initial_vertices(spec: ChainSpec, n: int) -> list[int]:
     vertex advances by gap-1 of the first pivot whose left endpoint has been
     reached, stopping once i_h is passed.
     """
-    if n < 2 * spec.r:
-        raise IndexTooSmall(f"need n >= 2r = {2 * spec.r}, got {n}")
-    jt = build_J_sets(spec)
-    idx = chain_indices(spec)
+    _require_index(spec, n)
+    idx = _require_hypotheses(spec)
+    return _head(spec, idx, _j_trace(spec, idx))[1]
+
+
+def _head(spec: ChainSpec, idx: ChainIndices, jt: JTrace) -> tuple[int, list[int]]:
+    """(epsilon, head segment) for the head trace ``jt``."""
     edges = spec.edges
     i_b = edges[idx.b - 1][0]
     i_h = edges[idx.h - 1][0]
     u_beta = jt.pivots[-1]
     i_u, j_u = edges[u_beta - 1]
-    _, a = _head_start(i_u, j_u - i_u, i_b)
+    eps, a = _head_start(i_u, j_u - i_u, i_b)
     seq = [a]
     term = a
     while term < i_h:
@@ -186,7 +202,7 @@ def initial_vertices(spec: ChainSpec, n: int) -> list[int]:
         i_t, j_t = edges[t - 1]
         term += j_t - i_t - 1
         seq.append(term)
-    return seq
+    return eps, seq
 
 
 def final_vertices(spec: ChainSpec, n: int, a_index: int) -> list[int]:
@@ -195,10 +211,13 @@ def final_vertices(spec: ChainSpec, n: int, a_index: int) -> list[int]:
     While the running vertex has not cleared n + i_B, advance by gap-1 of the
     first tail pivot whose window still reaches it, then close with n + j_B.
     """
-    if n < 2 * spec.r:
-        raise IndexTooSmall(f"need n >= 2r = {2 * spec.r}, got {n}")
-    kt = build_K_sets(spec)
+    _require_index(spec, n)
+    _require_gap(spec)
     idx = chain_indices(spec)
+    return _tail(spec, n, a_index, idx, _k_trace(spec, idx))
+
+
+def _tail(spec: ChainSpec, n: int, a_index: int, idx: ChainIndices, kt: KTrace) -> list[int]:
     edges = spec.edges
     i_h = edges[idx.h - 1][0]
     i_B, j_B = edges[idx.B - 1]
@@ -221,23 +240,21 @@ def construct_anticycle(spec: ChainSpec, n: int) -> tuple[AnticycleWitness, Anti
     """Build and verify an induced anticycle of G_{n+r} (n >= 2r).
 
     Case I (i_b <= i_h) chains the head and tail segments; case II starts the
-    tail directly from a closed-form first pair.  The returned witness is
-    always re-verified against the expanded graph before being handed back.
+    tail directly from a closed-form first pair.  The chain indices and the
+    J and K traces are computed once and shared by both segments.  The
+    returned witness is always re-verified against the expanded graph before
+    being handed back.
     """
-    _require_hypotheses(spec)
-    if n < 2 * spec.r:
-        raise IndexTooSmall(f"need n >= 2r = {2 * spec.r}, got {n}")
-    idx = chain_indices(spec)
+    idx = _require_hypotheses(spec)
+    _require_index(spec, n)
     edges = spec.edges
     i_b = edges[idx.b - 1][0]
     i_h, j_h = edges[idx.h - 1]
-    kt = build_K_sets(spec)
+    kt = _k_trace(spec, idx)
     if i_b <= i_h:
-        jt = build_J_sets(spec)
-        i_u, j_u = edges[jt.pivots[-1] - 1]
-        eps, _ = _head_start(i_u, j_u - i_u, i_b)
-        head = initial_vertices(spec, n)
-        tail = final_vertices(spec, n, head[-1])
+        jt = _j_trace(spec, idx)
+        eps, head = _head(spec, idx, jt)
+        tail = _tail(spec, n, head[-1], idx, kt)
         vertices = tuple(head[:-1]) + tuple(tail)
         trace = AnticycleTrace(
             case="I",
@@ -251,7 +268,7 @@ def construct_anticycle(spec: ChainSpec, n: int) -> tuple[AnticycleWitness, Anti
     else:
         eps, a1 = _head_start(i_h, j_h - i_h, i_b)
         a2 = a1 + j_h - i_h - 1
-        tail = final_vertices(spec, n, a2)
+        tail = _tail(spec, n, a2, idx, kt)
         vertices = (a1,) + tuple(tail)
         trace = AnticycleTrace(
             case="II",

@@ -15,6 +15,7 @@ from .errors import (
     EdgeOutOfRange,
     EmptyEdgeSet,
     IndexBelowStability,
+    InvalidArgument,
 )
 from .graphs import SimpleGraph
 
@@ -136,7 +137,7 @@ class IncMapWitness:
 def normalize_spec(r: int, raw_edges) -> ChainSpec:
     """Orient, deduplicate and sort raw edge input into a ChainSpec."""
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError(f"index r must be a positive integer, got {r!r}")
+        raise InvalidArgument(f"index r must be a positive integer, got {r!r}")
     raw = list(raw_edges)
     if not raw:
         raise EmptyEdgeSet("edge list is empty")
@@ -161,7 +162,7 @@ def expand(spec: ChainSpec, n: int) -> SimpleGraph:
     if n < spec.r:
         raise IndexBelowStability(f"n={n} is below the presentation index r={spec.r}")
     if n > MATERIALIZE_LIMIT:
-        raise ValueError(
+        raise InvalidArgument(
             f"refusing to materialize {n} vertices; query membership via orbit_witness"
         )
     m = n - spec.r

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import ChainSpec, chain_indices, expand, q_invariant, reduce_index
-from .errors import SubsetBudgetExceeded
+from .errors import InvalidArgument, SubsetBudgetExceeded
 from .graphs import find_induced_kK2, is_cochordal
 from .oracle import DEFAULT_SUBSET_BUDGET, regularity
 
@@ -116,7 +116,7 @@ def sweep_verify(
     below n0 is unconstrained and never flagged.
     """
     if not (spec.r <= n_lo <= n_hi):
-        raise ValueError(f"need r <= n_lo <= n_hi, got r={spec.r}, [{n_lo}, {n_hi}]")
+        raise InvalidArgument(f"need r <= n_lo <= n_hi, got r={spec.r}, [{n_lo}, {n_hi}]")
     verdict = limit_regularity(spec)
     rows = []
     violations = []

@@ -4,7 +4,8 @@ Subcommands: expand, classify, indmatch, reg, anticycle, quasisat, sweep,
 verify.  Every command reads a chain-spec JSON file {"r": int, "edges":
 [[i, j], ...]} (edges may be unsorted and unoriented), prints either an
 aligned text rendering or machine JSON, and exits 0 on success, 1 on a
-computation error, 2 on invalid input.
+computation error, 2 on invalid input.  Any other exception is a fault in
+the program and propagates with its traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -239,9 +240,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except errors.InvalidInputError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"ValueError: {exc}", file=sys.stderr)
         return 2
     except errors.ChainRegError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

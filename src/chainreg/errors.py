@@ -29,6 +29,12 @@ class VertexOutOfRange(InvalidInputError):
     """A vertex argument lies outside the graph's vertex set."""
 
 
+class InvalidArgument(InvalidInputError, ValueError):
+    """An argument value is out of its domain: a non-prime field, an index
+    range starting below r, an index past the materialization limit, or a
+    non-positive r.  Also a ValueError, so callers catching that still work."""
+
+
 class IndexBelowStability(ChainRegError):
     """Requested index n is smaller than the presentation index r."""
 

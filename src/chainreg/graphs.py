@@ -163,45 +163,52 @@ def induced_subgraph(G: SimpleGraph, W) -> SimpleGraph:
 
 
 def is_chordal(G: SimpleGraph) -> bool:
-    """Chordality via maximum cardinality search plus elimination-order check.
+    """Chordality in one maximum cardinality search pass (Tarjan-Yannakakis).
 
-    The search numbers vertices n..1, always taking an unnumbered vertex with
-    the most numbered neighbours.  The graph has no induced cycle of length
-    four or more exactly when the reverse numbering is a perfect elimination
-    order, which the second pass verifies directly.
+    The search numbers the vertices one at a time, always taking the lowest
+    unnumbered vertex with the most numbered neighbours.  Unnumbered vertices
+    sit in weight layers, ``layers[w]`` being the mask of those with w
+    numbered neighbours, so a step takes the lowest bit of the top non-empty
+    layer and lifts the new vertex's unnumbered neighbours one layer up with
+    mask operations.  The graph has no induced cycle of length four or more
+    exactly when the reverse numbering is a perfect elimination order: at
+    each step, the earlier-numbered neighbours of the new vertex other than
+    the most recently numbered one, w, must all be adjacent to w.  That test
+    runs as each vertex is numbered, and the first failure returns False.
     """
     n = G.n
     if n <= 2:
         return True
     adj = G.adj
-    weight = [0] * (n + 1)
-    alpha = [0] * (n + 1)
-    order = [0] * (n + 1)
-    unnumbered = (1 << n) - 1
-    for k in range(n, 0, -1):
-        best_v, best_w = 0, -1
-        for v in _iter_bits(unnumbered):
-            if weight[v] > best_w:
-                best_w, best_v = weight[v], v
-        v = best_v
-        alpha[v] = k
-        order[k] = v
-        unnumbered ^= _bit(v)
-        for u in _iter_bits(adj[v] & unnumbered):
-            weight[u] += 1
-
-    remaining = (1 << n) - 1
-    for k in range(1, n + 1):
-        v = order[k]
-        remaining ^= _bit(v)
-        later = adj[v] & remaining
-        if later:
-            w, a_best = 0, n + 1
-            for u in _iter_bits(later):
-                if alpha[u] < a_best:
-                    a_best, w = alpha[u], u
+    layers = [0] * (n + 1)
+    layers[0] = (1 << n) - 1
+    top = 0
+    step_of = [0] * (n + 1)
+    numbered = 0
+    for step in range(1, n + 1):
+        while not layers[top]:
+            top -= 1
+        b = layers[top] & -layers[top]
+        layers[top] ^= b
+        v = b.bit_length()
+        later = adj[v] & numbered
+        if later & (later - 1):  # a single earlier neighbour passes trivially
+            w = max(_iter_bits(later), key=step_of.__getitem__)
             if later & ~(adj[w] | _bit(w)):
                 return False
+        numbered |= b
+        step_of[v] = step
+        nb = adj[v] & ~numbered
+        k = top
+        while nb:
+            moved = layers[k] & nb
+            if moved:
+                layers[k] ^= moved
+                layers[k + 1] |= moved
+                nb ^= moved
+            k -= 1
+        if layers[top + 1]:
+            top += 1
     return True
 
 
@@ -319,22 +326,22 @@ def verify_anticycle(G: SimpleGraph, witness) -> bool:
     """Check that the vertex sequence induces a complement-of-cycle in G.
 
     Consecutive vertices (cyclically) must be non-adjacent and all other pairs
-    adjacent.  Sequences shorter than 4 or with repeats are rejected.
+    adjacent, that is, each vertex's row restricted to the witness's vertex
+    mask is that mask minus the vertex and its two cyclic neighbours: one mask
+    comparison per position.  Sequences shorter than 4 or with repeats are rejected.
     """
     verts = tuple(witness.vertices) if isinstance(witness, AnticycleWitness) else tuple(witness)
+    inside = 0
     for a in verts:
         if not (1 <= a <= G.n):
             raise VertexOutOfRange(f"vertex {a} is not in [1, {G.n}]")
+        inside |= _bit(a)
     m = len(verts)
-    if m < 4 or len(set(verts)) != m:
+    if m < 4 or inside.bit_count() != m:
         return False
+    adj = G.adj
     for p in range(m):
-        if G.has_edge(verts[p], verts[(p + 1) % m]):
+        v = verts[p]
+        if adj[v] & inside != inside & ~(_bit(v) | _bit(verts[p - 1]) | _bit(verts[(p + 1) % m])):
             return False
-    for p in range(m):
-        for z in range(p + 2, m):
-            if (p, z) == (0, m - 1):
-                continue
-            if not G.has_edge(verts[p], verts[z]):
-                return False
     return True

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EdgelessGraph, SubsetBudgetExceeded
+from .errors import EdgelessGraph, InvalidArgument, SubsetBudgetExceeded
 from .graphs import (
     SimpleGraph,
     _bit,
@@ -205,7 +205,7 @@ def _top_nonzero_excess(faces, p: int, floor_d: int):
 def reduced_homology_ranks(G: SimpleGraph, field_char: int = 2) -> HomologyProfile:
     """Full reduced homology profile of the independence complex of G."""
     if not _is_prime(field_char):
-        raise ValueError(f"field characteristic must be prime, got {field_char}")
+        raise InvalidArgument(f"field characteristic must be prime, got {field_char}")
     faces = _independent_faces(G.adj, (1 << G.n) - 1)
     top = len(faces) - 1
     b_ranks = [0] * (top + 2)
@@ -235,7 +235,7 @@ def regularity(
     carry an edge.
     """
     if not _is_prime(field_char):
-        raise ValueError(f"field characteristic must be prime, got {field_char}")
+        raise InvalidArgument(f"field characteristic must be prime, got {field_char}")
     if not any(G.adj):
         return RegularityReport(value=None, method="hochster-oracle", field_char=field_char)
     support = [v for v in range(1, G.n + 1) if G.adj[v]]

@@ -23,3 +23,19 @@ def generate_random_spec(r_max: int, density: float, seed: int) -> ChainSpec:
     if not edges:
         edges = [rng.choice(pairs)]
     return normalize_spec(r_max, edges)
+
+
+def spec_pool(count: int, r_values, seed: int) -> list[ChainSpec]:
+    """Deterministic pool of random presentations cycling over r_values.
+
+    Spec k has index r_values[k % len(r_values)], a density drawn uniformly
+    from [0.15, 0.95] by a generator seeded with seed + 7919 k, and edges
+    drawn with seed + k.
+    """
+    specs = []
+    for k in range(count):
+        r = r_values[k % len(r_values)]
+        rng = random.Random(seed + 7919 * k)
+        density = rng.uniform(0.15, 0.95)
+        specs.append(generate_random_spec(r, density, seed + k))
+    return specs

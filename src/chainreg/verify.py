@@ -8,8 +8,6 @@ run exactly these functions, so there is a single source of truth for what
 
 from __future__ import annotations
 
-import random
-
 from .anticycle import build_J_sets, build_K_sets, construct_anticycle
 from .chain import expand, is_quasi_saturated, normalize_spec, q_invariant
 from .classify import limit_regularity
@@ -21,7 +19,7 @@ from .graphs import (
     verify_anticycle,
 )
 from .oracle import regularity, regularity_bounds
-from .randspec import generate_random_spec
+from .randspec import spec_pool
 
 BASE_SEED = 20_240_917
 
@@ -37,17 +35,6 @@ TABLE_REGS = [5, 4, 3, 4, 4, 3, 3, 3, 3, 2]
 WITNESS_27 = (1, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 27)
 WITNESS_28 = (1, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 27, 28)
 WITNESS_29 = (1, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 29)
-
-
-def _spec_pool(count: int, r_values, seed: int):
-    """Deterministic pool of random presentations cycling over r_values."""
-    specs = []
-    for k in range(count):
-        r = r_values[k % len(r_values)]
-        rng = random.Random(seed + 7919 * k)
-        density = rng.uniform(0.15, 0.95)
-        specs.append(generate_random_spec(r, density, seed + k))
-    return specs
 
 
 def check_golden_expansion() -> str:
@@ -127,7 +114,7 @@ def check_near_sharp_chain() -> str:
 
 
 def check_indmatch_window_property(count: int = 200, seed: int = BASE_SEED) -> str:
-    for spec in _spec_pool(count, (2, 3, 4, 5), seed):
+    for spec in spec_pool(count, (2, 3, 4, 5), seed):
         r = spec.r
         vals = [induced_matching_number(expand(spec, n)) for n in range(3 * r, 3 * r + 4)]
         assert all(v in (1, 2) for v in vals), f"{spec}: values {vals} leave {{1, 2}}"
@@ -138,7 +125,7 @@ def check_indmatch_window_property(count: int = 200, seed: int = BASE_SEED) -> s
 def check_reg_upper_bound_property(
     count: int = 100, seed: int = BASE_SEED + 1, field_char: int = 2
 ) -> str:
-    for spec in _spec_pool(count, (2, 3, 4), seed):
+    for spec in spec_pool(count, (2, 3, 4), seed):
         r = spec.r
         for n in (4 * r, 4 * r + 1):
             got = regularity(expand(spec, n), field_char=field_char).value
@@ -147,7 +134,7 @@ def check_reg_upper_bound_property(
 
 
 def check_classifier_consistency_property(count: int = 200, seed: int = BASE_SEED + 2) -> str:
-    for spec in _spec_pool(count, (2, 3, 4, 5, 6), seed):
+    for spec in spec_pool(count, (2, 3, 4, 5, 6), seed):
         verdict = limit_regularity(spec)
         base = max(verdict.n0, 4 * spec.r)
         for n in range(base, base + 3):
@@ -161,7 +148,7 @@ def check_classifier_consistency_property(count: int = 200, seed: int = BASE_SEE
 def check_orbit_oracle_property(count: int = 100, seed: int = BASE_SEED + 3) -> str:
     from itertools import combinations
 
-    for k, spec in enumerate(_spec_pool(count, (2, 3, 4, 5), seed)):
+    for k, spec in enumerate(spec_pool(count, (2, 3, 4, 5), seed)):
         r = spec.r
         n = r + (k % 5)
         brute = set()
@@ -174,7 +161,7 @@ def check_orbit_oracle_property(count: int = 100, seed: int = BASE_SEED + 3) -> 
 
 
 def check_quasi_saturated_property(count: int = 200, seed: int = BASE_SEED) -> str:
-    pool = _spec_pool(count, (2, 3, 4, 5), seed)
+    pool = spec_pool(count, (2, 3, 4, 5), seed)
     # Complete-prefix windows are always quasi-saturated; keep the check non-vacuous.
     pool.append(normalize_spec(5, [(1, 2), (1, 3), (2, 3)]))
     pool.append(normalize_spec(6, [(i, j) for i in range(1, 4) for j in range(i + 1, 5)]))

@@ -4,8 +4,10 @@ The oracles here deliberately avoid the library's own algorithms: expansion is
 checked against explicit enumeration of increasing maps, cycles and matchings
 against raw subset search, monomial counts against direct enumeration.  The
 pruned homology scan is checked against a copy of the scan without its fold
-prune, which shares only the face enumeration and rank code, and the
-vertex-mask matching search against a copy of the edge-list search it replaced.
+prune, which shares only the face enumeration and rank code, the vertex-mask
+matching search against a copy of the edge-list search it replaced, and the
+one-pass chordality test and row-mask anticycle check against copies of the
+two-pass search and pairwise check they replaced.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from chainreg import ChainSpec, SimpleGraph, normalize_spec
-from chainreg.errors import SubsetBudgetExceeded
-from chainreg.graphs import _bit, _iter_bits, induced_subgraph
+from chainreg.errors import SubsetBudgetExceeded, VertexOutOfRange
+from chainreg.graphs import AnticycleWitness, _bit, _iter_bits, induced_subgraph
 from chainreg.oracle import (
     DEFAULT_SUBSET_BUDGET,
     RegularityReport,
@@ -25,6 +27,7 @@ from chainreg.oracle import (
     _is_prime,
     _top_nonzero_excess,
 )
+from chainreg.randspec import spec_pool as random_specs  # the suites' pool, for the tests
 
 
 @pytest.fixture
@@ -142,6 +145,69 @@ def reference_matching_search(G: SimpleGraph, stop_at: int | None = None):
     return best, best_w
 
 
+def reference_is_chordal(G: SimpleGraph) -> bool:
+    """The two-pass chordality test that ``graphs.is_chordal`` replaced.
+
+    A verbatim copy: a maximum cardinality search that rescans every
+    unnumbered vertex at each step, then a separate elimination-order pass.
+    """
+    n = G.n
+    if n <= 2:
+        return True
+    adj = G.adj
+    weight = [0] * (n + 1)
+    alpha = [0] * (n + 1)
+    order = [0] * (n + 1)
+    unnumbered = (1 << n) - 1
+    for k in range(n, 0, -1):
+        best_v, best_w = 0, -1
+        for v in _iter_bits(unnumbered):
+            if weight[v] > best_w:
+                best_w, best_v = weight[v], v
+        v = best_v
+        alpha[v] = k
+        order[k] = v
+        unnumbered ^= _bit(v)
+        for u in _iter_bits(adj[v] & unnumbered):
+            weight[u] += 1
+
+    remaining = (1 << n) - 1
+    for k in range(1, n + 1):
+        v = order[k]
+        remaining ^= _bit(v)
+        later = adj[v] & remaining
+        if later:
+            w, a_best = 0, n + 1
+            for u in _iter_bits(later):
+                if alpha[u] < a_best:
+                    a_best, w = alpha[u], u
+            if later & ~(adj[w] | _bit(w)):
+                return False
+    return True
+
+
+def reference_verify_anticycle(G: SimpleGraph, witness) -> bool:
+    """The pairwise ``has_edge`` anticycle check that ``graphs.verify_anticycle``
+    replaced, copied verbatim."""
+    verts = tuple(witness.vertices) if isinstance(witness, AnticycleWitness) else tuple(witness)
+    for a in verts:
+        if not (1 <= a <= G.n):
+            raise VertexOutOfRange(f"vertex {a} is not in [1, {G.n}]")
+    m = len(verts)
+    if m < 4 or len(set(verts)) != m:
+        return False
+    for p in range(m):
+        if G.has_edge(verts[p], verts[(p + 1) % m]):
+            return False
+    for p in range(m):
+        for z in range(p + 2, m):
+            if (p, z) == (0, m - 1):
+                continue
+            if not G.has_edge(verts[p], verts[z]):
+                return False
+    return True
+
+
 def reference_regularity(
     G: SimpleGraph,
     field_char: int = 2,
@@ -228,15 +294,3 @@ def random_graph(rng: random.Random, n: int, prob: float) -> SimpleGraph:
         if rng.random() < prob
     ]
     return SimpleGraph(n, edges)
-
-
-def random_specs(count: int, r_values, seed: int):
-    """Deterministic spec pool mirroring the verification suites."""
-    from chainreg import generate_random_spec
-
-    specs = []
-    for k in range(count):
-        r = r_values[k % len(r_values)]
-        rng = random.Random(seed + 7919 * k)
-        specs.append(generate_random_spec(r, rng.uniform(0.15, 0.95), seed + k))
-    return specs

@@ -236,3 +236,21 @@ class TestConstructAnticycle:
     def test_hypothesis_gate(self):
         with pytest.raises(HypothesisViolated):
             construct_anticycle(normalize_spec(9, [(1, 9), (6, 8)]), 20)
+
+    @pytest.mark.parametrize("case", ["I", "II"])
+    def test_indices_and_traces_built_once(self, case, ex58_spec, reg3_spec, monkeypatch):
+        from chainreg import anticycle
+
+        calls = {"chain_indices": 0, "_j_trace": 0, "_k_trace": 0}
+        for name in calls:
+            real = getattr(anticycle, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(anticycle, name, counted)
+        spec = ex58_spec if case == "I" else reg3_spec
+        _, trace = construct_anticycle(spec, 2 * spec.r)
+        assert trace.case == case
+        assert calls == {"chain_indices": 1, "_j_trace": int(case == "I"), "_k_trace": 1}

@@ -1,6 +1,9 @@
 """Command-line front end: output shapes, exit codes, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -160,6 +163,46 @@ class TestErrors:
         assert main(["expand", spec_file({"r": 3, "edges": [[1, 7]]}), "--n", "4"]) == 2
         assert "EdgeOutOfRange" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload, argv",
+        [
+            (TABLE, ["reg", "--n", "10", "--field", "4"]),
+            (TABLE, ["sweep", "--from", "9", "--to", "12"]),
+            (EXPANSION, ["expand", "--n", "10001"]),
+            ({"r": 0, "edges": [[1, 2]]}, ["expand", "--n", "4"]),
+        ],
+        ids=["non-prime-field", "sweep-below-r", "past-materialize-limit", "r-below-one"],
+    )
+    def test_invalid_arguments_exit_2(self, spec_file, payload, argv, capsys):
+        verb, *rest = argv
+        assert main([verb, spec_file(payload), *rest]) == 2
+        assert "InvalidArgument" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_user_error(self, spec_file, monkeypatch):
+        def broken(spec, n):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "expand", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["expand", spec_file(EXPANSION), "--n", "9"])
+
+    def test_internal_value_error_exits_1(self, spec_file):
+        code = (
+            "import sys\n"
+            "from chainreg import cli\n"
+            "def broken(spec, n):\n"
+            "    raise ValueError('internal fault')\n"
+            "cli.expand = broken\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), *sys.path])}
+        argv = ["expand", spec_file(EXPANSION), "--n", "9"]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert "ValueError: internal fault" in proc.stderr
+
     def test_missing_flag_is_usage_error(self, spec_file):
         with pytest.raises(SystemExit) as exc:
             main(["expand", spec_file(TABLE)])
@@ -241,7 +284,8 @@ GOLDEN_COMMANDS = {
 
 class TestGoldenSnapshots:
     """The JSON output on the golden chains, byte for byte, against snapshots
-    in tests/golden/ (named <chain>.<command>.json)."""
+    in tests/golden/ (named <chain>.<command>.json, or <chain>.anticycle.<n>.json
+    for the anticycle construction, which applies to two of the chains)."""
 
     def test_every_golden_chain_is_covered(self):
         assert [p.stem for p in GOLDEN_SPECS] == ["near_sharp", "reg3", "six_edge", "table"]
@@ -252,4 +296,12 @@ class TestGoldenSnapshots:
         argv = [verb, str(spec), *GOLDEN_COMMANDS[verb], "--format", "json"]
         assert main(argv) == 0
         want = (REPO / "tests" / "golden" / f"{spec.stem}.{verb}.json").read_text()
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("n", [18, 19, 20])
+    @pytest.mark.parametrize("chain", ["reg3", "six_edge"])
+    def test_anticycle_json_is_unchanged(self, chain, n, capsys):
+        spec = REPO / "bench" / "specs" / f"{chain}.json"
+        assert main(["anticycle", str(spec), "--n", str(n), "--format", "json"]) == 0
+        want = (REPO / "tests" / "golden" / f"{chain}.anticycle.{n}.json").read_text()
         assert capsys.readouterr().out == want

@@ -8,6 +8,7 @@ from chainreg import (
     AnticycleWitness,
     SimpleGraph,
     complement,
+    construct_anticycle,
     enumerate_induced_cycles,
     expand,
     find_induced_kK2,
@@ -27,7 +28,9 @@ from conftest import (
     brute_induced_cycles,
     random_graph,
     random_specs,
+    reference_is_chordal,
     reference_matching_search,
+    reference_verify_anticycle,
 )
 
 GOLDEN_CHAINS = {
@@ -199,6 +202,36 @@ class TestChordality:
         for n in range(2, 9):
             assert is_cochordal(expand(spec, n))
         assert not is_cochordal(expand(reg3_spec, 6))
+
+
+class TestChordalityAgainstReference:
+    """The one-pass layered search gives the two-pass search's verdict."""
+
+    def test_random_graphs(self):
+        rng = random.Random(1984)
+        verdicts = []
+        for _ in range(2400):
+            g = random_graph(rng, rng.randint(0, 14), rng.uniform(0.05, 0.95))
+            want = reference_is_chordal(g)
+            assert is_chordal(g) == want, g
+            verdicts.append(want)
+        assert 600 < sum(verdicts) < 1800
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CHAINS))
+    def test_golden_late_complements(self, name):
+        for n in range(30, 81):
+            h = complement(expand(GOLDEN_CHAINS[name], n))
+            assert is_chordal(h) == reference_is_chordal(h), n
+
+    def test_random_chain_late_complements(self):
+        verdicts = set()
+        for spec in random_specs(40, (3, 4, 5, 6), seed=4242):
+            for n in range(30, 81):
+                h = complement(expand(spec, n))
+                want = reference_is_chordal(h)
+                assert is_chordal(h) == want, (spec, n)
+                verdicts.add(want)
+        assert verdicts == {False, True}
 
 
 class TestInducedMatching:
@@ -398,3 +431,54 @@ class TestVerifyAnticycle:
                     drop = {v1} | {w for w in range(1, h.n + 1) if h.has_edge(v1, w)}
                     rest = induced_subgraph(h, set(range(1, h.n + 1)) - drop)
                     assert is_cochordal(rest), (spec, sorted(W), v1)
+
+
+class TestVerifyAnticycleAgainstReference:
+    """The row-mask check gives the pairwise check's answer."""
+
+    def test_random_sequences(self):
+        rng = random.Random(3141)
+        answers = []
+        for _ in range(1500):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n, rng.random())
+            m = rng.randint(0, min(n, 9))
+            seq = rng.sample(range(1, n + 1), m)
+            if m >= 4 and rng.random() < 0.5:
+                # Plant the anticycle, then sometimes break one pair of it.
+                rows = list(g.adj)
+                inside = sum(1 << (v - 1) for v in seq)
+                for p, v in enumerate(seq):
+                    gaps = (1 << (seq[p - 1] - 1)) | (1 << (seq[(p + 1) % m] - 1))
+                    rows[v] = (rows[v] & ~inside) | (inside & ~gaps & ~(1 << (v - 1)))
+                g = SimpleGraph._from_rows(n, rows)
+                if rng.random() < 0.3:
+                    a, b = rng.sample(seq, 2)
+                    flipped = set(g.edges) ^ {(min(a, b), max(a, b))}
+                    g = SimpleGraph(n, flipped)
+            if seq and rng.random() < 0.2:
+                seq.insert(rng.randrange(len(seq) + 1), rng.choice(seq))
+            want = reference_verify_anticycle(g, seq)
+            assert verify_anticycle(g, seq) == want, (g, seq)
+            answers.append(want)
+        assert 100 < sum(answers) < 1400
+
+    def test_out_of_range_raises_in_both(self):
+        g = complement(cycle_graph(6))
+        for seq in ([1, 2, 3, 7], [0, 2, 4, 6], [1, 3, 5, 8, 8]):
+            with pytest.raises(VertexOutOfRange):
+                reference_verify_anticycle(g, seq)
+            with pytest.raises(VertexOutOfRange):
+                verify_anticycle(g, seq)
+
+    def test_six_edge_witnesses_and_swaps(self):
+        spec = GOLDEN_CHAINS["six_edge"]
+        rng = random.Random(2020)
+        for n in range(18, 41):
+            witness, _ = construct_anticycle(spec, n)
+            g = expand(spec, n + spec.r)
+            assert verify_anticycle(g, witness) and reference_verify_anticycle(g, witness)
+            swapped = list(witness.vertices)
+            p, q = rng.sample(range(len(swapped)), 2)
+            swapped[p], swapped[q] = swapped[q], swapped[p]
+            assert verify_anticycle(g, swapped) == reference_verify_anticycle(g, swapped)
