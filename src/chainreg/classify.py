@@ -113,10 +113,13 @@ def sweep_verify(
     ``oracle_cap`` also get the full homology oracle.  Rows at or beyond the
     verdict threshold n0 are flagged when the observed value (or, lacking one,
     the cochordality status) contradicts the predicted limit.  The window
-    below n0 is unconstrained and never flagged.
+    below n0 is unconstrained and never flagged.  Raises InvalidArgument
+    unless r <= n_lo <= n_hi, or for a negative ``oracle_cap``.
     """
     if not (spec.r <= n_lo <= n_hi):
         raise InvalidArgument(f"need r <= n_lo <= n_hi, got r={spec.r}, [{n_lo}, {n_hi}]")
+    if oracle_cap < 0:
+        raise InvalidArgument(f"oracle cap must be non-negative, got {oracle_cap}")
     verdict = limit_regularity(spec)
     rows = []
     violations = []

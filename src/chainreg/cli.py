@@ -23,6 +23,11 @@ from .oracle import DEFAULT_SUBSET_BUDGET, regularity
 from .verify import run_suite
 
 
+# `expand` lists every edge as a tuple and a JSON pair; past this many edges
+# it refuses before listing rather than exhaust memory on the output.
+EDGE_LIST_LIMIT = 1_000_000
+
+
 def _is_int(x) -> bool:
     # JSON true/false load as bool, a subclass of int.
     return isinstance(x, int) and not isinstance(x, bool)
@@ -30,10 +35,12 @@ def _is_int(x) -> bool:
 
 def load_spec(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise errors.ParseError(f"cannot read spec file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise errors.ParseError(f"spec file {path} is not UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise errors.ParseError(f"malformed JSON in {path}: {exc}")
     if not isinstance(data, dict) or "r" not in data or "edges" not in data:
@@ -64,10 +71,16 @@ def _emit_table(pairs) -> None:
 def _cmd_expand(args) -> int:
     spec = load_spec(args.spec)
     g = expand(spec, args.n)
+    edge_count = g.edge_count
+    if edge_count > EDGE_LIST_LIMIT:
+        raise errors.InvalidArgument(
+            f"G_{args.n} has {edge_count} edges, more than the {EDGE_LIST_LIMIT} "
+            "that expand lists"
+        )
     if args.format == "json":
         _emit_json(g.to_json())
     else:
-        print(f"G_{args.n}: {g.edge_count} edges")
+        print(f"G_{args.n}: {edge_count} edges")
         for u, v in g.sorted_edges():
             print(f"{u} {v}")
     return 0

@@ -2,11 +2,13 @@
 
 The regularity of a nonzero edge ideal equals 2 plus the largest dimension in
 which the independence complex of some induced subgraph carries reduced
-homology over the chosen prime field.  This module scans vertex subsets in
-increasing cardinality, computing boundary-matrix ranks for each survivor.
+homology over the chosen prime field.  This module finds the vertex subsets
+that no prune removes, then computes boundary-matrix ranks for each of them in
+increasing cardinality (then numeric mask order).
 
-Three prunes are applied, all exact, each skipping a subset W whose homology
-is already accounted for by a smaller subset, which was scanned earlier:
+Three prunes are applied, all exact, each removing a subset W whose homology
+is already accounted for by a smaller subset, which comes earlier in that
+order:
 
 - a vertex with no neighbour in W makes the complex a cone, so all reduced
   homology vanishes;
@@ -16,6 +18,25 @@ is already accounted for by a smaller subset, which was scanned earlier:
   Engström's fold lemma ("Complexes of directed trees and independence
   complexes", Discrete Math. 2009) makes Ind(G[W]) homotopy equivalent to
   Ind(G[W - v]).  The cone case is the fold with N(u) empty.
+
+The survivors are found by a depth-first walk over vertex sets, each grown
+only by later candidates, that cuts whole subtrees of pruned sets: on the
+table chain's G_18 it pops 251 sets where a scan of all subsets of its 18
+supported vertices tests 262,125.  After vertex t joins a set S, ``reach`` is
+S with its remaining candidates.  Every set below S in the walk lies between
+S and reach, so a vertex adjacent to all of reach dominates each of them, and
+neighbourhoods that nest inside reach nest inside each of them.  The walk
+cuts:
+
+- the whole subtree, when t is adjacent to all of reach: t dominates every
+  set below;
+- a candidate x adjacent to all of reach: x dominates every set it joins;
+- a candidate x whose neighbourhood in reach nests with t's, either way:
+  every set holding both folds.  Nesting forces x and t apart: were they
+  adjacent, each would lie in the other's neighbourhood but not in its own.
+
+Every cut set would fail the per-subset test, which still runs on each
+visited set, so the survivors are exactly those of a scan of all subsets.
 
 Dimension 0 is covered once and for all by any single edge.  The prunes never
 remove the first subset in scan order that attains the maximum dimension, since
@@ -219,6 +240,82 @@ def reduced_homology_ranks(G: SimpleGraph, field_char: int = 2) -> HomologyProfi
     )
 
 
+def _pruned(adj, mask: int) -> bool:
+    """Whether a prune removes the vertex set ``mask``.
+
+    It does when some vertex u of the set (bit b, a = N(u) inside the set)
+    dominates the set or has a non-neighbour x with N(u) inside N(x); an
+    isolated u has every x (the cone case).
+    """
+    w = mask
+    while w:
+        b = w & -w
+        w ^= b
+        a = adj[b.bit_length()] & mask
+        x = mask ^ b ^ a
+        if not x:
+            return True
+        while x:
+            t = x & -x
+            if not a & ~adj[t.bit_length()]:
+                return True
+            x ^= t
+    return False
+
+
+def _fold_survivors(adj, nn: int, progress=None) -> list[int]:
+    """The vertex sets of size >= 2 on 1..nn that no prune removes, unsorted.
+
+    The depth-first walk and its three cuts of the module docstring; each
+    visited set of size >= 2 goes through ``_pruned``.  ``progress`` receives
+    (k * 2**16, 2**nn) each time the count of sets of size >= 2 passes a
+    multiple of 2**16; the count takes each such set once, visited or cut,
+    and a cut adds the size of everything it removes in one step.
+    """
+    survivors: list[int] = []
+    scanned = 0
+    step = 1 << 16
+    report = step
+    total = 1 << nn
+    stack = []
+    rest = total - 1
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        stack.append((b, b, rest))
+    while stack:
+        s, tb, cands = stack.pop()
+        reach = s | cands
+        at = adj[tb.bit_length()] & reach
+        c = cands
+        while c:
+            xb = c & -c
+            c ^= xb
+            ax = adj[xb.bit_length()] & reach
+            # x dominates reach, or N(x) and N(t) nest inside reach.
+            if ax == reach ^ xb or not ax & ~at or not at & ~ax:
+                scanned += 1 << (cands.bit_count() - 1)
+                cands ^= xb
+                reach ^= xb
+                at &= reach
+        if at == reach ^ tb:  # t dominates reach
+            scanned += (1 << cands.bit_count()) - (s == tb)
+        else:
+            if s != tb:
+                scanned += 1
+                if not _pruned(adj, s):
+                    survivors.append(s)
+            while cands:
+                xb = cands & -cands
+                cands ^= xb
+                stack.append((s | xb, xb, cands))
+        if progress is not None:
+            while scanned >= report:
+                progress(report, total)
+                report += step
+    return survivors
+
+
 def regularity(
     G: SimpleGraph,
     field_char: int = 2,
@@ -227,15 +324,22 @@ def regularity(
 ) -> RegularityReport:
     """Exact regularity of the edge ideal of G by subset enumeration.
 
-    Scans all subsets of the supported vertices in increasing cardinality
-    (then numeric mask order) and keeps the maximum homological dimension
-    found, together with the first subset attaining it.  The optional
-    ``progress`` callable receives (scanned, total) every 2**16 subsets.
-    Raises SubsetBudgetExceeded when more than ``subset_budget`` vertices
-    carry an edge.
+    Walks the subsets of the supported vertices depth first, cutting those
+    that a prune removes, and runs the homology computation on the survivors
+    in increasing cardinality (then numeric mask order), keeping the maximum
+    homological dimension found together with the first subset attaining it.
+    The survivors, and so the value and certificate, are those of a scan of
+    every subset.  The optional ``progress`` callable receives (scanned,
+    total) each time ``scanned`` reaches a multiple of 2**16, where
+    ``scanned`` counts the subsets of size >= 2 that were visited or cut and
+    ``total`` is 2**k for k supported vertices.  Raises InvalidArgument for a
+    non-prime field or a negative ``subset_budget``, and SubsetBudgetExceeded
+    when more than ``subset_budget`` vertices carry an edge.
     """
     if not _is_prime(field_char):
         raise InvalidArgument(f"field characteristic must be prime, got {field_char}")
+    if subset_budget < 0:
+        raise InvalidArgument(f"subset budget must be non-negative, got {subset_budget}")
     if not any(G.adj):
         return RegularityReport(value=None, method="hochster-oracle", field_char=field_char)
     support = [v for v in range(1, G.n + 1) if G.adj[v]]
@@ -247,7 +351,6 @@ def regularity(
     labels = H.labels
     adj = H.adj
     nn = H.n
-    full = (1 << nn) - 1
 
     # Any edge realizes dimension 0, so seed with the smallest edge subset:
     # the edge whose upper end v is least, then the least u below v.
@@ -256,42 +359,14 @@ def regularity(
     below = adj[v] & (_bit(v) - 1)
     best_mask = _bit(v) | (below & -below)
 
-    count = 0
-    total = 1 << nn
-    for card in range(2, nn + 1):
-        mask = (1 << card) - 1
-        while mask <= full:
-            count += 1
-            if progress is not None and count % 65536 == 0:
-                progress(count, total)
-            # W = mask survives when no vertex u of W (bit b, a = N(u) in W)
-            # dominates W or has a non-neighbour x with N(u) inside N(x); an
-            # isolated u has every x (the cone case).  Only survivors reach
-            # the else branch.
-            w = mask
-            while w:
-                b = w & -w
-                w ^= b
-                a = adj[b.bit_length()] & mask
-                x = mask ^ b ^ a
-                if not x:
-                    break
-                while x:
-                    t = x & -x
-                    if not a & ~adj[t.bit_length()]:
-                        break
-                    x ^= t
-                if x:
-                    break
-            else:
-                faces = _independent_faces(adj, mask)
-                if len(faces) - 2 > best_d:
-                    d = _top_nonzero_excess(faces, field_char, best_d)
-                    if d is not None:
-                        best_d, best_mask = d, mask
-            c = mask & -mask
-            r2 = mask + c
-            mask = r2 | (((mask ^ r2) >> 2) // c)
+    survivors = _fold_survivors(adj, nn, progress)
+    survivors.sort(key=lambda m: (m.bit_count(), m))
+    for mask in survivors:
+        faces = _independent_faces(adj, mask)
+        if len(faces) - 2 > best_d:
+            d = _top_nonzero_excess(faces, field_char, best_d)
+            if d is not None:
+                best_d, best_mask = d, mask
 
     subset = sorted(labels[v - 1] for v in _iter_bits(best_mask))
     return RegularityReport(

@@ -4,10 +4,11 @@ The oracles here deliberately avoid the library's own algorithms: expansion is
 checked against explicit enumeration of increasing maps, cycles and matchings
 against raw subset search, monomial counts against direct enumeration.  The
 pruned homology scan is checked against a copy of the scan without its fold
-prune, which shares only the face enumeration and rank code, the vertex-mask
-matching search against a copy of the edge-list search it replaced, and the
-one-pass chordality test and row-mask anticycle check against copies of the
-two-pass search and pairwise check they replaced.
+prune, which shares only the face enumeration and rank code, and its
+depth-first walk against all subsets filtered through a copy of the per-subset
+prune test; the vertex-mask matching search against a copy of the edge-list
+search it replaced, and the one-pass chordality test and row-mask anticycle
+check against copies of the two-pass search and pairwise check they replaced.
 """
 
 from __future__ import annotations
@@ -273,6 +274,34 @@ def reference_regularity(
         field_char=field_char,
         certificate={"subset": subset, "dimension": best_d},
     )
+
+
+def brute_fold_survivors(adj, nn: int) -> set[int]:
+    """Every vertex set of size >= 2 on 1..nn that the oracle's per-subset
+    prune test keeps, by filtering all of them through a verbatim copy of the
+    test as it ran inside the cardinality-ordered scan."""
+    kept = set()
+    for mask in range(1, 1 << nn):
+        if mask.bit_count() < 2:
+            continue
+        w = mask
+        while w:
+            b = w & -w
+            w ^= b
+            a = adj[b.bit_length()] & mask
+            x = mask ^ b ^ a
+            if not x:
+                break
+            while x:
+                t = x & -x
+                if not a & ~adj[t.bit_length()]:
+                    break
+                x ^= t
+            if x:
+                break
+        else:
+            kept.add(mask)
+    return kept
 
 
 def brute_low_degree_survivors(p: int, edges) -> int:

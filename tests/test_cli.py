@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,12 @@ class TestLoadSpec:
             load_spec(spec_file({"edges": [[1, 2]]}))
         with pytest.raises(ParseError):
             load_spec(spec_file({"r": 3, "edges": [[1, "a"]]}))
+
+    def test_undecodable_bytes_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b'\xff{"r": 2}')
+        assert main(["classify", str(path)]) == 2
+        assert "ParseError" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "payload",
@@ -170,13 +177,36 @@ class TestErrors:
             (TABLE, ["sweep", "--from", "9", "--to", "12"]),
             (EXPANSION, ["expand", "--n", "10001"]),
             ({"r": 0, "edges": [[1, 2]]}, ["expand", "--n", "4"]),
+            (TABLE, ["reg", "--n", "12", "--oracle-cap", "-1"]),
+            (TABLE, ["sweep", "--from", "10", "--to", "12", "--oracle-cap", "-1"]),
         ],
-        ids=["non-prime-field", "sweep-below-r", "past-materialize-limit", "r-below-one"],
+        ids=[
+            "non-prime-field",
+            "sweep-below-r",
+            "past-materialize-limit",
+            "r-below-one",
+            "reg-negative-oracle-cap",
+            "sweep-negative-oracle-cap",
+        ],
     )
     def test_invalid_arguments_exit_2(self, spec_file, payload, argv, capsys):
         verb, *rest = argv
         assert main([verb, spec_file(payload), *rest]) == 2
         assert "InvalidArgument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_expand_refuses_past_edge_list_limit(self, spec_file, fmt, capsys):
+        # One generator at n = 10000 gives 49,995,000 edges: the rows are
+        # cheap, but listing them as pairs would not be.
+        argv = ["expand", spec_file({"r": 2, "edges": [[1, 2]]}), "--n", "10000", "--format", fmt]
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "InvalidArgument" in err and "49995000 edges" in err
+        assert out == ""
+        assert elapsed < 5.0
 
     def test_internal_value_error_is_not_user_error(self, spec_file, monkeypatch):
         def broken(spec, n):

@@ -14,9 +14,10 @@ from chainreg import (
     regularity,
     regularity_bounds,
 )
-from chainreg.errors import EdgelessGraph, SubsetBudgetExceeded
+from chainreg.errors import EdgelessGraph, InvalidArgument, SubsetBudgetExceeded
+from chainreg.oracle import _fold_survivors
 
-from conftest import random_graph, reference_regularity
+from conftest import brute_fold_survivors, random_graph, reference_regularity
 
 
 def disjoint_edges(k):
@@ -95,6 +96,10 @@ class TestRegularity:
         g = disjoint_edges(4)
         with pytest.raises(SubsetBudgetExceeded):
             regularity(g, 2, subset_budget=7)
+
+    def test_negative_budget_is_invalid(self):
+        with pytest.raises(InvalidArgument):
+            regularity(disjoint_edges(1), 2, subset_budget=-1)
 
     def test_value_at_least_two_with_an_edge(self):
         rng = random.Random(21)
@@ -191,6 +196,45 @@ class TestAgainstReference:
         regularity(g, 2, progress=lambda *a: calls.append(a))
         reference_regularity(g, 2, progress=lambda *a: ref_calls.append(a))
         assert calls == ref_calls == [(1 << 16, 1 << 17)]
+
+
+def supported_rows(g):
+    """Adjacency rows and size of g restricted to its supported vertices."""
+    h = induced_subgraph(g, [v for v in range(1, g.n + 1) if g.adj[v]])
+    return h.adj, h.n
+
+
+class TestSurvivorWalk:
+    """The depth-first walk keeps exactly the subsets the per-subset test keeps."""
+
+    def test_random_graphs(self):
+        rng = random.Random(91)
+        for _ in range(1000):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n, rng.uniform(0.05, 0.95))
+            got = _fold_survivors(g.adj, n)
+            assert len(got) == len(set(got)), g
+            assert set(got) == brute_fold_survivors(g.adj, n), g
+
+    def test_golden_windows(self, table_spec, reg3_spec):
+        windows = [(table_spec, n) for n in range(10, 17)]
+        windows += [(reg3_spec, n) for n in range(6, 13)]
+        for spec, n in windows:
+            adj, nn = supported_rows(expand(spec, n))
+            got = _fold_survivors(adj, nn)
+            assert len(got) == len(set(got)), (spec, n)
+            assert set(got) == brute_fold_survivors(adj, nn), (spec, n)
+
+    def test_progress_counts_cut_subtrees(self, table_spec):
+        # Table G_17 has 17 supported vertices and the walk cuts subtrees,
+        # yet every subset of size >= 2 is counted once.  The reference scan
+        # visits every subset, so on any 17 supported vertices it makes this
+        # one call (test_progress_counts_every_subset runs it).
+        g = expand(table_spec, 17)
+        assert supported_rows(g)[1] == 17
+        calls = []
+        regularity(g, 2, progress=lambda *a: calls.append(a))
+        assert calls == [(1 << 16, 1 << 17)]
 
 
 class TestRegularityBounds:
