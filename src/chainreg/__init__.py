@@ -10,8 +10,7 @@ with explicit stabilization thresholds.
 from . import errors
 from .anticycle import (
     AnticycleTrace,
-    JTrace,
-    KTrace,
+    PivotTrace,
     build_J_sets,
     build_K_sets,
     construct_anticycle,

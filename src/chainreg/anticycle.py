@@ -21,35 +21,18 @@ from .graphs import AnticycleWitness, verify_anticycle
 
 
 @dataclass(frozen=True)
-class JTrace:
-    """Rearrangement of generator positions toward smaller left endpoints.
+class PivotTrace:
+    """One rearrangement of generator positions (see ``_rearrange``).
 
-    ``sets[t]`` lists the positions (1-based) picked at step t + 1; the pivot
-    of each step is the smallest position of its set.
+    ``sets[t]`` lists the positions (1-based) picked at step t + 1 and
+    ``pivots[t]`` the pivot of that step: its smallest position for the head,
+    which walks toward smaller left endpoints, and its largest for the tail,
+    which walks toward larger right endpoints and always ends at the last
+    position carrying the maximal right endpoint.
     """
 
     sets: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
-
-    @property
-    def beta(self) -> int:
-        return len(self.pivots)
-
-
-@dataclass(frozen=True)
-class KTrace:
-    """Rearrangement of generator positions toward larger right endpoints.
-
-    The pivot of each step is the largest position of its set; the final pivot
-    is always the last position carrying the maximal right endpoint.
-    """
-
-    sets: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...]
-
-    @property
-    def gamma(self) -> int:
-        return len(self.pivots)
 
 
 @dataclass(frozen=True)
@@ -61,8 +44,8 @@ class AnticycleTrace:
     d: int
     initial: tuple[int, ...]
     vertices: tuple[int, ...]
-    j_trace: JTrace | None
-    k_trace: KTrace
+    j_trace: PivotTrace | None
+    k_trace: PivotTrace
 
     @property
     def m(self) -> int:
@@ -88,17 +71,49 @@ def _require_hypotheses(spec: ChainSpec) -> ChainIndices:
     return idx
 
 
-def build_J_sets(spec: ChainSpec) -> JTrace:
-    """Head-segment rearrangement (applies when i_b <= i_h).
+def _rearrange(spec: ChainSpec, idx: ChainIndices, key, stop: int, what: str) -> PivotTrace:
+    """The greedy pivot rearrangement shared by the head and the tail.
 
     Starting from the minimum-gap positions, each step collects, among the
-    untouched positions strictly left of the current pivot, those of smallest
-    gap; the walk stops once the pivot's left endpoint drops below i_b.
+    untouched positions whose key exceeds the current pivot's, those of
+    smallest gap, until the pivot's key reaches ``stop``.  The head walks
+    toward smaller left endpoints (key = -left, stop = 1 - i_b), the tail
+    toward larger right endpoints (key = right, stop = j_B).  Each step's
+    pivot is its position of largest key, which is unique: positions are
+    sorted by (left, right) and no two edges of equal gap share an endpoint,
+    so it is the smallest position of the set for the head and the largest
+    for the tail.
     """
-    return _j_trace(spec, _require_hypotheses(spec))
+    edges = spec.edges
+    step = idx.J1
+    sets: list[tuple[int, ...]] = []
+    pivots: list[int] = []
+    used: set[int] = set()
+    while True:
+        pivot = max(step, key=key)
+        sets.append(step)
+        pivots.append(pivot)
+        used.update(step)
+        bound = key(pivot)
+        if bound >= stop:
+            return PivotTrace(tuple(sets), tuple(pivots))
+        cands = [t for t in range(1, spec.s + 1) if t not in used and key(t) > bound]
+        if not cands:
+            raise HypothesisViolated(f"{what} rearrangement ran out of candidates")
+        g = min(edges[t - 1][1] - edges[t - 1][0] for t in cands)
+        step = tuple(t for t in cands if edges[t - 1][1] - edges[t - 1][0] == g)
 
 
-def _j_trace(spec: ChainSpec, idx: ChainIndices) -> JTrace:
+def build_J_sets(spec: ChainSpec) -> PivotTrace:
+    """Head-segment rearrangement (applies when i_b <= i_h).
+
+    The walk of ``_rearrange`` toward smaller left endpoints, strictly left of
+    the current pivot, stopping once the pivot's left endpoint drops below i_b.
+    """
+    return _head_trace(spec, _require_hypotheses(spec))
+
+
+def _head_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
     edges = spec.edges
     i_b = edges[idx.b - 1][0]
     i_h = edges[idx.h - 1][0]
@@ -106,61 +121,26 @@ def _j_trace(spec: ChainSpec, idx: ChainIndices) -> JTrace:
         raise CaseMismatch(
             f"i_h = {i_h} < i_b = {i_b}: the closed-form head applies instead"
         )
-    sets = [tuple(idx.J1)]
-    pivots = [idx.h]
-    used = set(idx.J1)
-    while edges[pivots[-1] - 1][0] >= i_b:
-        bound = edges[pivots[-1] - 1][0]
-        cands = [
-            t
-            for t in range(1, spec.s + 1)
-            if t not in used and edges[t - 1][0] < bound
-        ]
-        if not cands:
-            raise HypothesisViolated("head rearrangement ran out of candidates")
-        g = min(edges[t - 1][1] - edges[t - 1][0] for t in cands)
-        nxt = tuple(t for t in cands if edges[t - 1][1] - edges[t - 1][0] == g)
-        sets.append(nxt)
-        pivots.append(nxt[0])
-        used.update(nxt)
-    return JTrace(tuple(sets), tuple(pivots))
+    return _rearrange(spec, idx, lambda t: -edges[t - 1][0], 1 - i_b, "head")
 
 
-def build_K_sets(spec: ChainSpec) -> KTrace:
+def build_K_sets(spec: ChainSpec) -> PivotTrace:
     """Tail-segment rearrangement.
 
-    Starting again from the minimum-gap positions, each step collects, among
-    the untouched positions with right endpoint beyond the current pivot's,
-    those of smallest gap, until the pivot reaches the maximal right endpoint.
+    The walk of ``_rearrange`` toward larger right endpoints, beyond the
+    current pivot's, until the pivot reaches the maximal right endpoint.
     When the minimum-gap block already contains it, nothing happens.
     """
     _require_gap(spec)
-    return _k_trace(spec, chain_indices(spec))
+    return _tail_trace(spec, chain_indices(spec))
 
 
-def _k_trace(spec: ChainSpec, idx: ChainIndices) -> KTrace:
+def _tail_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
     edges = spec.edges
-    j_B = edges[idx.B - 1][1]
-    sets = [tuple(idx.J1)]
-    pivots = [idx.H]
-    used = set(idx.J1)
-    while edges[pivots[-1] - 1][1] < j_B:
-        bound = edges[pivots[-1] - 1][1]
-        cands = [
-            t
-            for t in range(1, spec.s + 1)
-            if t not in used and edges[t - 1][1] > bound
-        ]
-        if not cands:
-            raise HypothesisViolated("tail rearrangement ran out of candidates")
-        g = min(edges[t - 1][1] - edges[t - 1][0] for t in cands)
-        nxt = tuple(t for t in cands if edges[t - 1][1] - edges[t - 1][0] == g)
-        sets.append(nxt)
-        pivots.append(nxt[-1])
-        used.update(nxt)
-    if pivots[-1] != idx.B:
+    kt = _rearrange(spec, idx, lambda t: edges[t - 1][1], edges[idx.B - 1][1], "tail")
+    if kt.pivots[-1] != idx.B:
         raise HypothesisViolated("tail rearrangement did not end at position B")
-    return KTrace(tuple(sets), tuple(pivots))
+    return kt
 
 
 def _head_start(i_anchor: int, gap: int, i_b: int) -> tuple[int, int]:
@@ -184,10 +164,10 @@ def initial_vertices(spec: ChainSpec, n: int) -> list[int]:
     """
     _require_index(spec, n)
     idx = _require_hypotheses(spec)
-    return _head(spec, idx, _j_trace(spec, idx))[1]
+    return _head(spec, idx, _head_trace(spec, idx))[1]
 
 
-def _head(spec: ChainSpec, idx: ChainIndices, jt: JTrace) -> tuple[int, list[int]]:
+def _head(spec: ChainSpec, idx: ChainIndices, jt: PivotTrace) -> tuple[int, list[int]]:
     """(epsilon, head segment) for the head trace ``jt``."""
     edges = spec.edges
     i_b = edges[idx.b - 1][0]
@@ -214,10 +194,10 @@ def final_vertices(spec: ChainSpec, n: int, a_index: int) -> list[int]:
     _require_index(spec, n)
     _require_gap(spec)
     idx = chain_indices(spec)
-    return _tail(spec, n, a_index, idx, _k_trace(spec, idx))
+    return _tail(spec, n, a_index, idx, _tail_trace(spec, idx))
 
 
-def _tail(spec: ChainSpec, n: int, a_index: int, idx: ChainIndices, kt: KTrace) -> list[int]:
+def _tail(spec: ChainSpec, n: int, a_index: int, idx: ChainIndices, kt: PivotTrace) -> list[int]:
     edges = spec.edges
     i_h = edges[idx.h - 1][0]
     i_B, j_B = edges[idx.B - 1]
@@ -250,9 +230,9 @@ def construct_anticycle(spec: ChainSpec, n: int) -> tuple[AnticycleWitness, Anti
     edges = spec.edges
     i_b = edges[idx.b - 1][0]
     i_h, j_h = edges[idx.h - 1]
-    kt = _k_trace(spec, idx)
+    kt = _tail_trace(spec, idx)
     if i_b <= i_h:
-        jt = _j_trace(spec, idx)
+        jt = _head_trace(spec, idx)
         eps, head = _head(spec, idx, jt)
         tail = _tail(spec, n, head[-1], idx, kt)
         vertices = tuple(head[:-1]) + tuple(tail)

@@ -132,8 +132,8 @@ def _cmd_anticycle(args) -> int:
         "K": [list(s) for s in trace.k_trace.sets],
         "u": None if trace.j_trace is None else list(trace.j_trace.pivots),
         "v": list(trace.k_trace.pivots),
-        "beta": None if trace.j_trace is None else trace.j_trace.beta,
-        "gamma": trace.k_trace.gamma,
+        "beta": None if trace.j_trace is None else len(trace.j_trace.pivots),
+        "gamma": len(trace.k_trace.pivots),
         "vertices": list(witness.vertices),
     }
     if args.format == "json":

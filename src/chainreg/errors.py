@@ -32,8 +32,9 @@ class VertexOutOfRange(InvalidInputError):
 class InvalidArgument(InvalidInputError, ValueError):
     """An argument value is out of its domain: a non-prime field, an index
     range starting below r, an index past the materialization limit, a
-    non-positive r, a negative oracle budget, or an edge list too long to
-    print.  Also a ValueError, so callers catching that still work."""
+    non-positive r, a negative oracle budget, a matching size k below 1, or
+    an edge list too long to print.  Also a ValueError, so callers catching
+    that still work."""
 
 
 class IndexBelowStability(ChainRegError):

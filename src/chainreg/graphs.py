@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CycleLimitExceeded, VertexOutOfRange
+from .errors import CycleLimitExceeded, InvalidArgument, VertexOutOfRange
 
 
 def _bit(v: int) -> int:
@@ -267,7 +267,7 @@ def induced_matching(G: SimpleGraph, stop_at: int | None = None):
 def find_induced_kK2(G: SimpleGraph, k: int):
     """A witness list of k pairwise disjoint edges with no cross edges, or None."""
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise InvalidArgument(f"k must be positive, got {k}")
     best, witness = induced_matching(G, stop_at=k)
     return witness if best >= k else None
 

@@ -49,14 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EdgelessGraph, InvalidArgument, SubsetBudgetExceeded
-from .graphs import (
-    SimpleGraph,
-    _bit,
-    _iter_bits,
-    induced_matching,
-    induced_subgraph,
-    is_cochordal,
-)
+from .graphs import SimpleGraph, induced_matching, induced_subgraph, is_cochordal
 
 DEFAULT_SUBSET_BUDGET = 22
 
@@ -263,22 +256,15 @@ def _pruned(adj, mask: int) -> bool:
     return False
 
 
-def _fold_survivors(adj, nn: int, progress=None) -> list[int]:
+def _fold_survivors(adj, nn: int) -> list[int]:
     """The vertex sets of size >= 2 on 1..nn that no prune removes, unsorted.
 
     The depth-first walk and its three cuts of the module docstring; each
-    visited set of size >= 2 goes through ``_pruned``.  ``progress`` receives
-    (k * 2**16, 2**nn) each time the count of sets of size >= 2 passes a
-    multiple of 2**16; the count takes each such set once, visited or cut,
-    and a cut adds the size of everything it removes in one step.
+    visited set of size >= 2 goes through ``_pruned``.
     """
     survivors: list[int] = []
-    scanned = 0
-    step = 1 << 16
-    report = step
-    total = 1 << nn
     stack = []
-    rest = total - 1
+    rest = (1 << nn) - 1
     while rest:
         b = rest & -rest
         rest ^= b
@@ -294,25 +280,16 @@ def _fold_survivors(adj, nn: int, progress=None) -> list[int]:
             ax = adj[xb.bit_length()] & reach
             # x dominates reach, or N(x) and N(t) nest inside reach.
             if ax == reach ^ xb or not ax & ~at or not at & ~ax:
-                scanned += 1 << (cands.bit_count() - 1)
                 cands ^= xb
                 reach ^= xb
                 at &= reach
-        if at == reach ^ tb:  # t dominates reach
-            scanned += (1 << cands.bit_count()) - (s == tb)
-        else:
-            if s != tb:
-                scanned += 1
-                if not _pruned(adj, s):
-                    survivors.append(s)
+        if at != reach ^ tb:  # t dominating reach cuts the whole subtree
+            if s != tb and not _pruned(adj, s):
+                survivors.append(s)
             while cands:
                 xb = cands & -cands
                 cands ^= xb
                 stack.append((s | xb, xb, cands))
-        if progress is not None:
-            while scanned >= report:
-                progress(report, total)
-                report += step
     return survivors
 
 
@@ -320,7 +297,6 @@ def regularity(
     G: SimpleGraph,
     field_char: int = 2,
     subset_budget: int = DEFAULT_SUBSET_BUDGET,
-    progress=None,
 ) -> RegularityReport:
     """Exact regularity of the edge ideal of G by subset enumeration.
 
@@ -329,12 +305,9 @@ def regularity(
     in increasing cardinality (then numeric mask order), keeping the maximum
     homological dimension found together with the first subset attaining it.
     The survivors, and so the value and certificate, are those of a scan of
-    every subset.  The optional ``progress`` callable receives (scanned,
-    total) each time ``scanned`` reaches a multiple of 2**16, where
-    ``scanned`` counts the subsets of size >= 2 that were visited or cut and
-    ``total`` is 2**k for k supported vertices.  Raises InvalidArgument for a
-    non-prime field or a negative ``subset_budget``, and SubsetBudgetExceeded
-    when more than ``subset_budget`` vertices carry an edge.
+    every subset.  Raises InvalidArgument for a non-prime field or a negative
+    ``subset_budget``, and SubsetBudgetExceeded when more than
+    ``subset_budget`` vertices carry an edge.
     """
     if not _is_prime(field_char):
         raise InvalidArgument(f"field characteristic must be prime, got {field_char}")
@@ -355,11 +328,11 @@ def regularity(
     # Any edge realizes dimension 0, so seed with the smallest edge subset:
     # the edge whose upper end v is least, then the least u below v.
     best_d = 0
-    v = next(v for v in range(1, nn + 1) if adj[v] & (_bit(v) - 1))
-    below = adj[v] & (_bit(v) - 1)
-    best_mask = _bit(v) | (below & -below)
+    v = next(v for v in range(1, nn + 1) if adj[v] & ((1 << (v - 1)) - 1))
+    below = adj[v] & ((1 << (v - 1)) - 1)
+    best_mask = 1 << (v - 1) | (below & -below)
 
-    survivors = _fold_survivors(adj, nn, progress)
+    survivors = _fold_survivors(adj, nn)
     survivors.sort(key=lambda m: (m.bit_count(), m))
     for mask in survivors:
         faces = _independent_faces(adj, mask)
@@ -368,7 +341,7 @@ def regularity(
             if d is not None:
                 best_d, best_mask = d, mask
 
-    subset = sorted(labels[v - 1] for v in _iter_bits(best_mask))
+    subset = sorted(labels[v - 1] for v in range(1, nn + 1) if best_mask >> (v - 1) & 1)
     return RegularityReport(
         value=2 + best_d,
         method="hochster-oracle",

@@ -8,7 +8,9 @@ prune, which shares only the face enumeration and rank code, and its
 depth-first walk against all subsets filtered through a copy of the per-subset
 prune test; the vertex-mask matching search against a copy of the edge-list
 search it replaced, and the one-pass chordality test and row-mask anticycle
-check against copies of the two-pass search and pairwise check they replaced.
+check against copies of the two-pass search and pairwise check they replaced,
+and the anticycle pivot walker against copies of the head and tail walkers it
+replaced.
 """
 
 from __future__ import annotations
@@ -18,8 +20,13 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from chainreg import ChainSpec, SimpleGraph, normalize_spec
-from chainreg.errors import SubsetBudgetExceeded, VertexOutOfRange
+from chainreg import ChainIndices, ChainSpec, PivotTrace, SimpleGraph, normalize_spec
+from chainreg.errors import (
+    CaseMismatch,
+    HypothesisViolated,
+    SubsetBudgetExceeded,
+    VertexOutOfRange,
+)
 from chainreg.graphs import AnticycleWitness, _bit, _iter_bits, induced_subgraph
 from chainreg.oracle import (
     DEFAULT_SUBSET_BUDGET,
@@ -302,6 +309,63 @@ def brute_fold_survivors(adj, nn: int) -> set[int]:
         else:
             kept.add(mask)
     return kept
+
+
+def reference_j_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
+    """The head walker that ``anticycle._rearrange`` replaced, copied verbatim
+    but for the trace type it returns."""
+    edges = spec.edges
+    i_b = edges[idx.b - 1][0]
+    i_h = edges[idx.h - 1][0]
+    if i_h < i_b:
+        raise CaseMismatch(
+            f"i_h = {i_h} < i_b = {i_b}: the closed-form head applies instead"
+        )
+    sets = [tuple(idx.J1)]
+    pivots = [idx.h]
+    used = set(idx.J1)
+    while edges[pivots[-1] - 1][0] >= i_b:
+        bound = edges[pivots[-1] - 1][0]
+        cands = [
+            t
+            for t in range(1, spec.s + 1)
+            if t not in used and edges[t - 1][0] < bound
+        ]
+        if not cands:
+            raise HypothesisViolated("head rearrangement ran out of candidates")
+        g = min(edges[t - 1][1] - edges[t - 1][0] for t in cands)
+        nxt = tuple(t for t in cands if edges[t - 1][1] - edges[t - 1][0] == g)
+        sets.append(nxt)
+        pivots.append(nxt[0])
+        used.update(nxt)
+    return PivotTrace(tuple(sets), tuple(pivots))
+
+
+def reference_k_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
+    """The tail walker that ``anticycle._rearrange`` replaced, copied verbatim
+    but for the trace type it returns."""
+    edges = spec.edges
+    j_B = edges[idx.B - 1][1]
+    sets = [tuple(idx.J1)]
+    pivots = [idx.H]
+    used = set(idx.J1)
+    while edges[pivots[-1] - 1][1] < j_B:
+        bound = edges[pivots[-1] - 1][1]
+        cands = [
+            t
+            for t in range(1, spec.s + 1)
+            if t not in used and edges[t - 1][1] > bound
+        ]
+        if not cands:
+            raise HypothesisViolated("tail rearrangement ran out of candidates")
+        g = min(edges[t - 1][1] - edges[t - 1][0] for t in cands)
+        nxt = tuple(t for t in cands if edges[t - 1][1] - edges[t - 1][0] == g)
+        sets.append(nxt)
+        pivots.append(nxt[-1])
+        used.update(nxt)
+    if pivots[-1] != idx.B:
+        raise HypothesisViolated("tail rearrangement did not end at position B")
+    return PivotTrace(tuple(sets), tuple(pivots))
 
 
 def brute_low_degree_survivors(p: int, edges) -> int:

@@ -16,12 +16,16 @@ from chainreg import (
     regularity,
     verify_anticycle,
 )
+from chainreg.anticycle import _head_trace, _require_gap, _require_hypotheses, _tail_trace
 from chainreg.errors import (
     CaseMismatch,
+    ChainRegError,
     HypothesisViolated,
     IndexTooSmall,
     StartOutOfRange,
 )
+
+from conftest import random_specs, reference_j_trace, reference_k_trace
 
 
 def hypothesis_specs(count, seed, r_lo=4, r_hi=6):
@@ -63,13 +67,13 @@ class TestBuildJSets:
         jt = build_J_sets(ex58_spec)
         assert jt.sets == ((4, 5), (1,))
         assert jt.pivots == (4, 1)
-        assert jt.beta == 2
+        assert len(jt.pivots) == 2
 
     def test_three_edge_golden(self):
         jt = build_J_sets(SPEC_B)
         assert jt.sets == ((3,), (1, 2))
         assert jt.pivots == (3, 1)
-        assert jt.beta == 2
+        assert len(jt.pivots) == 2
 
     def test_peak_not_above_jq(self):
         # j_q already maximal: the hypotheses fail before any case split.
@@ -93,14 +97,14 @@ class TestBuildJSets:
             if i_h < i_b:
                 continue
             jt = build_J_sets(spec)
-            assert jt.beta >= 2
+            assert len(jt.pivots) >= 2
             lefts = [spec.edges[u - 1][0] for u in jt.pivots]
             gaps = [spec.edges[u - 1][1] - spec.edges[u - 1][0] for u in jt.pivots]
             assert lefts[0] == i_h
             assert lefts[-1] < i_b <= lefts[-2]
-            assert all(lefts[t + 1] < lefts[t] for t in range(jt.beta - 1))
+            assert all(lefts[t + 1] < lefts[t] for t in range(len(jt.pivots) - 1))
             assert gaps[0] >= 2
-            assert all(gaps[t + 1] > gaps[t] for t in range(jt.beta - 1))
+            assert all(gaps[t + 1] > gaps[t] for t in range(len(jt.pivots) - 1))
 
 
 class TestBuildKSets:
@@ -108,13 +112,13 @@ class TestBuildKSets:
         kt = build_K_sets(ex58_spec)
         assert kt.sets == ((4, 5), (6,))
         assert kt.pivots == (5, 6)
-        assert kt.gamma == 2
+        assert len(kt.pivots) == 2
 
     def test_single_step_cases(self, reg3_spec):
         kt = build_K_sets(reg3_spec)
-        assert kt.sets == ((1, 2),) and kt.pivots == (2,) and kt.gamma == 1
+        assert kt.sets == ((1, 2),) and kt.pivots == (2,) and len(kt.pivots) == 1
         kt = build_K_sets(SPEC_B)
-        assert kt.sets == ((3,),) and kt.pivots == (3,) and kt.gamma == 1
+        assert kt.sets == ((3,),) and kt.pivots == (3,) and len(kt.pivots) == 1
 
     def test_pivot_invariants(self):
         for spec in hypothesis_specs(40, seed=222):
@@ -123,11 +127,52 @@ class TestBuildKSets:
             assert kt.pivots[-1] == idx.B
             rights = [spec.edges[v - 1][1] for v in kt.pivots]
             gaps = [spec.edges[v - 1][1] - spec.edges[v - 1][0] for v in kt.pivots]
-            assert all(rights[t + 1] > rights[t] for t in range(kt.gamma - 1))
+            assert all(rights[t + 1] > rights[t] for t in range(len(kt.pivots) - 1))
             assert gaps[0] >= 2
-            assert all(gaps[t + 1] > gaps[t] for t in range(kt.gamma - 1))
-            if kt.gamma == 1:
+            assert all(gaps[t + 1] > gaps[t] for t in range(len(kt.pivots) - 1))
+            if len(kt.pivots) == 1:
                 assert idx.B == idx.H
+
+
+def outcome(fn, *args):
+    """The trace ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except ChainRegError as exc:
+        return type(exc), str(exc)
+
+
+def reference_J_sets(spec):
+    return reference_j_trace(spec, _require_hypotheses(spec))
+
+
+def reference_K_sets(spec):
+    _require_gap(spec)
+    return reference_k_trace(spec, chain_indices(spec))
+
+
+class TestRearrangeAgainstReference:
+    """The one pivot walker reproduces the head and tail walkers it replaced:
+    sets, pivots, error types and messages."""
+
+    SPECS = random_specs(400, (3, 4, 5, 6, 7), seed=4242) + hypothesis_specs(400, seed=4343)
+
+    def test_public_traces(self):
+        for spec in self.SPECS:
+            assert outcome(build_J_sets, spec) == outcome(reference_J_sets, spec), spec
+            assert outcome(build_K_sets, spec) == outcome(reference_K_sets, spec), spec
+
+    def test_walkers_without_hypotheses(self):
+        # Called past the hypothesis checks, the head walker also runs out of
+        # candidates on presentations whose top edge starts at i_1.
+        seen = set()
+        for spec in self.SPECS:
+            idx = chain_indices(spec)
+            head = outcome(_head_trace, spec, idx)
+            assert head == outcome(reference_j_trace, spec, idx), spec
+            assert outcome(_tail_trace, spec, idx) == outcome(reference_k_trace, spec, idx), spec
+            seen.add(head[0] if isinstance(head, tuple) else "trace")
+        assert seen == {"trace", CaseMismatch, HypothesisViolated}
 
 
 class TestInitialVertices:
@@ -241,7 +286,7 @@ class TestConstructAnticycle:
     def test_indices_and_traces_built_once(self, case, ex58_spec, reg3_spec, monkeypatch):
         from chainreg import anticycle
 
-        calls = {"chain_indices": 0, "_j_trace": 0, "_k_trace": 0}
+        calls = {"chain_indices": 0, "_rearrange": 0}
         for name in calls:
             real = getattr(anticycle, name)
 
@@ -253,4 +298,4 @@ class TestConstructAnticycle:
         spec = ex58_spec if case == "I" else reg3_spec
         _, trace = construct_anticycle(spec, 2 * spec.r)
         assert trace.case == case
-        assert calls == {"chain_indices": 1, "_j_trace": int(case == "I"), "_k_trace": 1}
+        assert calls == {"chain_indices": 1, "_rearrange": 2 if case == "I" else 1}

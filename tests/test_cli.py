@@ -313,9 +313,11 @@ GOLDEN_COMMANDS = {
 
 
 class TestGoldenSnapshots:
-    """The JSON output on the golden chains, byte for byte, against snapshots
-    in tests/golden/ (named <chain>.<command>.json, or <chain>.anticycle.<n>.json
-    for the anticycle construction, which applies to two of the chains)."""
+    """The output on the golden chains, byte for byte, against snapshots in
+    tests/golden/: JSON named <chain>.<command>.json, or <chain>.anticycle.<n>.json
+    for the anticycle construction, which applies to two of the chains; the
+    anticycle text output as <chain>.anticycle.<n>.txt; and the report of
+    ``verify --suite all`` as verify.all.txt."""
 
     def test_every_golden_chain_is_covered(self):
         assert [p.stem for p in GOLDEN_SPECS] == ["near_sharp", "reg3", "six_edge", "table"]
@@ -334,4 +336,16 @@ class TestGoldenSnapshots:
         spec = REPO / "bench" / "specs" / f"{chain}.json"
         assert main(["anticycle", str(spec), "--n", str(n), "--format", "json"]) == 0
         want = (REPO / "tests" / "golden" / f"{chain}.anticycle.{n}.json").read_text()
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("chain", ["reg3", "six_edge"])
+    def test_anticycle_text_is_unchanged(self, chain, capsys):
+        spec = REPO / "bench" / "specs" / f"{chain}.json"
+        assert main(["anticycle", str(spec), "--n", "18"]) == 0
+        want = (REPO / "tests" / "golden" / f"{chain}.anticycle.18.txt").read_text()
+        assert capsys.readouterr().out == want
+
+    def test_verify_report_is_unchanged(self, capsys):
+        assert main(["verify", "--suite", "all"]) == 0
+        want = (REPO / "tests" / "golden" / "verify.all.txt").read_text()
         assert capsys.readouterr().out == want

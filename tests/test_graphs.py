@@ -20,7 +20,7 @@ from chainreg import (
     normalize_spec,
     verify_anticycle,
 )
-from chainreg.errors import CycleLimitExceeded, VertexOutOfRange
+from chainreg.errors import CycleLimitExceeded, InvalidArgument, VertexOutOfRange
 
 from conftest import (
     brute_expand,
@@ -321,7 +321,7 @@ class TestFindInducedKK2:
         assert find_induced_kK2(expand(ex58_spec, 27), 3) is None
 
     def test_k_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             find_induced_kK2(SimpleGraph(2, [(1, 2)]), 0)
 
     def test_interval_disjointness_for_far_pairs(self):

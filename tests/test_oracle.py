@@ -188,15 +188,6 @@ class TestAgainstReference:
             g = expand(spec, n)
             assert regularity(g, p) == reference_regularity(g, p), (spec, n)
 
-    def test_progress_counts_every_subset(self):
-        # 17 supported vertices: 2**17 - 18 subsets of size >= 2 are scanned,
-        # so the 2**16 reporting step fires exactly once.
-        g = SimpleGraph(17, [(1, 2), (2, 3)] + [(2 * i, 2 * i + 1) for i in range(2, 9)])
-        calls, ref_calls = [], []
-        regularity(g, 2, progress=lambda *a: calls.append(a))
-        reference_regularity(g, 2, progress=lambda *a: ref_calls.append(a))
-        assert calls == ref_calls == [(1 << 16, 1 << 17)]
-
 
 def supported_rows(g):
     """Adjacency rows and size of g restricted to its supported vertices."""
@@ -224,17 +215,6 @@ class TestSurvivorWalk:
             got = _fold_survivors(adj, nn)
             assert len(got) == len(set(got)), (spec, n)
             assert set(got) == brute_fold_survivors(adj, nn), (spec, n)
-
-    def test_progress_counts_cut_subtrees(self, table_spec):
-        # Table G_17 has 17 supported vertices and the walk cuts subtrees,
-        # yet every subset of size >= 2 is counted once.  The reference scan
-        # visits every subset, so on any 17 supported vertices it makes this
-        # one call (test_progress_counts_every_subset runs it).
-        g = expand(table_spec, 17)
-        assert supported_rows(g)[1] == 17
-        calls = []
-        regularity(g, 2, progress=lambda *a: calls.append(a))
-        assert calls == [(1 << 16, 1 << 17)]
 
 
 class TestRegularityBounds:
