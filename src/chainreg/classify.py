@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import ChainSpec, chain_indices, expand, q_invariant, reduce_index
-from .errors import InvalidArgument, SubsetBudgetExceeded
+from .chain import MATERIALIZE_LIMIT, ChainSpec, chain_indices, expand, q_invariant, reduce_index
+from .errors import InvalidArgument
 from .graphs import find_induced_kK2, is_cochordal
 from .oracle import DEFAULT_SUBSET_BUDGET, regularity
 
@@ -109,15 +109,22 @@ def sweep_verify(
 ) -> dict:
     """Cross-validate the verdict against per-index evidence on [n_lo, n_hi].
 
-    Every index gets the polynomial cochordality check; indices up to
-    ``oracle_cap`` also get the full homology oracle.  Rows at or beyond the
-    verdict threshold n0 are flagged when the observed value (or, lacking one,
-    the cochordality status) contradicts the predicted limit.  The window
-    below n0 is unconstrained and never flagged.  Raises InvalidArgument
-    unless r <= n_lo <= n_hi, or for a negative ``oracle_cap``.
+    Every index gets the polynomial cochordality check.  Indices n up to
+    ``oracle_cap`` also get the full homology oracle, whose budget of
+    ``oracle_cap`` supported vertices G_n cannot exceed; rows with n above
+    ``oracle_cap`` never try the oracle, even when few of their vertices carry
+    an edge.  Rows at or beyond the verdict threshold n0 are flagged when the
+    observed value (or, lacking one, the cochordality status) contradicts the
+    predicted limit.  The window below n0 is unconstrained and never flagged.
+    Raises InvalidArgument, before any row is computed, unless r <= n_lo <=
+    n_hi <= MATERIALIZE_LIMIT, or for a negative ``oracle_cap``.
     """
     if not (spec.r <= n_lo <= n_hi):
         raise InvalidArgument(f"need r <= n_lo <= n_hi, got r={spec.r}, [{n_lo}, {n_hi}]")
+    if n_hi > MATERIALIZE_LIMIT:
+        raise InvalidArgument(
+            f"n_hi={n_hi} is past the materialization limit of {MATERIALIZE_LIMIT} vertices"
+        )
     if oracle_cap < 0:
         raise InvalidArgument(f"oracle cap must be non-negative, got {oracle_cap}")
     verdict = limit_regularity(spec)
@@ -129,11 +136,8 @@ def sweep_verify(
         reg_val = None
         method = None
         if n <= oracle_cap:
-            try:
-                rep = regularity(g, field_char=field_char, subset_budget=oracle_cap)
-                reg_val, method = rep.value, rep.method
-            except SubsetBudgetExceeded:
-                pass
+            rep = regularity(g, field_char=field_char, subset_budget=oracle_cap)
+            reg_val, method = rep.value, rep.method
         if reg_val is None and coch:
             reg_val, method = 2, "froeberg"
         row = {"n": n, "cochordal": coch, "reg": reg_val, "method": method, "flag": False}

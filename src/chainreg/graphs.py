@@ -1,11 +1,11 @@
 """Exact algorithms on small simple graphs, backed by bitset adjacency rows.
 
 Vertices are the integers 1..n.  Every vertex set is an int whose bit v-1
-stands for vertex v.  A graph is its tuple of adjacency rows: expansion and
-complement write rows directly, every algorithm here reads them, and the edge
-set is built only on first access to ``edges``.  This keeps the chordality
-check, the induced matching search and the cycle enumeration allocation-free
-in the inner loops.
+stands for vertex v.  A graph is n and its tuple of adjacency rows, nothing
+else: the edge-list constructor, expansion and complement all write rows
+directly, every algorithm here reads them, and the edge set is built only on
+first access to ``edges``.  This keeps the chordality check, the induced
+matching search and the cycle enumeration allocation-free in the inner loops.
 """
 
 from __future__ import annotations
@@ -31,35 +31,29 @@ class SimpleGraph:
     """Immutable simple graph on the vertex set {1, ..., n}.
 
     ``adj`` is a tuple of adjacency bitmasks indexed by vertex (entry 0 is
-    unused) and is the source of truth.  ``edges``, the frozenset of ordered
-    pairs (u, v) with u < v, is built from the rows on first access.  When the
-    graph was cut out of a larger one, ``labels`` maps each vertex back to its
-    original name; equality ignores labels.
+    unused); with n it is the graph's only state.  ``edges``, the frozenset of
+    ordered pairs (u, v) with u < v, is built from the rows on first access.
     """
 
-    __slots__ = ("n", "adj", "labels", "_edges")
+    __slots__ = ("n", "adj", "_edges")
 
-    def __init__(self, n: int, edges=(), labels=None):
+    def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        norm = set()
+        adj = [0] * (n + 1)
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u} is not allowed")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise VertexOutOfRange(f"edge ({u}, {v}) leaves the vertex set [1, {n}]")
-            norm.add((u, v) if u < v else (v, u))
-        adj = [0] * (n + 1)
-        for u, v in norm:
             adj[u] |= _bit(v)
             adj[v] |= _bit(u)
         self.n = n
         self.adj = tuple(adj)
-        self.labels = None if labels is None else tuple(labels)
-        self._edges = frozenset(norm)
+        self._edges = None
 
     @classmethod
-    def _from_rows(cls, n: int, rows, labels=None) -> SimpleGraph:
+    def _from_rows(cls, n: int, rows) -> SimpleGraph:
         """Graph whose adjacency rows are ``rows`` (entry 0 must be 0).
 
         Checks in O(n) that every row stays inside [1, n] and has no loop bit;
@@ -81,7 +75,6 @@ class SimpleGraph:
         G = cls.__new__(cls)
         G.n = n
         G.adj = adj
-        G.labels = None if labels is None else tuple(labels)
         G._edges = None
         return G
 
@@ -142,14 +135,13 @@ def complement(G: SimpleGraph) -> SimpleGraph:
     """Graph with exactly the non-edges of G between distinct vertices."""
     full = (1 << G.n) - 1
     rows = [0] + [full & ~G.adj[v] & ~_bit(v) for v in range(1, G.n + 1)]
-    return SimpleGraph._from_rows(G.n, rows, labels=G.labels)
+    return SimpleGraph._from_rows(G.n, rows)
 
 
 def induced_subgraph(G: SimpleGraph, W) -> SimpleGraph:
-    """Subgraph induced on W, relabeled to 1..|W| with original names kept.
+    """Subgraph induced on W, renumbered to 1..|W|.
 
-    The i-th smallest vertex of W becomes vertex i; ``labels`` of the result
-    maps it back (composing with G's own labels when G was already cut out).
+    The i-th smallest vertex of W becomes vertex i.
     """
     keep = sorted(set(W))
     for w in keep:
@@ -158,8 +150,7 @@ def induced_subgraph(G: SimpleGraph, W) -> SimpleGraph:
     pos = {w: i + 1 for i, w in enumerate(keep)}
     inside = sum(_bit(w) for w in keep)
     rows = [0] + [sum(_bit(pos[x]) for x in _iter_bits(G.adj[w] & inside)) for w in keep]
-    base = G.labels if G.labels is not None else tuple(range(1, G.n + 1))
-    return SimpleGraph._from_rows(len(keep), rows, labels=tuple(base[w - 1] for w in keep))
+    return SimpleGraph._from_rows(len(keep), rows)
 
 
 def is_chordal(G: SimpleGraph) -> bool:

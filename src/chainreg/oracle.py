@@ -42,6 +42,12 @@ Dimension 0 is covered once and for all by any single edge.  The prunes never
 remove the first subset in scan order that attains the maximum dimension, since
 the smaller subset it reduces to would attain it earlier, so the certificate is
 the same as that of the unpruned scan.
+
+The walk reads G's own rows and visits only the mask of its supported vertices
+(those on an edge), so a certificate is read straight from mask bits in G's
+numbering.  This gives the same survivors, in the same order, as a walk on a
+copy of G renumbered to 1..k: renumbering the support in vertex order keeps
+every set's size and the numeric order of masks of equal size.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EdgelessGraph, InvalidArgument, SubsetBudgetExceeded
-from .graphs import SimpleGraph, induced_matching, induced_subgraph, is_cochordal
+from .graphs import SimpleGraph, induced_matching, is_cochordal
 
 DEFAULT_SUBSET_BUDGET = 22
 
@@ -97,7 +103,7 @@ class RegularityReport:
 
     ``value`` is None exactly for the edgeless graph (the zero ideal).  The
     certificate of the oracle route holds the vertex subset and homological
-    dimension attaining the maximum, in original vertex labels.
+    dimension attaining the maximum, in the vertex numbering of the graph.
     """
 
     value: int | None
@@ -256,15 +262,18 @@ def _pruned(adj, mask: int) -> bool:
     return False
 
 
-def _fold_survivors(adj, nn: int) -> list[int]:
-    """The vertex sets of size >= 2 on 1..nn that no prune removes, unsorted.
+def _fold_survivors(adj, support: int) -> list[int]:
+    """The vertex sets of size >= 2 inside the vertex mask ``support`` that no
+    prune removes, unsorted.
 
-    The depth-first walk and its three cuts of the module docstring; each
-    visited set of size >= 2 goes through ``_pruned``.
+    The depth-first walk and its three cuts of the module docstring, on the
+    rows ``adj`` of the whole graph; each visited set of size >= 2 goes
+    through ``_pruned``.  Passing the supported vertices loses no survivor,
+    since a set holding an isolated vertex is a cone and always pruned.
     """
     survivors: list[int] = []
     stack = []
-    rest = (1 << nn) - 1
+    rest = support
     while rest:
         b = rest & -rest
         rest ^= b
@@ -300,39 +309,36 @@ def regularity(
 ) -> RegularityReport:
     """Exact regularity of the edge ideal of G by subset enumeration.
 
-    Walks the subsets of the supported vertices depth first, cutting those
-    that a prune removes, and runs the homology computation on the survivors
-    in increasing cardinality (then numeric mask order), keeping the maximum
-    homological dimension found together with the first subset attaining it.
-    The survivors, and so the value and certificate, are those of a scan of
-    every subset.  Raises InvalidArgument for a non-prime field or a negative
-    ``subset_budget``, and SubsetBudgetExceeded when more than
-    ``subset_budget`` vertices carry an edge.
+    Walks the subsets of G's supported vertices depth first on G's own rows,
+    cutting those that a prune removes, and runs the homology computation on
+    the survivors in increasing cardinality (then numeric mask order), keeping
+    the maximum homological dimension found together with the first subset
+    attaining it, in G's numbering.  The survivors, and so the value and
+    certificate, are those of a scan of every subset, and the same as on a
+    copy of G renumbered in vertex order.  Raises InvalidArgument for a
+    non-prime field or a negative ``subset_budget``, and SubsetBudgetExceeded
+    when more than ``subset_budget`` vertices carry an edge.
     """
     if not _is_prime(field_char):
         raise InvalidArgument(f"field characteristic must be prime, got {field_char}")
     if subset_budget < 0:
         raise InvalidArgument(f"subset budget must be non-negative, got {subset_budget}")
-    if not any(G.adj):
+    adj = G.adj
+    support = sum(1 << (v - 1) for v in range(1, G.n + 1) if adj[v])
+    if not support:
         return RegularityReport(value=None, method="hochster-oracle", field_char=field_char)
-    support = [v for v in range(1, G.n + 1) if G.adj[v]]
-    if len(support) > subset_budget:
-        raise SubsetBudgetExceeded(
-            f"{len(support)} supported vertices exceed the budget of {subset_budget}"
-        )
-    H = induced_subgraph(G, support)
-    labels = H.labels
-    adj = H.adj
-    nn = H.n
+    k = support.bit_count()
+    if k > subset_budget:
+        raise SubsetBudgetExceeded(f"{k} supported vertices exceed the budget of {subset_budget}")
 
     # Any edge realizes dimension 0, so seed with the smallest edge subset:
     # the edge whose upper end v is least, then the least u below v.
     best_d = 0
-    v = next(v for v in range(1, nn + 1) if adj[v] & ((1 << (v - 1)) - 1))
+    v = next(v for v in range(1, G.n + 1) if adj[v] & ((1 << (v - 1)) - 1))
     below = adj[v] & ((1 << (v - 1)) - 1)
     best_mask = 1 << (v - 1) | (below & -below)
 
-    survivors = _fold_survivors(adj, nn)
+    survivors = _fold_survivors(adj, support)
     survivors.sort(key=lambda m: (m.bit_count(), m))
     for mask in survivors:
         faces = _independent_faces(adj, mask)
@@ -341,7 +347,7 @@ def regularity(
             if d is not None:
                 best_d, best_mask = d, mask
 
-    subset = sorted(labels[v - 1] for v in range(1, nn + 1) if best_mask >> (v - 1) & 1)
+    subset = [v for v in range(1, G.n + 1) if best_mask >> (v - 1) & 1]
     return RegularityReport(
         value=2 + best_d,
         method="hochster-oracle",

@@ -18,7 +18,7 @@ from .graphs import (
     is_cochordal,
     verify_anticycle,
 )
-from .oracle import DEFAULT_SUBSET_BUDGET, regularity, regularity_bounds
+from .oracle import regularity, regularity_bounds
 from .randspec import spec_pool
 
 BASE_SEED = 20_240_917
@@ -54,17 +54,11 @@ def check_golden_q_invariant() -> str:
     return "q-invariant of the two-generator window equals 13"
 
 
-def check_golden_regularity_table(
-    field_chars=(2, 3), oracle_cap: int = DEFAULT_SUBSET_BUDGET
-) -> str:
-    for p in field_chars:
-        got = [
-            regularity(expand(TABLE_CHAIN, n), field_char=p, subset_budget=oracle_cap).value
-            for n in range(10, 20)
-        ]
+def check_golden_regularity_table() -> str:
+    for p in (2, 3):
+        got = [regularity(expand(TABLE_CHAIN, n), field_char=p).value for n in range(10, 20)]
         assert got == TABLE_REGS, f"GF({p}) table mismatch: {got} != {TABLE_REGS}"
-    fields = ", ".join(f"GF({p})" for p in field_chars)
-    return f"regularity 5,4,3,4,4,3,3,3,3,2 on n=10..19 over {fields}"
+    return "regularity 5,4,3,4,4,3,3,3,3,2 on n=10..19 over GF(2), GF(3)"
 
 
 def check_golden_anticycle_traces() -> str:
@@ -82,9 +76,9 @@ def check_golden_anticycle_traces() -> str:
     return "head/tail traces and the three witnesses (m=13,14,14) match vertex-for-vertex"
 
 
-def check_reg3_chain_bundle(field_char: int = 2) -> str:
+def check_reg3_chain_bundle() -> str:
     for n in range(6, 11):
-        got = regularity(expand(REG3_CHAIN, n), field_char=field_char).value
+        got = regularity(expand(REG3_CHAIN, n)).value
         assert got == 3, f"reg at n={n}: {got} != 3"
     verdict = limit_regularity(REG3_CHAIN)
     assert verdict.limit_reg == 3, f"verdict {verdict.limit_reg} != 3"
@@ -115,28 +109,26 @@ def check_near_sharp_chain() -> str:
     return "2K2 {10,12},{5,17} in G_17 gives reg >= 3; G_27..G_32 cochordal with n0 = 27"
 
 
-def check_indmatch_window_property(count: int = 200, seed: int = BASE_SEED) -> str:
-    for spec in spec_pool(count, (2, 3, 4, 5), seed):
+def check_indmatch_window_property(seed: int = BASE_SEED) -> str:
+    for spec in spec_pool(200, (2, 3, 4, 5), seed):
         r = spec.r
         vals = [induced_matching_number(expand(spec, n)) for n in range(3 * r, 3 * r + 4)]
         assert all(v in (1, 2) for v in vals), f"{spec}: values {vals} leave {{1, 2}}"
         assert len(set(vals)) == 1, f"{spec}: not constant on [3r, 3r+3]: {vals}"
-    return f"{count} seeded presentations: indmatch in {{1,2}} and constant on [3r, 3r+3]"
+    return "200 seeded presentations: indmatch in {1,2} and constant on [3r, 3r+3]"
 
 
-def check_reg_upper_bound_property(
-    count: int = 100, seed: int = BASE_SEED + 1, field_char: int = 2
-) -> str:
-    for spec in spec_pool(count, (2, 3, 4), seed):
+def check_reg_upper_bound_property(seed: int = BASE_SEED + 1) -> str:
+    for spec in spec_pool(100, (2, 3, 4), seed):
         r = spec.r
         for n in (4 * r, 4 * r + 1):
-            got = regularity(expand(spec, n), field_char=field_char).value
+            got = regularity(expand(spec, n)).value
             assert got is not None and got <= 3, f"{spec}: reg at n={n} is {got} > 3"
-    return f"{count} seeded presentations: oracle regularity <= 3 at n = 4r and 4r+1"
+    return "100 seeded presentations: oracle regularity <= 3 at n = 4r and 4r+1"
 
 
-def check_classifier_consistency_property(count: int = 200, seed: int = BASE_SEED + 2) -> str:
-    for spec in spec_pool(count, (2, 3, 4, 5, 6), seed):
+def check_classifier_consistency_property(seed: int = BASE_SEED + 2) -> str:
+    for spec in spec_pool(200, (2, 3, 4, 5, 6), seed):
         verdict = limit_regularity(spec)
         base = max(verdict.n0, 4 * spec.r)
         for n in range(base, base + 3):
@@ -144,13 +136,13 @@ def check_classifier_consistency_property(count: int = 200, seed: int = BASE_SEE
             assert coch == (verdict.limit_reg == 2), (
                 f"{spec}: cochordality {coch} at n={n} contradicts verdict {verdict.limit_reg}"
             )
-    return f"{count} seeded presentations: cochordality matches the verdict at n >= max(n0, 4r)"
+    return "200 seeded presentations: cochordality matches the verdict at n >= max(n0, 4r)"
 
 
-def check_orbit_oracle_property(count: int = 100, seed: int = BASE_SEED + 3) -> str:
+def check_orbit_oracle_property(seed: int = BASE_SEED + 3) -> str:
     from itertools import combinations
 
-    for k, spec in enumerate(spec_pool(count, (2, 3, 4, 5), seed)):
+    for k, spec in enumerate(spec_pool(100, (2, 3, 4, 5), seed)):
         r = spec.r
         n = r + (k % 5)
         brute = set()
@@ -159,11 +151,11 @@ def check_orbit_oracle_property(count: int = 100, seed: int = BASE_SEED + 3) -> 
                 brute.add((image[i - 1], image[j - 1]))
         got = set(expand(spec, n).edges)
         assert got == brute, f"{spec} at n={n}: expansion disagrees with the map oracle"
-    return f"{count} seeded presentations: expansion equals brute-force orbit enumeration"
+    return "100 seeded presentations: expansion equals brute-force orbit enumeration"
 
 
-def check_quasi_saturated_property(count: int = 200, seed: int = BASE_SEED) -> str:
-    pool = spec_pool(count, (2, 3, 4, 5), seed)
+def check_quasi_saturated_property(seed: int = BASE_SEED) -> str:
+    pool = spec_pool(200, (2, 3, 4, 5), seed)
     # Complete-prefix windows are always quasi-saturated; keep the check non-vacuous.
     pool.append(normalize_spec(5, [(1, 2), (1, 3), (2, 3)]))
     pool.append(normalize_spec(6, [(i, j) for i in range(1, 4) for j in range(i + 1, 5)]))

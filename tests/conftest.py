@@ -237,7 +237,6 @@ def reference_regularity(
             f"{len(support)} supported vertices exceed the budget of {subset_budget}"
         )
     H = induced_subgraph(G, support)
-    labels = H.labels
     adj = H.adj
     nn = H.n
     full = (1 << nn) - 1
@@ -274,7 +273,7 @@ def reference_regularity(
             r2 = mask + c
             mask = r2 | (((mask ^ r2) >> 2) // c)
 
-    subset = sorted(labels[v - 1] for v in _iter_bits(best_mask))
+    subset = sorted(support[v - 1] for v in _iter_bits(best_mask))
     return RegularityReport(
         value=2 + best_d,
         method="hochster-oracle",

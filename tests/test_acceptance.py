@@ -35,7 +35,7 @@ def test_criterion_02_golden_q_invariant():
 
 def test_criterion_03_golden_regularity_table():
     # GF(2) plus the GF(3) cross-run, exact integers
-    _report(3, check_golden_regularity_table(field_chars=(2, 3), oracle_cap=22))
+    _report(3, check_golden_regularity_table())
 
 
 def test_criterion_04_golden_anticycle_traces():
@@ -43,7 +43,7 @@ def test_criterion_04_golden_anticycle_traces():
 
 
 def test_criterion_05_reg3_chain_bundle():
-    _report(5, check_reg3_chain_bundle(field_char=2))
+    _report(5, check_reg3_chain_bundle())
 
 
 def test_criterion_06_near_sharp_chain():
@@ -51,20 +51,20 @@ def test_criterion_06_near_sharp_chain():
 
 
 def test_criterion_07_indmatch_window_property():
-    _report(7, check_indmatch_window_property(count=200))
+    _report(7, check_indmatch_window_property())
 
 
 def test_criterion_08_reg_upper_bound_property():
-    _report(8, check_reg_upper_bound_property(count=100))
+    _report(8, check_reg_upper_bound_property())
 
 
 def test_criterion_09_classifier_consistency_property():
-    _report(9, check_classifier_consistency_property(count=200))
+    _report(9, check_classifier_consistency_property())
 
 
 def test_criterion_10_orbit_oracle_property():
-    _report(10, check_orbit_oracle_property(count=100))
+    _report(10, check_orbit_oracle_property())
 
 
 def test_criterion_11_quasi_saturated_property():
-    _report(11, check_quasi_saturated_property(count=200))
+    _report(11, check_quasi_saturated_property())

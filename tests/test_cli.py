@@ -208,6 +208,19 @@ class TestErrors:
         assert out == ""
         assert elapsed < 5.0
 
+    def test_sweep_refuses_past_materialize_limit_before_any_row(self, spec_file, capsys):
+        # Each row near n = 5000 takes about 0.1 s, so a check made only when
+        # G_10001 is reached would first spend minutes on the rows below it.
+        argv = ["sweep", spec_file(SIX_EDGE), "--from", "30", "--to", "10001"]
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "InvalidArgument" in err and "10001" in err
+        assert out == ""
+        assert elapsed < 1.0
+
     def test_internal_value_error_is_not_user_error(self, spec_file, monkeypatch):
         def broken(spec, n):
             raise ValueError("internal fault")

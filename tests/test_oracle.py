@@ -189,10 +189,17 @@ class TestAgainstReference:
             assert regularity(g, p) == reference_regularity(g, p), (spec, n)
 
 
-def supported_rows(g):
-    """Adjacency rows and size of g restricted to its supported vertices."""
-    h = induced_subgraph(g, [v for v in range(1, g.n + 1) if g.adj[v]])
-    return h.adj, h.n
+def support_mask(g):
+    """The vertex mask of g's supported vertices, those on an edge."""
+    return sum(1 << (v - 1) for v in range(1, g.n + 1) if g.adj[v])
+
+
+def scattered_graph(rng, n, k):
+    """A random graph on k vertices placed at random positions in 1..n, with
+    isolated vertices in between."""
+    pos = sorted(rng.sample(range(1, n + 1), k))
+    h = random_graph(rng, k, rng.uniform(0.2, 0.8))
+    return SimpleGraph(n, [(pos[u - 1], pos[v - 1]) for u, v in h.sorted_edges()])
 
 
 class TestSurvivorWalk:
@@ -203,7 +210,7 @@ class TestSurvivorWalk:
         for _ in range(1000):
             n = rng.randint(1, 12)
             g = random_graph(rng, n, rng.uniform(0.05, 0.95))
-            got = _fold_survivors(g.adj, n)
+            got = _fold_survivors(g.adj, (1 << n) - 1)
             assert len(got) == len(set(got)), g
             assert set(got) == brute_fold_survivors(g.adj, n), g
 
@@ -211,10 +218,34 @@ class TestSurvivorWalk:
         windows = [(table_spec, n) for n in range(10, 17)]
         windows += [(reg3_spec, n) for n in range(6, 13)]
         for spec, n in windows:
-            adj, nn = supported_rows(expand(spec, n))
-            got = _fold_survivors(adj, nn)
+            g = expand(spec, n)
+            got = _fold_survivors(g.adj, support_mask(g))
             assert len(got) == len(set(got)), (spec, n)
-            assert set(got) == brute_fold_survivors(adj, nn), (spec, n)
+            assert set(got) == brute_fold_survivors(g.adj, g.n), (spec, n)
+
+
+class TestOwnNumbering:
+    """The oracle walks G's own rows: certificates name G's vertices even when
+    isolated vertices sit between the supported ones."""
+
+    def test_scattered_support(self):
+        rng = random.Random(101)
+        moved = 0
+        for i in range(300):
+            g = scattered_graph(rng, 16, rng.randint(2, 12))
+            reps = [regularity(g, p) for p in (2, 3)]
+            assert reps == [reference_regularity(g, p) for p in (2, 3)], g
+            if i % 10 == 0:
+                # A set holding an isolated vertex is a cone, so walking the
+                # support mask loses nothing against all 2^16 sets.
+                got = _fold_survivors(g.adj, support_mask(g))
+                assert set(got) == brute_fold_survivors(g.adj, g.n), g
+            if reps[0].certificate is not None:
+                # The same subset in the numbering of a copy renumbered to 1..k.
+                support = [v for v in range(1, g.n + 1) if g.adj[v]]
+                subset = reps[0].certificate["subset"]
+                moved += subset != [support.index(v) + 1 for v in subset]
+        assert moved > 200, moved
 
 
 class TestRegularityBounds:
