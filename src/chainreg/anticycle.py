@@ -8,7 +8,9 @@ of the widest window up to the narrowest one (or is given in closed form when
 the narrowest window already starts right of the widest), and a tail segment
 then advances in steps of gap-1 through windows rearranged by increasing gap
 until it clears the top window.  Each piece is driven by a pivot rearrangement
-of the generator positions, returned in full for golden comparison.
+of the generator positions, returned in full for golden comparison, and both
+pieces are stepped by one ladder walker that differs only in which windows
+reach the running vertex and where it stops.
 """
 
 from __future__ import annotations
@@ -37,19 +39,21 @@ class PivotTrace:
 
 @dataclass(frozen=True)
 class AnticycleTrace:
-    """Full record of one construction run."""
+    """How one construction run went, next to the witness it returns.
+
+    ``case`` is "I" (head walk) or "II" (closed-form first pair); ``epsilon``
+    the ladder multiple of the first vertex (see ``_head_start``); ``d`` such
+    that the tail starts at vertex a_{d+1}; ``j_trace`` the head
+    rearrangement (None in case II) and ``k_trace`` the tail one.  The vertex
+    list is the witness's ``vertices``, of length ``witness.m``, and the
+    initial segment a_1 .. a_{d+1} is ``witness.vertices[:d + 1]``.
+    """
 
     case: str
     epsilon: int
     d: int
-    initial: tuple[int, ...]
-    vertices: tuple[int, ...]
     j_trace: PivotTrace | None
     k_trace: PivotTrace
-
-    @property
-    def m(self) -> int:
-        return len(self.vertices)
 
 
 def _require_gap(spec: ChainSpec) -> None:
@@ -167,6 +171,23 @@ def initial_vertices(spec: ChainSpec, n: int) -> list[int]:
     return _head(spec, idx, _head_trace(spec, idx))[1]
 
 
+def _ladder(spec: ChainSpec, pivots: tuple[int, ...], start: int, reach, stop: int) -> list[int]:
+    """The ladder walk shared by the head and the tail.
+
+    From ``start``, while the running vertex x is below ``stop``, step by
+    gap - 1 of the first pivot t whose window reaches x, that is with
+    ``reach(left(t), x)``.  Returns every vertex visited, ``start`` first.
+    """
+    edges = spec.edges
+    seq = [start]
+    x = start
+    while x < stop:
+        i_t, j_t = edges[next(t for t in pivots if reach(edges[t - 1][0], x)) - 1]
+        x += j_t - i_t - 1
+        seq.append(x)
+    return seq
+
+
 def _head(spec: ChainSpec, idx: ChainIndices, jt: PivotTrace) -> tuple[int, list[int]]:
     """(epsilon, head segment) for the head trace ``jt``."""
     edges = spec.edges
@@ -175,14 +196,7 @@ def _head(spec: ChainSpec, idx: ChainIndices, jt: PivotTrace) -> tuple[int, list
     u_beta = jt.pivots[-1]
     i_u, j_u = edges[u_beta - 1]
     eps, a = _head_start(i_u, j_u - i_u, i_b)
-    seq = [a]
-    term = a
-    while term < i_h:
-        t = next(u for u in jt.pivots if edges[u - 1][0] <= term)
-        i_t, j_t = edges[t - 1]
-        term += j_t - i_t - 1
-        seq.append(term)
-    return eps, seq
+    return eps, _ladder(spec, jt.pivots, a, lambda i, x: i <= x, i_h)
 
 
 def final_vertices(spec: ChainSpec, n: int, a_index: int) -> list[int]:
@@ -205,13 +219,7 @@ def _tail(spec: ChainSpec, n: int, a_index: int, idx: ChainIndices, kt: PivotTra
         raise StartOutOfRange(
             f"start {a_index} must lie in [i_h, n + i_B] = [{i_h}, {n + i_B}]"
         )
-    seq = [a_index]
-    term = a_index
-    while term <= n + i_B:
-        t = next(v for v in kt.pivots if term <= n + edges[v - 1][0])
-        i_t, j_t = edges[t - 1]
-        term += j_t - i_t - 1
-        seq.append(term)
+    seq = _ladder(spec, kt.pivots, a_index, lambda i, x: x <= n + i, n + i_B + 1)
     seq.append(n + j_B)
     return seq
 
@@ -234,31 +242,13 @@ def construct_anticycle(spec: ChainSpec, n: int) -> tuple[AnticycleWitness, Anti
     if i_b <= i_h:
         jt = _head_trace(spec, idx)
         eps, head = _head(spec, idx, jt)
-        tail = _tail(spec, n, head[-1], idx, kt)
-        vertices = tuple(head[:-1]) + tuple(tail)
-        trace = AnticycleTrace(
-            case="I",
-            epsilon=eps,
-            d=len(head) - 1,
-            initial=tuple(head),
-            vertices=vertices,
-            j_trace=jt,
-            k_trace=kt,
-        )
+        vertices = head[:-1] + _tail(spec, n, head[-1], idx, kt)
+        trace = AnticycleTrace(case="I", epsilon=eps, d=len(head) - 1, j_trace=jt, k_trace=kt)
     else:
         eps, a1 = _head_start(i_h, j_h - i_h, i_b)
         a2 = a1 + j_h - i_h - 1
-        tail = _tail(spec, n, a2, idx, kt)
-        vertices = (a1,) + tuple(tail)
-        trace = AnticycleTrace(
-            case="II",
-            epsilon=eps,
-            d=1,
-            initial=(a1, a2),
-            vertices=vertices,
-            j_trace=None,
-            k_trace=kt,
-        )
+        vertices = [a1] + _tail(spec, n, a2, idx, kt)
+        trace = AnticycleTrace(case="II", epsilon=eps, d=1, j_trace=None, k_trace=kt)
     witness = AnticycleWitness(vertices)
     if not verify_anticycle(expand(spec, n + spec.r), witness):
         raise RuntimeError("constructed vertex sequence failed anticycle verification")

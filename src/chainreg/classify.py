@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .chain import MATERIALIZE_LIMIT, ChainSpec, chain_indices, expand, q_invariant, reduce_index
 from .errors import InvalidArgument
 from .graphs import find_induced_kK2, is_cochordal
-from .oracle import DEFAULT_SUBSET_BUDGET, regularity
+from .oracle import DEFAULT_SUBSET_BUDGET, regularity, require_prime
 
 CASE_JQ_MAX = "jq-is-max"
 CASE_GAP1 = "gap1-and-indmatch1"
@@ -109,15 +109,18 @@ def sweep_verify(
 ) -> dict:
     """Cross-validate the verdict against per-index evidence on [n_lo, n_hi].
 
-    Every index gets the polynomial cochordality check.  Indices n up to
-    ``oracle_cap`` also get the full homology oracle, whose budget of
-    ``oracle_cap`` supported vertices G_n cannot exceed; rows with n above
-    ``oracle_cap`` never try the oracle, even when few of their vertices carry
-    an edge.  Rows at or beyond the verdict threshold n0 are flagged when the
-    observed value (or, lacking one, the cochordality status) contradicts the
+    Every index gets the polynomial cochordality check, and each row takes its
+    value by one route.  Indices n up to ``oracle_cap`` get the full homology
+    oracle, whose budget of ``oracle_cap`` supported vertices G_n cannot
+    exceed; G_n has an edge for n >= r, so the oracle always gives a value.
+    Rows with n above ``oracle_cap`` never try the oracle, even when few of
+    their vertices carry an edge: a cochordal one has reg 2 (Fröberg), any
+    other is a bound, ``reg_lower`` = 3.  Rows at or beyond the verdict
+    threshold n0 are flagged when that value (3 for a bound) differs from the
     predicted limit.  The window below n0 is unconstrained and never flagged.
     Raises InvalidArgument, before any row is computed, unless r <= n_lo <=
-    n_hi <= MATERIALIZE_LIMIT, or for a negative ``oracle_cap``.
+    n_hi <= MATERIALIZE_LIMIT, for a negative ``oracle_cap``, or for a
+    non-prime ``field_char``.
     """
     if not (spec.r <= n_lo <= n_hi):
         raise InvalidArgument(f"need r <= n_lo <= n_hi, got r={spec.r}, [{n_lo}, {n_hi}]")
@@ -127,35 +130,29 @@ def sweep_verify(
         )
     if oracle_cap < 0:
         raise InvalidArgument(f"oracle cap must be non-negative, got {oracle_cap}")
+    require_prime(field_char)
     verdict = limit_regularity(spec)
     rows = []
-    violations = []
     for n in range(n_lo, n_hi + 1):
         g = expand(spec, n)
         coch = is_cochordal(g)
-        reg_val = None
-        method = None
         if n <= oracle_cap:
             rep = regularity(g, field_char=field_char, subset_budget=oracle_cap)
-            reg_val, method = rep.value, rep.method
-        if reg_val is None and coch:
-            reg_val, method = 2, "froeberg"
-        row = {"n": n, "cochordal": coch, "reg": reg_val, "method": method, "flag": False}
-        if reg_val is None and not coch:
+            reg, method = rep.value, rep.method
+        elif coch:
+            reg, method = 2, "froeberg"
+        else:
+            reg, method = None, None
+        flag = n >= verdict.n0 and (3 if reg is None else reg) != verdict.limit_reg
+        row = {"n": n, "cochordal": coch, "reg": reg, "method": method, "flag": flag}
+        if reg is None:
             row["reg_lower"] = 3
-        if n >= verdict.n0:
-            if reg_val is not None:
-                row["flag"] = reg_val != verdict.limit_reg
-            else:
-                row["flag"] = coch != (verdict.limit_reg == 2)
         rows.append(row)
-        if row["flag"]:
-            violations.append(n)
     return {
         "spec": spec.to_json(),
         "field_char": field_char,
         "oracle_cap": oracle_cap,
         "verdict": verdict.to_json(),
         "rows": rows,
-        "violations": violations,
+        "violations": [row["n"] for row in rows if row["flag"]],
     }

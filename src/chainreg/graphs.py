@@ -3,9 +3,10 @@
 Vertices are the integers 1..n.  Every vertex set is an int whose bit v-1
 stands for vertex v.  A graph is n and its tuple of adjacency rows, nothing
 else: the edge-list constructor, expansion and complement all write rows
-directly, every algorithm here reads them, and the edge set is built only on
-first access to ``edges``.  This keeps the chordality check, the induced
-matching search and the cycle enumeration allocation-free in the inner loops.
+directly, every algorithm here reads them, and the edge set is built from
+them on each access to ``edges``.  This keeps the chordality check, the
+induced matching search and the cycle enumeration allocation-free in the inner
+loops.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ class SimpleGraph:
 
     ``adj`` is a tuple of adjacency bitmasks indexed by vertex (entry 0 is
     unused); with n it is the graph's only state.  ``edges``, the frozenset of
-    ordered pairs (u, v) with u < v, is built from the rows on first access.
+    ordered pairs (u, v) with u < v, is built from the rows on each access.
     """
 
-    __slots__ = ("n", "adj", "_edges")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -50,7 +51,6 @@ class SimpleGraph:
             adj[v] |= _bit(u)
         self.n = n
         self.adj = tuple(adj)
-        self._edges = None
 
     @classmethod
     def _from_rows(cls, n: int, rows) -> SimpleGraph:
@@ -75,14 +75,11 @@ class SimpleGraph:
         G = cls.__new__(cls)
         G.n = n
         G.adj = adj
-        G._edges = None
         return G
 
     @property
     def edges(self) -> frozenset:
-        if self._edges is None:
-            self._edges = frozenset(self.sorted_edges())
-        return self._edges
+        return frozenset(self.sorted_edges())
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> (v - 1)) & 1 == 1

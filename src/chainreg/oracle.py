@@ -53,6 +53,7 @@ every set's size and the numeric order of masks of equal size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import EdgelessGraph, InvalidArgument, SubsetBudgetExceeded
 from .graphs import SimpleGraph, induced_matching, is_cochordal
@@ -60,15 +61,10 @@ from .graphs import SimpleGraph, induced_matching, is_cochordal
 DEFAULT_SUBSET_BUDGET = 22
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def require_prime(p: int) -> None:
+    """Raise InvalidArgument unless ``p`` is a prime field characteristic."""
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise InvalidArgument(f"field characteristic must be prime, got {p}")
 
 
 @dataclass(frozen=True)
@@ -224,8 +220,7 @@ def _top_nonzero_excess(faces, p: int, floor_d: int):
 
 def reduced_homology_ranks(G: SimpleGraph, field_char: int = 2) -> HomologyProfile:
     """Full reduced homology profile of the independence complex of G."""
-    if not _is_prime(field_char):
-        raise InvalidArgument(f"field characteristic must be prime, got {field_char}")
+    require_prime(field_char)
     faces = _independent_faces(G.adj, (1 << G.n) - 1)
     top = len(faces) - 1
     b_ranks = [0] * (top + 2)
@@ -319,8 +314,7 @@ def regularity(
     non-prime field or a negative ``subset_budget``, and SubsetBudgetExceeded
     when more than ``subset_budget`` vertices carry an edge.
     """
-    if not _is_prime(field_char):
-        raise InvalidArgument(f"field characteristic must be prime, got {field_char}")
+    require_prime(field_char)
     if subset_budget < 0:
         raise InvalidArgument(f"subset budget must be non-negative, got {subset_budget}")
     adj = G.adj

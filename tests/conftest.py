@@ -32,8 +32,8 @@ from chainreg.oracle import (
     DEFAULT_SUBSET_BUDGET,
     RegularityReport,
     _independent_faces,
-    _is_prime,
     _top_nonzero_excess,
+    require_prime,
 )
 from chainreg.randspec import spec_pool as random_specs  # the suites' pool, for the tests
 
@@ -227,8 +227,7 @@ def reference_regularity(
     A verbatim copy of ``oracle.regularity`` before the fold prune, kept as
     the reference that the pruned scan must match, certificate included.
     """
-    if not _is_prime(field_char):
-        raise ValueError(f"field characteristic must be prime, got {field_char}")
+    require_prime(field_char)
     if not G.edges:
         return RegularityReport(value=None, method="hochster-oracle", field_char=field_char)
     support = [v for v in range(1, G.n + 1) if G.adj[v]]

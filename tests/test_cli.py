@@ -174,6 +174,7 @@ class TestErrors:
         "payload, argv",
         [
             (TABLE, ["reg", "--n", "10", "--field", "4"]),
+            (TABLE, ["sweep", "--from", "30", "--to", "31", "--field", "4"]),
             (TABLE, ["sweep", "--from", "9", "--to", "12"]),
             (EXPANSION, ["expand", "--n", "10001"]),
             ({"r": 0, "edges": [[1, 2]]}, ["expand", "--n", "4"]),
@@ -182,6 +183,7 @@ class TestErrors:
         ],
         ids=[
             "non-prime-field",
+            "sweep-non-prime-field-past-oracle-cap",
             "sweep-below-r",
             "past-materialize-limit",
             "r-below-one",
@@ -329,8 +331,9 @@ class TestGoldenSnapshots:
     """The output on the golden chains, byte for byte, against snapshots in
     tests/golden/: JSON named <chain>.<command>.json, or <chain>.anticycle.<n>.json
     for the anticycle construction, which applies to two of the chains; the
-    anticycle text output as <chain>.anticycle.<n>.txt; and the report of
-    ``verify --suite all`` as verify.all.txt."""
+    anticycle text output as <chain>.anticycle.<n>.txt; the table chain's
+    sweep with every row through the oracle as table.sweep.oracle.json; and
+    the report of ``verify --suite all`` as verify.all.txt."""
 
     def test_every_golden_chain_is_covered(self):
         assert [p.stem for p in GOLDEN_SPECS] == ["near_sharp", "reg3", "six_edge", "table"]
@@ -356,6 +359,14 @@ class TestGoldenSnapshots:
         spec = REPO / "bench" / "specs" / f"{chain}.json"
         assert main(["anticycle", str(spec), "--n", "18"]) == 0
         want = (REPO / "tests" / "golden" / f"{chain}.anticycle.18.txt").read_text()
+        assert capsys.readouterr().out == want
+
+    def test_sweep_through_the_oracle_is_unchanged(self, capsys):
+        # An oracle cap of 34 sends rows 10..34 to the oracle, below and past n0 = 30.
+        spec = REPO / "bench" / "specs" / "table.json"
+        argv = ["sweep", str(spec), "--from", "10", "--to", "34", "--oracle-cap", "34"]
+        assert main([*argv, "--format", "json"]) == 0
+        want = (REPO / "tests" / "golden" / "table.sweep.oracle.json").read_text()
         assert capsys.readouterr().out == want
 
     def test_verify_report_is_unchanged(self, capsys):
