@@ -167,11 +167,11 @@ def expand(spec: ChainSpec, n: int) -> SimpleGraph:
         )
     m = n - spec.r
     rows = [0] * (n + 1)
-    span = (1 << (m + 1)) - 1
     for i, j in spec.edges:
+        top, low = 1 << (j + m), 1 << (i - 1)
         for a in range(m + 1):
-            rows[i + a] |= (span >> a) << (j + a - 1)
-            rows[j + a] |= ((2 << a) - 1) << (i - 1)
+            rows[i + a] |= top - (1 << (j + a - 1))
+            rows[j + a] |= (1 << (i + a)) - low
     return SimpleGraph._from_rows(n, rows)
 
 
@@ -250,18 +250,30 @@ def reduce_index(spec: ChainSpec) -> ChainSpec:
     window of size r - r' stays inside G_r (any other edge would create new
     edges at index r).  The reduction is accepted when that set regenerates
     G_r exactly; otherwise the presentation is already minimal.
+
+    Each generator's window depth, the largest m whose window of (i, j) lies
+    inside G_r, is computed once from the rows of G_r: the window of size
+    m + 1 adds the column j + m + 1 meeting i .. i + m + 1, one mask test.
+    The candidates for r' are then the generators with j <= r' and depth at
+    least r - r'.
     """
-    full = set(spec.edges)
-    target = SimpleGraph(spec.r, spec.edges)
-    for rp in range(2, spec.r):
-        m = spec.r - rp
-        cand = tuple(
-            e
-            for e in spec.edges
-            if e[1] <= rp and all(p in full for p in Triangle(e, m).points())
-        )
+    r = spec.r
+    target = expand(spec, r)
+    rows = target.adj
+    depths = []
+    for i, j in spec.edges:
+        d, need = 0, 1 << (i - 1)
+        while j + d < r:
+            need |= need << 1
+            if rows[j + d + 1] & need != need:
+                break
+            d += 1
+        depths.append(d)
+    for rp in range(2, r):
+        m = r - rp
+        cand = tuple(e for e, d in zip(spec.edges, depths) if e[1] <= rp and d >= m)
         if not cand:
             continue
-        if expand(ChainSpec(rp, cand), spec.r) == target:
+        if expand(ChainSpec(rp, cand), r) == target:
             return ChainSpec(rp, cand)
     return spec

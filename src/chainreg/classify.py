@@ -61,8 +61,16 @@ def stabilization_threshold(spec: ChainSpec) -> tuple[int, int]:
 
 
 def limit_indmatch(spec: ChainSpec) -> int:
-    """Eventual induced matching number, read off G_{3r}; always 1 or 2."""
+    """Eventual induced matching number, read off G_{3r}; always 1 or 2.
+
+    A cochordal G_{3r} gives 1 without the search: an induced pair of
+    far-apart edges in G is an induced 4-cycle in its complement, which a
+    chordal graph does not have, and G_{3r} has an edge since 3r >= r.  Only
+    the other windows run the 2K2 search.
+    """
     g = expand(spec, 3 * spec.r)
+    if is_cochordal(g):
+        return 1
     return 2 if find_induced_kK2(g, 2) is not None else 1
 
 

@@ -37,11 +37,11 @@ class InvalidArgument(InvalidInputError, ValueError):
     that still work."""
 
 
-class IndexBelowStability(ChainRegError):
+class IndexBelowStability(InvalidInputError):
     """Requested index n is smaller than the presentation index r."""
 
 
-class IndexTooSmall(ChainRegError):
+class IndexTooSmall(InvalidInputError):
     """The construction requires a larger index n."""
 
 

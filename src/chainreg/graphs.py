@@ -70,7 +70,7 @@ class SimpleGraph:
             row = adj[v]
             if row >> n:  # also true for a negative row
                 raise VertexOutOfRange(f"row {v} has a neighbour outside [1, {n}]")
-            if row & _bit(v):
+            if row >> (v - 1) & 1:
                 raise VertexOutOfRange(f"row {v} has a loop")
         G = cls.__new__(cls)
         G.n = n
@@ -131,7 +131,8 @@ class AnticycleWitness:
 def complement(G: SimpleGraph) -> SimpleGraph:
     """Graph with exactly the non-edges of G between distinct vertices."""
     full = (1 << G.n) - 1
-    rows = [0] + [full & ~G.adj[v] & ~_bit(v) for v in range(1, G.n + 1)]
+    adj = G.adj
+    rows = [0] + [full & ~(adj[v] | 1 << (v - 1)) for v in range(1, G.n + 1)]
     return SimpleGraph._from_rows(G.n, rows)
 
 

@@ -9,8 +9,9 @@ depth-first walk against all subsets filtered through a copy of the per-subset
 prune test; the vertex-mask matching search against a copy of the edge-list
 search it replaced, and the one-pass chordality test and row-mask anticycle
 check against copies of the two-pass search and pairwise check they replaced,
-and the anticycle pivot walker against copies of the head and tail walkers it
-replaced.
+the anticycle pivot walker against copies of the head and tail walkers it
+replaced, and the window-depth index reduction against a copy of the
+triangle-point reduction it replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +21,15 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from chainreg import ChainIndices, ChainSpec, PivotTrace, SimpleGraph, normalize_spec
+from chainreg import (
+    ChainIndices,
+    ChainSpec,
+    PivotTrace,
+    SimpleGraph,
+    Triangle,
+    expand,
+    normalize_spec,
+)
 from chainreg.errors import (
     CaseMismatch,
     HypothesisViolated,
@@ -364,6 +373,25 @@ def reference_k_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
     if pivots[-1] != idx.B:
         raise HypothesisViolated("tail rearrangement did not end at position B")
     return PivotTrace(tuple(sets), tuple(pivots))
+
+
+def reference_reduce_index(spec: ChainSpec) -> ChainSpec:
+    """The triangle-point index reduction that ``chain.reduce_index``
+    replaced, copied verbatim."""
+    full = set(spec.edges)
+    target = SimpleGraph(spec.r, spec.edges)
+    for rp in range(2, spec.r):
+        m = spec.r - rp
+        cand = tuple(
+            e
+            for e in spec.edges
+            if e[1] <= rp and all(p in full for p in Triangle(e, m).points())
+        )
+        if not cand:
+            continue
+        if expand(ChainSpec(rp, cand), spec.r) == target:
+            return ChainSpec(rp, cand)
+    return spec
 
 
 def brute_low_degree_survivors(p: int, edges) -> int:

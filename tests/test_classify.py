@@ -1,5 +1,7 @@
 """Classifier: verdicts, thresholds, limit matching number, sweep harness."""
 
+from collections import Counter
+
 import pytest
 
 from chainreg import (
@@ -14,7 +16,7 @@ from chainreg import (
 )
 from chainreg.classify import CASE_ELSE, CASE_GAP1, CASE_JQ_MAX
 
-from conftest import random_specs
+from conftest import random_specs, reference_matching_search
 
 
 class TestLimitRegularity:
@@ -112,12 +114,16 @@ class TestLimitIndmatch:
                 hits += 1
         assert hits > 0
 
-    def test_matches_window_value(self):
-        from chainreg import induced_matching_number
-
-        for spec in random_specs(40, (2, 3, 4), seed=817):
-            got = limit_indmatch(spec)
-            assert got == induced_matching_number(expand(spec, 3 * spec.r))
+    def test_matches_window_value(self, reg3_spec, ex58_spec):
+        # The value is checked against the 2K2 search alone, which takes no
+        # cochordality shortcut, on each of the three kinds of window.
+        strata = Counter()
+        for spec in random_specs(400, tuple(range(2, 10)), seed=819) + [reg3_spec, ex58_spec]:
+            g = expand(spec, 3 * spec.r)
+            want = reference_matching_search(g, 2)[0]
+            assert limit_indmatch(spec) == want, spec
+            strata[is_cochordal(g), want] += 1
+        assert strata == {(True, 1): 389, (False, 1): 9, (False, 2): 4}
 
 
 class TestSweepVerify:

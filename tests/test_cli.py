@@ -74,8 +74,8 @@ class TestExpandCommand:
         respec = normalize_spec(data["n"], [tuple(e) for e in data["edges"]])
         assert set(respec.edges) == {tuple(e) for e in data["edges"]}
 
-    def test_below_stability_is_computation_error(self, spec_file, capsys):
-        assert main(["expand", spec_file(EXPANSION), "--n", "5"]) == 1
+    def test_below_stability_is_invalid_input(self, spec_file, capsys):
+        assert main(["expand", spec_file(EXPANSION), "--n", "5"]) == 2
         assert "IndexBelowStability" in capsys.readouterr().err
 
 
@@ -195,6 +195,22 @@ class TestErrors:
         verb, *rest = argv
         assert main([verb, spec_file(payload), *rest]) == 2
         assert "InvalidArgument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, argv, error",
+        [
+            (TABLE, ["indmatch", "--n", "9"], "IndexBelowStability"),
+            (TABLE, ["reg", "--n", "9"], "IndexBelowStability"),
+            (SIX_EDGE, ["anticycle", "--n", "17"], "IndexTooSmall"),
+        ],
+        ids=["indmatch-below-r", "reg-below-r", "anticycle-below-2r"],
+    )
+    def test_index_too_small_exit_2(self, spec_file, payload, argv, error, capsys):
+        verb, *rest = argv
+        assert main([verb, spec_file(payload), *rest]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert error in err
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_expand_refuses_past_edge_list_limit(self, spec_file, fmt, capsys):
