@@ -44,6 +44,7 @@ from .graphs import (
     SimpleGraph,
     complement,
     enumerate_induced_cycles,
+    find_induced_c4,
     find_induced_kK2,
     induced_matching,
     induced_matching_number,

@@ -4,8 +4,9 @@ The eventual regularity of a chain of nonzero edge ideals is 2 or 3, and which
 one is read off the (index-reduced) generator window: it is 2 exactly when the
 last generator sharing the smallest left endpoint already carries the largest
 endpoint, or when some generator has gap 1 and G_{3r} has no induced pair of
-far-apart edges.  Every verdict comes with a case-specific onset index n0, the
-uniform constancy threshold N, and its coarse bound in terms of r alone.
+far-apart edges, which is read as its complement having no induced 4-cycle.
+Every verdict comes with a case-specific onset index n0, the uniform
+constancy threshold N, and its coarse bound in terms of r alone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .chain import MATERIALIZE_LIMIT, ChainSpec, chain_indices, expand, q_invariant, reduce_index
 from .errors import InvalidArgument
-from .graphs import find_induced_kK2, is_cochordal
+from .graphs import complement, find_induced_c4, is_chordal, is_cochordal
 from .oracle import DEFAULT_SUBSET_BUDGET, regularity, require_prime
 
 CASE_JQ_MAX = "jq-is-max"
@@ -63,15 +64,17 @@ def stabilization_threshold(spec: ChainSpec) -> tuple[int, int]:
 def limit_indmatch(spec: ChainSpec) -> int:
     """Eventual induced matching number, read off G_{3r}; always 1 or 2.
 
-    A cochordal G_{3r} gives 1 without the search: an induced pair of
-    far-apart edges in G is an induced 4-cycle in its complement, which a
-    chordal graph does not have, and G_{3r} has an edge since 3r >= r.  Only
-    the other windows run the 2K2 search.
+    An induced pair of far-apart edges (2K2) in G is exactly an induced
+    4-cycle in its complement, so both questions are asked of the complement
+    h of G_{3r}, which late windows make sparse.  G_{3r} has an edge since
+    3r >= r, so the value is 2 when h has an induced 4-cycle and 1 otherwise.
+    A chordal h has none and gives 1 at once; only the other windows run the
+    4-cycle search.
     """
-    g = expand(spec, 3 * spec.r)
-    if is_cochordal(g):
+    h = complement(expand(spec, 3 * spec.r))
+    if is_chordal(h):
         return 1
-    return 2 if find_induced_kK2(g, 2) is not None else 1
+    return 2 if find_induced_c4(h) is not None else 1
 
 
 def limit_regularity(spec: ChainSpec) -> ClassifierVerdict:

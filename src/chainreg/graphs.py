@@ -164,6 +164,10 @@ def is_chordal(G: SimpleGraph) -> bool:
     each step, the earlier-numbered neighbours of the new vertex other than
     the most recently numbered one, w, must all be adjacent to w.  That test
     runs as each vertex is numbered, and the first failure returns False.
+    The numbering is kept as a list in search order, so w is the first
+    vertex of the new vertex's row met walking that list backwards; on the
+    sparse complements of late windows that is usually the last vertex
+    numbered.
     """
     n = G.n
     if n <= 2:
@@ -172,9 +176,9 @@ def is_chordal(G: SimpleGraph) -> bool:
     layers = [0] * (n + 1)
     layers[0] = (1 << n) - 1
     top = 0
-    step_of = [0] * (n + 1)
+    order: list[int] = []
     numbered = 0
-    for step in range(1, n + 1):
+    for _ in range(n):
         while not layers[top]:
             top -= 1
         b = layers[top] & -layers[top]
@@ -182,11 +186,13 @@ def is_chordal(G: SimpleGraph) -> bool:
         v = b.bit_length()
         later = adj[v] & numbered
         if later & (later - 1):  # a single earlier neighbour passes trivially
-            w = max(_iter_bits(later), key=step_of.__getitem__)
-            if later & ~(adj[w] | _bit(w)):
+            for w in reversed(order):
+                if later >> (w - 1) & 1:
+                    break
+            if later & ~(adj[w] | 1 << (w - 1)):
                 return False
         numbered |= b
-        step_of[v] = step
+        order.append(v)
         nb = adj[v] & ~numbered
         k = top
         while nb:
@@ -203,6 +209,36 @@ def is_chordal(G: SimpleGraph) -> bool:
 
 def is_cochordal(G: SimpleGraph) -> bool:
     return is_chordal(complement(G))
+
+
+def find_induced_c4(G: SimpleGraph):
+    """An induced 4-cycle (a, b, c, d) of G, in cycle order, or None.
+
+    The search takes a as the cycle's smallest vertex, so b, c and d all lie
+    above it.  For each neighbour b of a, the candidates for d are D, the
+    neighbours of a other than b and not adjacent to b; a vertex c adjacent
+    to b but not to a closes the cycle through any d in its row that is in
+    D.  The first cycle in (a, b, c, d) order is returned, with d the
+    smallest choice.  An induced 4-cycle of G is exactly an induced pair of
+    far-apart edges (2K2) of its complement.
+    """
+    adj = G.adj
+    full = (1 << G.n) - 1
+    for a in range(1, G.n + 1):
+        above = full >> a << a
+        na = adj[a] & above
+        if na & (na - 1) == 0:  # a needs two neighbours above it
+            continue
+        far = above & ~adj[a]
+        for b in _iter_bits(na):
+            d_cands = na & ~(adj[b] | _bit(b))
+            if not d_cands:
+                continue
+            for c in _iter_bits(adj[b] & far):
+                hit = adj[c] & d_cands
+                if hit:
+                    return a, b, c, (hit & -hit).bit_length()
+    return None
 
 
 def induced_matching(G: SimpleGraph, stop_at: int | None = None):

@@ -11,6 +11,7 @@ from chainreg import (
     construct_anticycle,
     enumerate_induced_cycles,
     expand,
+    find_induced_c4,
     find_induced_kK2,
     induced_matching,
     induced_matching_number,
@@ -218,7 +219,9 @@ class TestChordalityAgainstReference:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CHAINS))
     def test_golden_late_complements(self, name):
-        for n in range(30, 81):
+        # Up to the end of the benchmark's sweep range, where the numbering
+        # the search walks back through for w is longest.
+        for n in [*range(30, 81), *range(90, 141, 10)]:
             h = complement(expand(GOLDEN_CHAINS[name], n))
             assert is_chordal(h) == reference_is_chordal(h), n
 
@@ -353,6 +356,49 @@ class TestFindInducedKK2:
                     lo1, hi1 = min(u1, v1), max(u1, v1)
                     lo2, hi2 = min(u2, v2), max(u2, v2)
                     assert hi1 < lo2 or hi2 < lo1, (spec, pairs[a], pairs[b])
+
+
+class TestFindInducedC4:
+    """An induced 4-cycle of the complement is exactly an induced 2K2 of G,
+    checked against the edge-list matching search run on G itself."""
+
+    def test_small_cases(self):
+        assert find_induced_c4(cycle_graph(4)) == (1, 2, 3, 4)
+        assert find_induced_c4(cycle_graph(5)) is None
+        assert find_induced_c4(complete_graph(5)) is None
+        assert find_induced_c4(SimpleGraph(0)) is None
+        # K4 without (1, 2) and (3, 4) is the 4-cycle 1-3-2-4
+        k4_minus_two = SimpleGraph(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
+        assert find_induced_c4(k4_minus_two) == (1, 3, 2, 4)
+
+    def check(self, g, outcomes):
+        h = complement(g)
+        cycle = find_induced_c4(h)
+        assert (cycle is not None) == (reference_matching_search(g, 2)[0] == 2), g
+        if cycle is not None:
+            # edge by edge: four distinct vertices, four sides, no diagonal
+            a, b, c, d = cycle
+            assert len({a, b, c, d}) == 4, cycle
+            assert h.has_edge(a, b) and h.has_edge(b, c) and h.has_edge(c, d), cycle
+            assert h.has_edge(d, a) and not h.has_edge(a, c) and not h.has_edge(b, d), cycle
+        if not is_chordal(h):
+            outcomes.add(cycle is not None)
+
+    def test_random_graphs(self):
+        rng = random.Random(4004)
+        outcomes = set()
+        for _ in range(2000):
+            self.check(random_graph(rng, rng.randint(0, 14), rng.uniform(0.05, 0.95)), outcomes)
+        # The no-cycle outcome on a non-chordal complement is the one where
+        # the search runs to its end.
+        assert outcomes == {False, True}
+
+    def test_chain_windows_at_3r_and_4r(self):
+        outcomes = set()
+        for spec in random_specs(300, tuple(range(2, 10)), seed=4343):
+            for n in (3 * spec.r, 4 * spec.r):
+                self.check(expand(spec, n), outcomes)
+        assert outcomes == {False, True}
 
 
 class TestEnumerateInducedCycles:
