@@ -2,7 +2,7 @@
 
 The package computes, classifies and certifies the eventual regularity of
 such chains: window expansion and orbit witnesses, exact graph algorithms
-(chordality, induced matchings, induced cycles), a homology-based regularity
+(chordality, induced matchings, induced 4-cycles), a homology-based regularity
 oracle, greedy anticycle constructions, and the limit-regularity classifier
 with explicit stabilization thresholds.
 """
@@ -21,7 +21,6 @@ from .chain import (
     ChainIndices,
     ChainSpec,
     IncMapWitness,
-    Triangle,
     chain_indices,
     derived_chain,
     expand,
@@ -43,7 +42,6 @@ from .graphs import (
     AnticycleWitness,
     SimpleGraph,
     complement,
-    enumerate_induced_cycles,
     find_induced_c4,
     find_induced_kK2,
     induced_matching,
@@ -58,7 +56,6 @@ from .oracle import (
     RegularityReport,
     reduced_homology_ranks,
     regularity,
-    regularity_bounds,
 )
 from .randspec import generate_random_spec, spec_pool
 

@@ -27,33 +27,6 @@ MATERIALIZE_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
-class Triangle:
-    """Lattice region {(u, v) : 0 <= u - i <= v - j <= size} with corner (i, j)."""
-
-    corner: Edge
-    size: int
-
-    def __post_init__(self):
-        i, j = self.corner
-        if i >= j:
-            raise ValueError(f"triangle corner must satisfy i < j, got {self.corner}")
-        if self.size < 0:
-            raise ValueError(f"triangle size must be non-negative, got {self.size}")
-
-    def contains(self, point: Edge) -> bool:
-        u, v = point
-        i, j = self.corner
-        return 0 <= u - i <= v - j <= self.size
-
-    def points(self):
-        """All lattice points of the region, bottom row first."""
-        i, j = self.corner
-        for b in range(self.size + 1):
-            for a in range(b + 1):
-                yield (i + a, j + b)
-
-
-@dataclass(frozen=True)
 class ChainSpec:
     """Presentation of a chain: index r plus the sorted edge list of G_r.
 
@@ -152,12 +125,47 @@ def normalize_spec(r: int, raw_edges) -> ChainSpec:
     return ChainSpec(r, tuple(sorted(seen)))
 
 
+def _window_matrix(edges, n: int, m: int) -> int:
+    """Adjacency rows 0..n of the union of the size-m windows of ``edges``,
+    packed into one int with row v at bit v * stride.
+
+    The stride is 8 * ceil(n / 8) bits, so rows are whole bytes.  Every
+    generator's window is the same pair of triangles moved to its corner:
+    ``up`` (row a holds bits a..m) placed at row i, column j - 1, and
+    ``down`` (row a holds bits 0..a) placed at row j, column i - 1.  Both
+    come from the repunit ``rep`` (bit 0 of rows 0..m) and the diagonal
+    ``diag`` (bit a of row a), each grown from one row by doubling: once k
+    rows are built, the first min(k, m + 1 - k) of them are copied below.
+    """
+    stride = 8 * -(-n // 8)
+    rep = diag = 1
+    k = 1
+    while k <= m:
+        t = min(k, m + 1 - k)
+        first = (1 << t * stride) - 1
+        rep |= (rep & first) << (k * stride)
+        diag |= (diag & first) << (k * (stride + 1))
+        k += t
+    up, down = (rep << (m + 1)) - diag, 2 * diag - rep
+    del rep, diag  # near n = MATERIALIZE_LIMIT each is megabytes the loop does not need
+    M = 0
+    for i, j in edges:
+        M |= up << (i * stride + j - 1)
+        M |= down << (j * stride + i - 1)
+    return M
+
+
 def expand(spec: ChainSpec, n: int) -> SimpleGraph:
     """The graph G_n of the chain on vertices 1..n, as adjacency rows.
 
     {u, v} is an edge exactly when (min, max) lies in some generator's
-    triangular window of size n - r.  The window of (i, j) is written one
-    vertex at a time: i + a meets j + a .. j + m and j + a meets i .. i + a.
+    triangular window of size n - r.  The rows are packed into one int by
+    ``_window_matrix``, a few shifts and ORs per generator, and sliced back
+    out of its bytes.  That int has about n^2 bits, so near
+    ``MATERIALIZE_LIMIT`` each shift and OR moves megabytes: a six-generator
+    G_10000 takes about 0.4 s and 95-120 MB at peak, against 0.13 s and
+    28 MB for the row-by-row window loop kept as the tests' reference, which
+    is the faster of the two past n of about 1,100.
     """
     if n < spec.r:
         raise IndexBelowStability(f"n={n} is below the presentation index r={spec.r}")
@@ -165,13 +173,10 @@ def expand(spec: ChainSpec, n: int) -> SimpleGraph:
         raise InvalidArgument(
             f"refusing to materialize {n} vertices; query membership via orbit_witness"
         )
-    m = n - spec.r
-    rows = [0] * (n + 1)
-    for i, j in spec.edges:
-        top, low = 1 << (j + m), 1 << (i - 1)
-        for a in range(m + 1):
-            rows[i + a] |= top - (1 << (j + a - 1))
-            rows[j + a] |= (1 << (i + a)) - low
+    sb = -(-n // 8)
+    buf = _window_matrix(spec.edges, n, n - spec.r).to_bytes((n + 1) * sb, "little")
+    from_bytes = int.from_bytes
+    rows = [from_bytes(buf[k : k + sb], "little") for k in range(0, (n + 1) * sb, sb)]
     return SimpleGraph._from_rows(n, rows)
 
 
@@ -252,28 +257,33 @@ def reduce_index(spec: ChainSpec) -> ChainSpec:
     G_r exactly; otherwise the presentation is already minimal.
 
     Each generator's window depth, the largest m whose window of (i, j) lies
-    inside G_r, is computed once from the rows of G_r: the window of size
-    m + 1 adds the column j + m + 1 meeting i .. i + m + 1, one mask test.
-    The candidates for r' are then the generators with j <= r' and depth at
-    least r - r'.
+    inside G_r, is computed once from the lower rows of G_r (the neighbours
+    below each vertex): the window of size m + 1 adds the column j + m + 1
+    meeting i .. i + m + 1, one mask test.  The candidates for r' are then
+    the generators with j <= r' and depth at least r - r', which must
+    include the first generator, and a candidate set is compared with G_r as
+    a packed window matrix, so only the returned candidate becomes a
+    ChainSpec.
     """
     r = spec.r
-    target = expand(spec, r)
-    rows = target.adj
+    below = [0] * (r + 1)
+    for i, j in spec.edges:
+        below[j] |= 1 << (i - 1)
     depths = []
     for i, j in spec.edges:
         d, need = 0, 1 << (i - 1)
         while j + d < r:
             need |= need << 1
-            if rows[j + d + 1] & need != need:
+            if below[j + d + 1] & need != need:
                 break
             d += 1
         depths.append(d)
-    for rp in range(2, r):
+    target = _window_matrix(spec.edges, r, 0)
+    # The window of (i, j) only holds pairs (u, v) with u >= i and v >= j, so
+    # the first edge lies in its own window only: candidates without it fail.
+    for rp in range(max(2, spec.edges[0][1], r - depths[0]), r):
         m = r - rp
         cand = tuple(e for e, d in zip(spec.edges, depths) if e[1] <= rp and d >= m)
-        if not cand:
-            continue
-        if expand(ChainSpec(rp, cand), r) == target:
+        if _window_matrix(cand, r, m) == target:
             return ChainSpec(rp, cand)
     return spec

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import MATERIALIZE_LIMIT, ChainSpec, chain_indices, expand, q_invariant, reduce_index
+from .chain import MATERIALIZE_LIMIT, ChainSpec, expand, q_invariant, reduce_index
 from .errors import InvalidArgument
 from .graphs import complement, find_induced_c4, is_cochordal
 from .oracle import DEFAULT_SUBSET_BUDGET, regularity, require_prime
@@ -78,15 +78,17 @@ def limit_regularity(spec: ChainSpec) -> ClassifierVerdict:
     """Classify the eventual regularity of the chain.
 
     The spec is index-reduced first, since the window pattern test is only
-    meaningful at the minimal regeneration index.  Verdict-2 cases report the
-    smaller threshold when both hold; verdict 3 reports 4r when G_{3r} already
-    shows two far-apart edges, else 4(r + q).
+    meaningful at the minimal regeneration index.  j_q, the right endpoint of
+    the last generator sharing the smallest left endpoint, is read straight
+    off the sorted edges.  Verdict-2 cases report the smaller threshold when
+    both hold; verdict 3 reports 4r when G_{3r} already shows two far-apart
+    edges, else 4(r + q).
     """
     presented_r = spec.r
     spec = reduce_index(spec)
     r = spec.r
-    idx = chain_indices(spec)
-    j_q = spec.edges[idx.q - 1][1]
+    i1 = spec.edges[0][0]
+    j_q = max(j for i, j in spec.edges if i == i1)
     N, coarse = stabilization_threshold(spec)
     im = limit_indmatch(spec)
     if j_q == spec.max_endpoint:

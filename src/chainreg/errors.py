@@ -57,13 +57,6 @@ class HypothesisViolated(ChainRegError):
     """The chain does not satisfy the construction's hypotheses."""
 
 
-class EdgelessGraph(ChainRegError):
-    """The operation needs a graph with at least one edge."""
-
-
 class SubsetBudgetExceeded(ChainRegError):
     """The subset enumeration budget of the regularity oracle was exceeded."""
 
-
-class CycleLimitExceeded(ChainRegError):
-    """Induced-cycle enumeration hit its output cap."""

@@ -5,7 +5,7 @@ stands for vertex v.  A graph is n and its tuple of adjacency rows, nothing
 else: the edge-list constructor, expansion and complement all write rows
 directly, every algorithm here reads them, and the edge set is built from
 them on each access to ``edges``.  This keeps the chordality check, the
-induced matching search and the cycle enumeration allocation-free in the inner
+induced matching search and the 4-cycle search allocation-free in the inner
 loops.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CycleLimitExceeded, InvalidArgument, VertexOutOfRange
+from .errors import InvalidArgument, VertexOutOfRange
 
 
 def _bit(v: int) -> int:
@@ -308,43 +308,6 @@ def induced_matching_number(G: SimpleGraph) -> int:
     if is_cochordal(G):
         return 1
     return induced_matching(G)[0]
-
-
-def enumerate_induced_cycles(G: SimpleGraph, lmin: int, lmax: int, limit: int = 10**6):
-    """All induced cycles with length in [lmin, lmax], one canonical tuple each.
-
-    A cycle is reported starting at its smallest vertex and oriented toward
-    the smaller of that vertex's two cycle neighbours, so every cycle appears
-    exactly once.  Raises CycleLimitExceeded past ``limit`` cycles.
-    """
-    if not (3 <= lmin <= lmax):
-        raise ValueError(f"need 3 <= lmin <= lmax, got ({lmin}, {lmax})")
-    n = G.n
-    adj = G.adj
-    full = (1 << n) - 1
-    out: list[tuple[int, ...]] = []
-
-    def grow(path: list[int], path_bits: int, interior_adj: int, v1: int, above: int):
-        last = path[-1]
-        if len(path) + 1 >= lmin:
-            close = adj[last] & adj[v1] & above & ~(path_bits | interior_adj)
-            for w in _iter_bits(close):
-                if path[1] < w:
-                    out.append(tuple(path) + (w,))
-                    if len(out) > limit:
-                        raise CycleLimitExceeded(f"more than {limit} induced cycles")
-        if len(path) <= lmax - 2:
-            ext = adj[last] & above & ~(path_bits | interior_adj | adj[v1])
-            for w in _iter_bits(ext):
-                path.append(w)
-                grow(path, path_bits | _bit(w), interior_adj | adj[last], v1, above)
-                path.pop()
-
-    for v1 in range(1, n + 1):
-        above = full & ~((1 << v1) - 1)
-        for x in _iter_bits(adj[v1] & above):
-            grow([v1, x], _bit(v1) | _bit(x), 0, v1, above)
-    return out
 
 
 def verify_anticycle(G: SimpleGraph, witness) -> bool:

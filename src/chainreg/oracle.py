@@ -55,8 +55,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import EdgelessGraph, InvalidArgument, SubsetBudgetExceeded
-from .graphs import SimpleGraph, induced_matching, is_cochordal
+from .errors import InvalidArgument, SubsetBudgetExceeded
+from .graphs import SimpleGraph
 
 DEFAULT_SUBSET_BUDGET = 22
 
@@ -348,17 +348,3 @@ def regularity(
         field_char=field_char,
         certificate={"subset": subset, "dimension": best_d},
     )
-
-
-def regularity_bounds(G: SimpleGraph) -> tuple[int, bool]:
-    """(lower bound, exact-at-2 flag) for the regularity of the edge ideal.
-
-    The lower bound is 1 plus the induced matching number; the flag reports
-    cochordality, in which case the regularity is exactly 2 and the matching
-    number is 1, so the matching search is skipped.
-    """
-    if not any(G.adj):
-        raise EdgelessGraph("regularity bounds need at least one edge")
-    if is_cochordal(G):
-        return 2, True
-    return 1 + induced_matching(G)[0], False

@@ -11,14 +11,8 @@ from __future__ import annotations
 from .anticycle import build_J_sets, build_K_sets, construct_anticycle
 from .chain import expand, is_quasi_saturated, normalize_spec, q_invariant
 from .classify import limit_regularity
-from .graphs import (
-    complement,
-    enumerate_induced_cycles,
-    induced_matching_number,
-    is_cochordal,
-    verify_anticycle,
-)
-from .oracle import regularity, regularity_bounds
+from .graphs import induced_matching_number, is_cochordal, verify_anticycle
+from .oracle import regularity
 from .randspec import spec_pool
 
 BASE_SEED = 20_240_917
@@ -86,8 +80,10 @@ def check_reg3_chain_bundle() -> str:
         got = induced_matching_number(expand(REG3_CHAIN, n))
         assert got == 1, f"indmatch at n={n}: {got} != 1"
     for n in range(5, 9):
-        cycles = enumerate_induced_cycles(complement(expand(REG3_CHAIN, n)), n, n)
-        assert tuple(range(1, n + 1)) in set(cycles), f"missing {n}-cycle in complement"
+        # (1..n) is an induced n-cycle of the complement: an anticycle of G_n.
+        assert verify_anticycle(expand(REG3_CHAIN, n), range(1, n + 1)), (
+            f"missing {n}-cycle in complement"
+        )
     return "oracle reg 3 on n=6..10, verdict 3, indmatch 1 on n=9..12, complement n-cycles on n=5..8"
 
 
@@ -98,8 +94,7 @@ def check_near_sharp_chain() -> str:
     for a in e1:
         for b in e2:
             assert not g17.has_edge(a, b), f"cross edge ({a}, {b}) breaks the witness"
-    lower, exact2 = regularity_bounds(g17)
-    assert lower >= 3 and not exact2, f"bounds ({lower}, {exact2})"
+    assert not is_cochordal(g17), "G_17 is cochordal"
     verdict = limit_regularity(NEAR_SHARP_CHAIN)
     assert verdict.limit_reg == 2 and verdict.case == "jq-is-max" and verdict.n0 == 27, (
         f"verdict {verdict}"

@@ -10,13 +10,17 @@ prune test; the vertex-mask matching search against a copy of the edge-list
 search it replaced, and the one-pass chordality test and row-mask anticycle
 check against copies of the two-pass search and pairwise check they replaced,
 the anticycle pivot walker against copies of the head and tail walkers it
-replaced, and the window-depth index reduction against a copy of the
-triangle-point reduction it replaced.
+replaced, the window-depth index reduction against a copy of the
+triangle-point reduction it replaced, and the packed window-matrix expansion
+against a copy of the row-by-row window loop it replaced.  The chordality
+test is also checked against a copy of the induced-cycle enumerator the
+package no longer ships.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -26,7 +30,6 @@ from chainreg import (
     ChainSpec,
     PivotTrace,
     SimpleGraph,
-    Triangle,
     expand,
     normalize_spec,
 )
@@ -68,6 +71,55 @@ def brute_expand(spec: ChainSpec, n: int) -> set[tuple[int, int]]:
     for image in combinations(range(1, n + 1), spec.r):
         for i, j in spec.edges:
             out.add((image[i - 1], image[j - 1]))
+    return out
+
+
+def reference_expand(spec: ChainSpec, n: int) -> SimpleGraph:
+    """The row-by-row window loop that ``chain.expand`` replaced, copied
+    verbatim (without the size checks)."""
+    m = n - spec.r
+    rows = [0] * (n + 1)
+    for i, j in spec.edges:
+        top, low = 1 << (j + m), 1 << (i - 1)
+        for a in range(m + 1):
+            rows[i + a] |= top - (1 << (j + a - 1))
+            rows[j + a] |= (1 << (i + a)) - low
+    return SimpleGraph._from_rows(n, rows)
+
+
+def reference_induced_cycles(G: SimpleGraph, lmin: int, lmax: int) -> list[tuple[int, ...]]:
+    """All induced cycles with length in [lmin, lmax], one canonical tuple
+    each: a copy of the enumerator the package shipped, without its output
+    cap.
+
+    A cycle is reported starting at its smallest vertex and oriented toward
+    the smaller of that vertex's two cycle neighbours.
+    """
+    if not (3 <= lmin <= lmax):
+        raise ValueError(f"need 3 <= lmin <= lmax, got ({lmin}, {lmax})")
+    n = G.n
+    adj = G.adj
+    full = (1 << n) - 1
+    out: list[tuple[int, ...]] = []
+
+    def grow(path: list[int], path_bits: int, interior_adj: int, v1: int, above: int):
+        last = path[-1]
+        if len(path) + 1 >= lmin:
+            close = adj[last] & adj[v1] & above & ~(path_bits | interior_adj)
+            for w in _iter_bits(close):
+                if path[1] < w:
+                    out.append(tuple(path) + (w,))
+        if len(path) <= lmax - 2:
+            ext = adj[last] & above & ~(path_bits | interior_adj | adj[v1])
+            for w in _iter_bits(ext):
+                path.append(w)
+                grow(path, path_bits | _bit(w), interior_adj | adj[last], v1, above)
+                path.pop()
+
+    for v1 in range(1, n + 1):
+        above = full & ~((1 << v1) - 1)
+        for x in _iter_bits(adj[v1] & above):
+            grow([v1, x], _bit(v1) | _bit(x), 0, v1, above)
     return out
 
 
@@ -373,6 +425,34 @@ def reference_k_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
     if pivots[-1] != idx.B:
         raise HypothesisViolated("tail rearrangement did not end at position B")
     return PivotTrace(tuple(sets), tuple(pivots))
+
+
+@dataclass(frozen=True)
+class Triangle:
+    """Lattice region {(u, v) : 0 <= u - i <= v - j <= size} with corner (i, j):
+    a copy of the class the package shipped, for ``reference_reduce_index``."""
+
+    corner: tuple[int, int]
+    size: int
+
+    def __post_init__(self):
+        i, j = self.corner
+        if i >= j:
+            raise ValueError(f"triangle corner must satisfy i < j, got {self.corner}")
+        if self.size < 0:
+            raise ValueError(f"triangle size must be non-negative, got {self.size}")
+
+    def contains(self, point: tuple[int, int]) -> bool:
+        u, v = point
+        i, j = self.corner
+        return 0 <= u - i <= v - j <= self.size
+
+    def points(self):
+        """All lattice points of the region, bottom row first."""
+        i, j = self.corner
+        for b in range(self.size + 1):
+            for a in range(b + 1):
+                yield (i + a, j + b)
 
 
 def reference_reduce_index(spec: ChainSpec) -> ChainSpec:

@@ -1,10 +1,15 @@
 """Chain presentation: normalization, expansion, invariants, index reduction."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from chainreg import (
     ChainSpec,
-    Triangle,
     chain_indices,
     derived_chain,
     expand,
@@ -15,6 +20,7 @@ from chainreg import (
     q_invariant,
     reduce_index,
 )
+from chainreg.chain import MATERIALIZE_LIMIT
 from chainreg.errors import (
     DegenerateEdge,
     EdgeOutOfRange,
@@ -23,9 +29,11 @@ from chainreg.errors import (
 )
 
 from conftest import (
+    Triangle,
     brute_expand,
     brute_low_degree_survivors,
     random_specs,
+    reference_expand,
     reference_reduce_index,
 )
 
@@ -58,6 +66,8 @@ class TestNormalizeSpec:
 
 
 class TestTriangle:
+    """The lattice region behind ``reference_reduce_index``."""
+
     def test_membership_chain(self):
         tri = Triangle((2, 7), 2)
         assert tri.contains((3, 8))
@@ -110,6 +120,52 @@ class TestExpand:
         for spec in random_specs(30, (2, 3, 4), seed=313):
             for n in range(spec.r, spec.r + 4):
                 assert set(expand(spec, n).edges) <= set(expand(spec, n + 1).edges)
+
+    def test_matches_reference_window_loop(self):
+        # Windows at r..4r, plus n on both sides of the 8-bit row strides.
+        boundaries = (7, 8, 9, 15, 16, 17, 63, 64, 65, 141)
+        checked = 0
+        for spec in random_specs(150, tuple(range(2, 12)), seed=1111):
+            r = spec.r
+            for n in sorted({r, r + 1, 2 * r, 3 * r, 4 * r, *boundaries}):
+                if n >= r:
+                    assert expand(spec, n).adj == reference_expand(spec, n).adj, (spec, n)
+                    checked += 1
+        assert checked > 1500
+
+    def test_largest_window_cost_in_fresh_process(self):
+        # The packed matrix has about n^2 bits; pin its time and memory at
+        # the materialization limit.
+        code = (
+            "import json, resource, time\n"
+            "from chainreg import expand, normalize_spec\n"
+            "from chainreg.chain import MATERIALIZE_LIMIT\n"
+            "spec = normalize_spec(9, [(1, 5), (1, 8), (2, 9), (3, 6), (4, 7), (5, 9)])\n"
+            "t0 = time.perf_counter()\n"
+            "g = expand(spec, MATERIALIZE_LIMIT)\n"
+            "dt = time.perf_counter() - t0\n"
+            "kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(json.dumps({'s': dt, 'mb': kb / 1024, 'n': g.n, 'deg1': g.degree(1)}))\n"
+        )
+        # On Linux a child's ru_maxrss starts at its parent's peak, so the
+        # measuring process is started by a small launcher, not by pytest.
+        launcher = (
+            "import subprocess, sys\n"
+            "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path])}
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher, code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        got = json.loads(proc.stdout)
+        assert got["n"] == MATERIALIZE_LIMIT
+        assert got["deg1"] == MATERIALIZE_LIMIT - 5  # vertices 5..n-1, from (1, 5) and (1, 8)
+        assert got["s"] < 2.0 and got["mb"] < 256, got
 
 
 class TestOrbitWitness:

@@ -5,12 +5,14 @@ from collections import Counter
 import pytest
 
 from chainreg import (
+    chain_indices,
     expand,
     is_cochordal,
     is_quasi_saturated,
     limit_indmatch,
     limit_regularity,
     normalize_spec,
+    reduce_index,
     stabilization_threshold,
     sweep_verify,
 )
@@ -71,6 +73,17 @@ class TestLimitRegularity:
             assert v.limit_indmatch in (1, 2)
             assert v.N <= v.coarse
             assert v.n0 >= v.reduced_r
+
+    def test_jq_case_matches_chain_indices(self):
+        # j_q is read off the sorted edges; chain_indices names the same edge.
+        cases = Counter()
+        for spec in random_specs(400, tuple(range(2, 10)), seed=815):
+            red = reduce_index(spec)
+            j_q = red.edges[chain_indices(red).q - 1][1]
+            v = limit_regularity(spec)
+            assert (v.case == CASE_JQ_MAX) == (j_q == red.max_endpoint), spec
+            cases[v.case] += 1
+        assert cases[CASE_JQ_MAX] > 50 and sum(cases.values()) - cases[CASE_JQ_MAX] > 50
 
     def test_quasi_saturated_forces_two(self):
         pool = random_specs(80, (2, 3, 4), seed=814)

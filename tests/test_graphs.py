@@ -9,7 +9,6 @@ from chainreg import (
     SimpleGraph,
     complement,
     construct_anticycle,
-    enumerate_induced_cycles,
     expand,
     find_induced_c4,
     find_induced_kK2,
@@ -21,7 +20,7 @@ from chainreg import (
     normalize_spec,
     verify_anticycle,
 )
-from chainreg.errors import CycleLimitExceeded, InvalidArgument, VertexOutOfRange
+from chainreg.errors import InvalidArgument, VertexOutOfRange
 
 from conftest import (
     brute_expand,
@@ -29,6 +28,7 @@ from conftest import (
     brute_induced_cycles,
     random_graph,
     random_specs,
+    reference_induced_cycles,
     reference_is_chordal,
     reference_matching_search,
     reference_verify_anticycle,
@@ -194,7 +194,7 @@ class TestChordality:
             n = rng.randint(1, 8)
             g = random_graph(rng, n, rng.uniform(0.1, 0.9))
             if n >= 4:
-                assert is_chordal(g) == (not enumerate_induced_cycles(g, 4, n)), g
+                assert is_chordal(g) == (not reference_induced_cycles(g, 4, n)), g
 
     def test_cochordal_cases(self, reg3_spec):
         # complete windows stay cochordal at every index
@@ -402,15 +402,17 @@ class TestFindInducedC4:
 
 
 class TestEnumerateInducedCycles:
+    """The induced-cycle enumerator that the chordality tests rely on."""
+
     def test_single_cycle(self):
-        assert enumerate_induced_cycles(cycle_graph(5), 5, 5) == [(1, 2, 3, 4, 5)]
+        assert reference_induced_cycles(cycle_graph(5), 5, 5) == [(1, 2, 3, 4, 5)]
 
     def test_chordal_graph_has_none(self):
         g = SimpleGraph(6, [(1, 2), (2, 3), (3, 4), (1, 3), (2, 4), (5, 6)])
-        assert enumerate_induced_cycles(g, 4, 6) == []
+        assert reference_induced_cycles(g, 4, 6) == []
 
     def test_complement_window_cycle(self, reg3_spec):
-        cyc = enumerate_induced_cycles(complement(expand(reg3_spec, 7)), 7, 7)
+        cyc = reference_induced_cycles(complement(expand(reg3_spec, 7)), 7, 7)
         assert (1, 2, 3, 4, 5, 6, 7) in set(cyc)
 
     def test_agrees_with_subset_oracle(self):
@@ -418,22 +420,18 @@ class TestEnumerateInducedCycles:
         for _ in range(120):
             n = rng.randint(3, 8)
             g = random_graph(rng, n, rng.uniform(0.2, 0.8))
-            got = set(enumerate_induced_cycles(g, 3, n))
+            got = set(reference_induced_cycles(g, 3, n))
             assert got == brute_induced_cycles(g, 3, n), g
 
     def test_no_short_anticycles_in_late_windows(self):
         for spec in random_specs(20, (2, 3), seed=616):
             n = 5 * spec.r
             gc = complement(expand(spec, n))
-            assert enumerate_induced_cycles(gc, 5, n // spec.r) == [], spec
-
-    def test_limit(self):
-        with pytest.raises(CycleLimitExceeded):
-            enumerate_induced_cycles(complete_graph(10), 3, 10, limit=5)
+            assert reference_induced_cycles(gc, 5, n // spec.r) == [], spec
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            enumerate_induced_cycles(SimpleGraph(3), 2, 5)
+            reference_induced_cycles(SimpleGraph(3), 2, 5)
 
 
 class TestVerifyAnticycle:
@@ -507,6 +505,29 @@ class TestVerifyAnticycleAgainstReference:
             assert verify_anticycle(g, seq) == want, (g, seq)
             answers.append(want)
         assert 100 < sum(answers) < 1400
+
+    def test_agrees_with_complement_cycle_enumeration(self):
+        # The verify suite asks verify_anticycle(G_n, 1..n) where it once
+        # looked (1..n) up among the induced cycles of the complement: a
+        # sequence in that enumerator's orientation (smallest vertex first,
+        # then its smaller cycle neighbour) is one exactly when it passes.
+        rng = random.Random(2727)
+        found = 0
+        for _ in range(300):
+            n = rng.randint(4, 8)
+            g = random_graph(rng, n, rng.uniform(0.3, 0.95))
+            cycles = set(reference_induced_cycles(complement(g), 4, n))
+            for cyc in cycles:
+                assert verify_anticycle(g, cyc), (g, cyc)
+            found += len(cycles)
+            for _ in range(10):
+                seq = rng.sample(range(1, n + 1), rng.randint(4, n))
+                k = seq.index(min(seq))
+                seq = seq[k:] + seq[:k]
+                if seq[1] > seq[-1]:
+                    seq = [seq[0]] + seq[:0:-1]
+                assert verify_anticycle(g, seq) == (tuple(seq) in cycles), (g, seq)
+        assert found > 100
 
     def test_out_of_range_raises_in_both(self):
         g = complement(cycle_graph(6))

@@ -12,9 +12,8 @@ from chainreg import (
     is_cochordal,
     reduced_homology_ranks,
     regularity,
-    regularity_bounds,
 )
-from chainreg.errors import EdgelessGraph, InvalidArgument, SubsetBudgetExceeded
+from chainreg.errors import InvalidArgument, SubsetBudgetExceeded
 from chainreg.oracle import _fold_survivors
 
 from conftest import brute_fold_survivors, random_graph, reference_regularity
@@ -249,24 +248,9 @@ class TestOwnNumbering:
 
 
 class TestRegularityBounds:
-    def test_basics(self):
-        assert regularity_bounds(disjoint_edges(2)) == (3, False)
-        k4 = SimpleGraph(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
-        assert regularity_bounds(k4) == (2, True)
-
-    def test_matches_its_definition(self):
-        rng = random.Random(81)
-        for _ in range(200):
-            g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.1, 0.95))
-            if g.edges:
-                assert regularity_bounds(g) == (1 + induced_matching_number(g), is_cochordal(g)), g
-
     def test_strict_gap_window(self, reg3_spec):
-        lower, exact2 = regularity_bounds(expand(reg3_spec, 9))
-        assert (lower, exact2) == (2, False)
-        # the true value is 3, strictly above the matching bound
-        assert regularity(expand(reg3_spec, 9), 2).value == 3
-
-    def test_edgeless(self):
-        with pytest.raises(EdgelessGraph):
-            regularity_bounds(SimpleGraph(3))
+        g = expand(reg3_spec, 9)
+        # The matching bound gives only 1 + 1 = 2 and G_9 is not cochordal;
+        # the true value is 3, strictly above the matching bound.
+        assert induced_matching_number(g) == 1 and not is_cochordal(g)
+        assert regularity(g, 2).value == 3
