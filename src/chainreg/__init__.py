@@ -8,15 +8,7 @@ with explicit stabilization thresholds.
 """
 
 from . import errors
-from .anticycle import (
-    AnticycleTrace,
-    PivotTrace,
-    build_J_sets,
-    build_K_sets,
-    construct_anticycle,
-    final_vertices,
-    initial_vertices,
-)
+from .anticycle import AnticycleTrace, PivotTrace, construct_anticycle
 from .chain import (
     ChainIndices,
     ChainSpec,

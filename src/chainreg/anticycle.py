@@ -3,12 +3,13 @@
 For chains whose generators all have gap at least 2 and whose largest endpoint
 exceeds the last small-left-endpoint generator's endpoint by exactly one, the
 expanded graph G_{n+r} contains an induced complement-of-cycle for every
-n >= 2r.  The vertices are produced greedily: a head segment walks from left
-of the widest window up to the narrowest one (or is given in closed form when
-the narrowest window already starts right of the widest), and a tail segment
-then advances in steps of gap-1 through windows rearranged by increasing gap
-until it clears the top window.  Each piece is driven by a pivot rearrangement
-of the generator positions, returned in full for golden comparison, and both
+n >= 2r.  ``construct_anticycle`` is the one entry point.  The vertices are
+produced greedily: a head segment walks from left of the widest window up to
+the narrowest one (or is given in closed form when the narrowest window
+already starts right of the widest), and a tail segment then advances in steps
+of gap-1 through windows rearranged by increasing gap until it clears the top
+window.  Each piece is driven by a pivot rearrangement of the generator
+positions, returned in full in the trace for golden comparison, and both
 pieces are stepped by one ladder walker that differs only in which windows
 reach the running vertex and where it stops.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import ChainIndices, ChainSpec, chain_indices, expand
-from .errors import CaseMismatch, HypothesisViolated, IndexTooSmall, StartOutOfRange
+from .errors import HypothesisViolated, IndexTooSmall
 from .graphs import AnticycleWitness, verify_anticycle
 
 
@@ -44,9 +45,11 @@ class AnticycleTrace:
     ``case`` is "I" (head walk) or "II" (closed-form first pair); ``epsilon``
     the ladder multiple of the first vertex (see ``_head_start``); ``d`` such
     that the tail starts at vertex a_{d+1}; ``j_trace`` the head
-    rearrangement (None in case II) and ``k_trace`` the tail one.  The vertex
-    list is the witness's ``vertices``, of length ``witness.m``, and the
-    initial segment a_1 .. a_{d+1} is ``witness.vertices[:d + 1]``.
+    rearrangement (the J-sets, None in case II) and ``k_trace`` the tail one
+    (the K-sets).  The vertex list is the witness's ``vertices``, of length
+    ``witness.m``: the head segment a_1 .. a_{d+1} is
+    ``witness.vertices[:d + 1]`` and the tail segment a_{d+1} .. a_m, which
+    ends at n + j_B, is ``witness.vertices[d:]``.
     """
 
     case: str
@@ -56,16 +59,12 @@ class AnticycleTrace:
     k_trace: PivotTrace
 
 
-def _require_gap(spec: ChainSpec) -> None:
+def _require_hypotheses(spec: ChainSpec) -> ChainIndices:
+    """Check the construction's hypotheses; return the chain indices."""
     if spec.min_gap < 2:
         raise HypothesisViolated(
             f"every generator gap must be at least 2, found gap {spec.min_gap}"
         )
-
-
-def _require_hypotheses(spec: ChainSpec) -> ChainIndices:
-    """Check the construction's hypotheses; return the chain indices."""
-    _require_gap(spec)
     idx = chain_indices(spec)
     j_q = spec.edges[idx.q - 1][1]
     if spec.max_endpoint != j_q + 1:
@@ -75,7 +74,7 @@ def _require_hypotheses(spec: ChainSpec) -> ChainIndices:
     return idx
 
 
-def _rearrange(spec: ChainSpec, idx: ChainIndices, key, stop: int, what: str) -> PivotTrace:
+def _rearrange(spec: ChainSpec, idx: ChainIndices, key, stop: int) -> PivotTrace:
     """The greedy pivot rearrangement shared by the head and the tail.
 
     Starting from the minimum-gap positions, each step collects, among the
@@ -87,6 +86,12 @@ def _rearrange(spec: ChainSpec, idx: ChainIndices, key, stop: int, what: str) ->
     sorted by (left, right) and no two edges of equal gap share an endpoint,
     so it is the smallest position of the set for the head and the largest
     for the tail.
+
+    Under the construction's hypotheses a candidate always remains: the head
+    has position 1 until its pivot drops below i_b, and i_1 < i_b because
+    q is the last position starting at i_1 and j_b = j_q + 1 > j_q; the tail
+    has position B until its pivot reaches j_B, and ends there, since any
+    other position at j_B has a larger gap than B.
     """
     edges = spec.edges
     step = idx.J1
@@ -102,49 +107,8 @@ def _rearrange(spec: ChainSpec, idx: ChainIndices, key, stop: int, what: str) ->
         if bound >= stop:
             return PivotTrace(tuple(sets), tuple(pivots))
         cands = [t for t in range(1, spec.s + 1) if t not in used and key(t) > bound]
-        if not cands:
-            raise HypothesisViolated(f"{what} rearrangement ran out of candidates")
         g = min(edges[t - 1][1] - edges[t - 1][0] for t in cands)
         step = tuple(t for t in cands if edges[t - 1][1] - edges[t - 1][0] == g)
-
-
-def build_J_sets(spec: ChainSpec) -> PivotTrace:
-    """Head-segment rearrangement (applies when i_b <= i_h).
-
-    The walk of ``_rearrange`` toward smaller left endpoints, strictly left of
-    the current pivot, stopping once the pivot's left endpoint drops below i_b.
-    """
-    return _head_trace(spec, _require_hypotheses(spec))
-
-
-def _head_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
-    edges = spec.edges
-    i_b = edges[idx.b - 1][0]
-    i_h = edges[idx.h - 1][0]
-    if i_h < i_b:
-        raise CaseMismatch(
-            f"i_h = {i_h} < i_b = {i_b}: the closed-form head applies instead"
-        )
-    return _rearrange(spec, idx, lambda t: -edges[t - 1][0], 1 - i_b, "head")
-
-
-def build_K_sets(spec: ChainSpec) -> PivotTrace:
-    """Tail-segment rearrangement.
-
-    The walk of ``_rearrange`` toward larger right endpoints, beyond the
-    current pivot's, until the pivot reaches the maximal right endpoint.
-    When the minimum-gap block already contains it, nothing happens.
-    """
-    _require_gap(spec)
-    return _tail_trace(spec, chain_indices(spec))
-
-
-def _tail_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
-    edges = spec.edges
-    kt = _rearrange(spec, idx, lambda t: edges[t - 1][1], edges[idx.B - 1][1], "tail")
-    if kt.pivots[-1] != idx.B:
-        raise HypothesisViolated("tail rearrangement did not end at position B")
-    return kt
 
 
 def _head_start(i_anchor: int, gap: int, i_b: int) -> tuple[int, int]:
@@ -152,23 +116,6 @@ def _head_start(i_anchor: int, gap: int, i_b: int) -> tuple[int, int]:
     step = gap - 1
     eps = (i_b - i_anchor - 1) // step
     return eps, eps * step + i_anchor
-
-
-def _require_index(spec: ChainSpec, n: int) -> None:
-    if n < 2 * spec.r:
-        raise IndexTooSmall(f"need n >= 2r = {2 * spec.r}, got {n}")
-
-
-def initial_vertices(spec: ChainSpec, n: int) -> list[int]:
-    """Head segment a_1 .. a_{d+1} (requires i_b <= i_h and n >= 2r).
-
-    a_1 sits just left of i_b on the ladder of the last head pivot; each later
-    vertex advances by gap-1 of the first pivot whose left endpoint has been
-    reached, stopping once i_h is passed.
-    """
-    _require_index(spec, n)
-    idx = _require_hypotheses(spec)
-    return _head(spec, idx, _head_trace(spec, idx))[1]
 
 
 def _ladder(spec: ChainSpec, pivots: tuple[int, ...], start: int, reach, stop: int) -> list[int]:
@@ -188,68 +135,41 @@ def _ladder(spec: ChainSpec, pivots: tuple[int, ...], start: int, reach, stop: i
     return seq
 
 
-def _head(spec: ChainSpec, idx: ChainIndices, jt: PivotTrace) -> tuple[int, list[int]]:
-    """(epsilon, head segment) for the head trace ``jt``."""
-    edges = spec.edges
-    i_b = edges[idx.b - 1][0]
-    i_h = edges[idx.h - 1][0]
-    u_beta = jt.pivots[-1]
-    i_u, j_u = edges[u_beta - 1]
-    eps, a = _head_start(i_u, j_u - i_u, i_b)
-    return eps, _ladder(spec, jt.pivots, a, lambda i, x: i <= x, i_h)
-
-
-def final_vertices(spec: ChainSpec, n: int, a_index: int) -> list[int]:
-    """Tail segment from a_index through a_m = n + j_B (requires n >= 2r).
-
-    While the running vertex has not cleared n + i_B, advance by gap-1 of the
-    first tail pivot whose window still reaches it, then close with n + j_B.
-    """
-    _require_index(spec, n)
-    _require_gap(spec)
-    idx = chain_indices(spec)
-    return _tail(spec, n, a_index, idx, _tail_trace(spec, idx))
-
-
-def _tail(spec: ChainSpec, n: int, a_index: int, idx: ChainIndices, kt: PivotTrace) -> list[int]:
-    edges = spec.edges
-    i_h = edges[idx.h - 1][0]
-    i_B, j_B = edges[idx.B - 1]
-    if not (i_h <= a_index <= n + i_B):
-        raise StartOutOfRange(
-            f"start {a_index} must lie in [i_h, n + i_B] = [{i_h}, {n + i_B}]"
-        )
-    seq = _ladder(spec, kt.pivots, a_index, lambda i, x: x <= n + i, n + i_B + 1)
-    seq.append(n + j_B)
-    return seq
-
-
 def construct_anticycle(spec: ChainSpec, n: int) -> tuple[AnticycleWitness, AnticycleTrace]:
     """Build and verify an induced anticycle of G_{n+r} (n >= 2r).
 
-    Case I (i_b <= i_h) chains the head and tail segments; case II starts the
-    tail directly from a closed-form first pair.  The chain indices and the
-    J and K traces are computed once and shared by both segments.  The
-    returned witness is always re-verified against the expanded graph before
-    being handed back.
+    Case I (i_b <= i_h) walks the head: a_1 sits just left of i_b on the
+    ladder of the last head pivot, and each later vertex advances by gap-1 of
+    the first pivot whose left endpoint has been reached, stopping once i_h
+    is passed.  Case II starts from a closed-form first pair on the ladder of
+    position h.  The tail then advances, while the running vertex has not
+    cleared n + i_B, by gap-1 of the first tail pivot whose window still
+    reaches it, and closes with n + j_B.  G_{n+r} is expanded before either
+    walk, so an index past the materialization limit is refused at once, and
+    the witness is re-verified against it before being handed back.
     """
     idx = _require_hypotheses(spec)
-    _require_index(spec, n)
+    if n < 2 * spec.r:
+        raise IndexTooSmall(f"need n >= 2r = {2 * spec.r}, got {n}")
+    g = expand(spec, n + spec.r)
     edges = spec.edges
     i_b = edges[idx.b - 1][0]
     i_h, j_h = edges[idx.h - 1]
-    kt = _tail_trace(spec, idx)
+    i_B, j_B = edges[idx.B - 1]
+    kt = _rearrange(spec, idx, lambda t: edges[t - 1][1], j_B)
     if i_b <= i_h:
-        jt = _head_trace(spec, idx)
-        eps, head = _head(spec, idx, jt)
-        vertices = head[:-1] + _tail(spec, n, head[-1], idx, kt)
-        trace = AnticycleTrace(case="I", epsilon=eps, d=len(head) - 1, j_trace=jt, k_trace=kt)
+        case = "I"
+        jt = _rearrange(spec, idx, lambda t: -edges[t - 1][0], 1 - i_b)
+        i_u, j_u = edges[jt.pivots[-1] - 1]
+        eps, a1 = _head_start(i_u, j_u - i_u, i_b)
+        head = _ladder(spec, jt.pivots, a1, lambda i, x: i <= x, i_h)
     else:
+        case, jt = "II", None
         eps, a1 = _head_start(i_h, j_h - i_h, i_b)
-        a2 = a1 + j_h - i_h - 1
-        vertices = [a1] + _tail(spec, n, a2, idx, kt)
-        trace = AnticycleTrace(case="II", epsilon=eps, d=1, j_trace=None, k_trace=kt)
-    witness = AnticycleWitness(vertices)
-    if not verify_anticycle(expand(spec, n + spec.r), witness):
+        head = [a1, a1 + j_h - i_h - 1]
+    tail = _ladder(spec, kt.pivots, head[-1], lambda i, x: x <= n + i, n + i_B + 1)
+    witness = AnticycleWitness(head[:-1] + tail + [n + j_B])
+    trace = AnticycleTrace(case=case, epsilon=eps, d=len(head) - 1, j_trace=jt, k_trace=kt)
+    if not verify_anticycle(g, witness):
         raise RuntimeError("constructed vertex sequence failed anticycle verification")
     return witness, trace

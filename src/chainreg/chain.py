@@ -125,6 +125,13 @@ def normalize_spec(r: int, raw_edges) -> ChainSpec:
     return ChainSpec(r, tuple(sorted(seen)))
 
 
+def _require_materializable(n: int) -> None:
+    if n > MATERIALIZE_LIMIT:
+        raise InvalidArgument(
+            f"refusing to materialize {n} vertices; query membership via orbit_witness"
+        )
+
+
 def _window_matrix(edges, n: int, m: int) -> int:
     """Adjacency rows 0..n of the union of the size-m windows of ``edges``,
     packed into one int with row v at bit v * stride.
@@ -169,10 +176,7 @@ def expand(spec: ChainSpec, n: int) -> SimpleGraph:
     """
     if n < spec.r:
         raise IndexBelowStability(f"n={n} is below the presentation index r={spec.r}")
-    if n > MATERIALIZE_LIMIT:
-        raise InvalidArgument(
-            f"refusing to materialize {n} vertices; query membership via orbit_witness"
-        )
+    _require_materializable(n)
     sb = -(-n // 8)
     buf = _window_matrix(spec.edges, n, n - spec.r).to_bytes((n + 1) * sb, "little")
     from_bytes = int.from_bytes
@@ -263,9 +267,11 @@ def reduce_index(spec: ChainSpec) -> ChainSpec:
     the generators with j <= r' and depth at least r - r', which must
     include the first generator, and a candidate set is compared with G_r as
     a packed window matrix, so only the returned candidate becomes a
-    ChainSpec.
+    ChainSpec.  An r past ``MATERIALIZE_LIMIT`` is refused before any of
+    this, as ``expand`` refuses G_r.
     """
     r = spec.r
+    _require_materializable(r)
     below = [0] * (r + 1)
     for i, j in spec.edges:
         below[j] |= 1 << (i - 1)

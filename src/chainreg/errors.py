@@ -45,14 +45,6 @@ class IndexTooSmall(InvalidInputError):
     """The construction requires a larger index n."""
 
 
-class StartOutOfRange(ChainRegError):
-    """The starting vertex handed to the tail construction is out of range."""
-
-
-class CaseMismatch(ChainRegError):
-    """The other construction case applies to this chain."""
-
-
 class HypothesisViolated(ChainRegError):
     """The chain does not satisfy the construction's hypotheses."""
 

@@ -8,7 +8,7 @@ run exactly these functions, so there is a single source of truth for what
 
 from __future__ import annotations
 
-from .anticycle import build_J_sets, build_K_sets, construct_anticycle
+from .anticycle import construct_anticycle
 from .chain import expand, is_quasi_saturated, normalize_spec, q_invariant
 from .classify import limit_regularity
 from .graphs import induced_matching_number, is_cochordal, verify_anticycle
@@ -56,17 +56,16 @@ def check_golden_regularity_table() -> str:
 
 
 def check_golden_anticycle_traces() -> str:
-    jt = build_J_sets(SIX_EDGE_CHAIN)
-    assert jt.sets == ((4, 5), (1,)), f"head sets {jt.sets}"
-    assert jt.pivots == (4, 1) and len(jt.pivots) == 2, f"head pivots {jt.pivots}"
-    kt = build_K_sets(SIX_EDGE_CHAIN)
-    assert kt.sets == ((4, 5), (6,)), f"tail sets {kt.sets}"
-    assert kt.pivots == (5, 6) and len(kt.pivots) == 2, f"tail pivots {kt.pivots}"
     for n, want in ((18, WITNESS_27), (19, WITNESS_28), (20, WITNESS_29)):
         witness, trace = construct_anticycle(SIX_EDGE_CHAIN, n)
+        assert trace.case == "I"
+        jt, kt = trace.j_trace, trace.k_trace
+        assert jt.sets == ((4, 5), (1,)), f"head sets {jt.sets}"
+        assert jt.pivots == (4, 1) and len(jt.pivots) == 2, f"head pivots {jt.pivots}"
+        assert kt.sets == ((4, 5), (6,)), f"tail sets {kt.sets}"
+        assert kt.pivots == (5, 6) and len(kt.pivots) == 2, f"tail pivots {kt.pivots}"
         assert witness.vertices == want, f"n={n}: {witness.vertices} != {want}"
         assert verify_anticycle(expand(SIX_EDGE_CHAIN, n + 9), witness)
-        assert trace.case == "I"
     return "head/tail traces and the three witnesses (m=13,14,14) match vertex-for-vertex"
 
 

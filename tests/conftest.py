@@ -10,8 +10,9 @@ prune test; the vertex-mask matching search against a copy of the edge-list
 search it replaced, and the one-pass chordality test and row-mask anticycle
 check against copies of the two-pass search and pairwise check they replaced,
 the anticycle pivot walker against copies of the head and tail walkers it
-replaced, the window-depth index reduction against a copy of the
-triangle-point reduction it replaced, and the packed window-matrix expansion
+replaced, the one-entry anticycle construction against a copy of the
+segment-wrapper path it replaced, the window-depth index reduction against a
+copy of the triangle-point reduction it replaced, and the packed window-matrix expansion
 against a copy of the row-by-row window loop it replaced.  The chordality
 test is also checked against a copy of the induced-cycle enumerator the
 package no longer ships.
@@ -26,6 +27,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from chainreg import (
+    AnticycleTrace,
     ChainIndices,
     ChainSpec,
     PivotTrace,
@@ -33,13 +35,15 @@ from chainreg import (
     expand,
     normalize_spec,
 )
+from chainreg.chain import chain_indices
 from chainreg.errors import (
-    CaseMismatch,
+    ChainRegError,
     HypothesisViolated,
+    IndexTooSmall,
     SubsetBudgetExceeded,
     VertexOutOfRange,
 )
-from chainreg.graphs import AnticycleWitness, _bit, _iter_bits, induced_subgraph
+from chainreg.graphs import AnticycleWitness, _bit, _iter_bits, induced_subgraph, verify_anticycle
 from chainreg.oracle import (
     DEFAULT_SUBSET_BUDGET,
     RegularityReport,
@@ -370,6 +374,17 @@ def brute_fold_survivors(adj, nn: int) -> set[int]:
     return kept
 
 
+class CaseMismatch(ChainRegError):
+    """The other construction case applies to this chain: a copy of the error
+    class the package shipped, raised only by the reference walkers."""
+
+
+class StartOutOfRange(ChainRegError):
+    """The starting vertex handed to the tail construction is out of range: a
+    copy of the error class the package shipped, raised only by
+    ``reference_construct_anticycle``."""
+
+
 def reference_j_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
     """The head walker that ``anticycle._rearrange`` replaced, copied verbatim
     but for the trace type it returns."""
@@ -425,6 +440,141 @@ def reference_k_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
     if pivots[-1] != idx.B:
         raise HypothesisViolated("tail rearrangement did not end at position B")
     return PivotTrace(tuple(sets), tuple(pivots))
+
+
+# The anticycle construction that ``anticycle.construct_anticycle`` replaced,
+# copied verbatim but for the ``_ref`` prefix on its helpers, their
+# docstrings, and the local copies of its two error classes.
+
+
+def _ref_require_gap(spec: ChainSpec) -> None:
+    if spec.min_gap < 2:
+        raise HypothesisViolated(
+            f"every generator gap must be at least 2, found gap {spec.min_gap}"
+        )
+
+
+def _ref_require_hypotheses(spec: ChainSpec) -> ChainIndices:
+    """Check the construction's hypotheses; return the chain indices."""
+    _ref_require_gap(spec)
+    idx = chain_indices(spec)
+    j_q = spec.edges[idx.q - 1][1]
+    if spec.max_endpoint != j_q + 1:
+        raise HypothesisViolated(
+            f"largest endpoint must be j_q + 1 = {j_q + 1}, found {spec.max_endpoint}"
+        )
+    return idx
+
+
+def _ref_rearrange(spec: ChainSpec, idx: ChainIndices, key, stop: int, what: str) -> PivotTrace:
+    edges = spec.edges
+    step = idx.J1
+    sets: list[tuple[int, ...]] = []
+    pivots: list[int] = []
+    used: set[int] = set()
+    while True:
+        pivot = max(step, key=key)
+        sets.append(step)
+        pivots.append(pivot)
+        used.update(step)
+        bound = key(pivot)
+        if bound >= stop:
+            return PivotTrace(tuple(sets), tuple(pivots))
+        cands = [t for t in range(1, spec.s + 1) if t not in used and key(t) > bound]
+        if not cands:
+            raise HypothesisViolated(f"{what} rearrangement ran out of candidates")
+        g = min(edges[t - 1][1] - edges[t - 1][0] for t in cands)
+        step = tuple(t for t in cands if edges[t - 1][1] - edges[t - 1][0] == g)
+
+
+def _ref_head_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
+    edges = spec.edges
+    i_b = edges[idx.b - 1][0]
+    i_h = edges[idx.h - 1][0]
+    if i_h < i_b:
+        raise CaseMismatch(
+            f"i_h = {i_h} < i_b = {i_b}: the closed-form head applies instead"
+        )
+    return _ref_rearrange(spec, idx, lambda t: -edges[t - 1][0], 1 - i_b, "head")
+
+
+def _ref_tail_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
+    edges = spec.edges
+    kt = _ref_rearrange(spec, idx, lambda t: edges[t - 1][1], edges[idx.B - 1][1], "tail")
+    if kt.pivots[-1] != idx.B:
+        raise HypothesisViolated("tail rearrangement did not end at position B")
+    return kt
+
+
+def _ref_head_start(i_anchor: int, gap: int, i_b: int) -> tuple[int, int]:
+    step = gap - 1
+    eps = (i_b - i_anchor - 1) // step
+    return eps, eps * step + i_anchor
+
+
+def _ref_require_index(spec: ChainSpec, n: int) -> None:
+    if n < 2 * spec.r:
+        raise IndexTooSmall(f"need n >= 2r = {2 * spec.r}, got {n}")
+
+
+def _ref_ladder(spec: ChainSpec, pivots: tuple[int, ...], start: int, reach, stop: int) -> list[int]:
+    edges = spec.edges
+    seq = [start]
+    x = start
+    while x < stop:
+        i_t, j_t = edges[next(t for t in pivots if reach(edges[t - 1][0], x)) - 1]
+        x += j_t - i_t - 1
+        seq.append(x)
+    return seq
+
+
+def _ref_head(spec: ChainSpec, idx: ChainIndices, jt: PivotTrace) -> tuple[int, list[int]]:
+    edges = spec.edges
+    i_b = edges[idx.b - 1][0]
+    i_h = edges[idx.h - 1][0]
+    u_beta = jt.pivots[-1]
+    i_u, j_u = edges[u_beta - 1]
+    eps, a = _ref_head_start(i_u, j_u - i_u, i_b)
+    return eps, _ref_ladder(spec, jt.pivots, a, lambda i, x: i <= x, i_h)
+
+
+def _ref_tail(spec: ChainSpec, n: int, a_index: int, idx: ChainIndices, kt: PivotTrace) -> list[int]:
+    edges = spec.edges
+    i_h = edges[idx.h - 1][0]
+    i_B, j_B = edges[idx.B - 1]
+    if not (i_h <= a_index <= n + i_B):
+        raise StartOutOfRange(
+            f"start {a_index} must lie in [i_h, n + i_B] = [{i_h}, {n + i_B}]"
+        )
+    seq = _ref_ladder(spec, kt.pivots, a_index, lambda i, x: x <= n + i, n + i_B + 1)
+    seq.append(n + j_B)
+    return seq
+
+
+def reference_construct_anticycle(spec: ChainSpec, n: int) -> tuple[AnticycleWitness, AnticycleTrace]:
+    """The construction path ``anticycle.construct_anticycle`` replaced: it
+    walks both segments before expanding G_{n+r}, and keeps the raises that
+    the hypotheses make unreachable."""
+    idx = _ref_require_hypotheses(spec)
+    _ref_require_index(spec, n)
+    edges = spec.edges
+    i_b = edges[idx.b - 1][0]
+    i_h, j_h = edges[idx.h - 1]
+    kt = _ref_tail_trace(spec, idx)
+    if i_b <= i_h:
+        jt = _ref_head_trace(spec, idx)
+        eps, head = _ref_head(spec, idx, jt)
+        vertices = head[:-1] + _ref_tail(spec, n, head[-1], idx, kt)
+        trace = AnticycleTrace(case="I", epsilon=eps, d=len(head) - 1, j_trace=jt, k_trace=kt)
+    else:
+        eps, a1 = _ref_head_start(i_h, j_h - i_h, i_b)
+        a2 = a1 + j_h - i_h - 1
+        vertices = [a1] + _ref_tail(spec, n, a2, idx, kt)
+        trace = AnticycleTrace(case="II", epsilon=eps, d=1, j_trace=None, k_trace=kt)
+    witness = AnticycleWitness(vertices)
+    if not verify_anticycle(expand(spec, n + spec.r), witness):
+        raise RuntimeError("constructed vertex sequence failed anticycle verification")
+    return witness, trace
 
 
 @dataclass(frozen=True)

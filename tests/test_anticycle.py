@@ -5,27 +5,22 @@ import random
 import pytest
 
 from chainreg import (
-    build_J_sets,
-    build_K_sets,
     chain_indices,
     construct_anticycle,
     expand,
-    final_vertices,
-    initial_vertices,
     normalize_spec,
     regularity,
     verify_anticycle,
 )
-from chainreg.anticycle import _head_trace, _require_gap, _require_hypotheses, _tail_trace
-from chainreg.errors import (
-    CaseMismatch,
-    ChainRegError,
-    HypothesisViolated,
-    IndexTooSmall,
-    StartOutOfRange,
-)
+from chainreg.anticycle import _require_hypotheses
+from chainreg.errors import ChainRegError, HypothesisViolated, IndexTooSmall
 
-from conftest import random_specs, reference_j_trace, reference_k_trace
+from conftest import (
+    random_specs,
+    reference_construct_anticycle,
+    reference_j_trace,
+    reference_k_trace,
+)
 
 
 def hypothesis_specs(count, seed, r_lo=4, r_hi=6):
@@ -62,15 +57,37 @@ def hypothesis_specs(count, seed, r_lo=4, r_hi=6):
 SPEC_B = normalize_spec(5, [(1, 4), (2, 5), (3, 5)])
 
 
+def trace_of(spec):
+    """The trace of the construction at n = 2r; the traces do not depend on n."""
+    return construct_anticycle(spec, 2 * spec.r)[1]
+
+
+def head(spec, n):
+    """Head segment a_1 .. a_{d+1} of the witness."""
+    witness, trace = construct_anticycle(spec, n)
+    return list(witness.vertices[: trace.d + 1])
+
+
+def tail(spec, n):
+    """Tail segment a_{d+1} .. a_m of the witness, ending at n + j_B."""
+    witness, trace = construct_anticycle(spec, n)
+    return list(witness.vertices[trace.d :])
+
+
+def is_case_one(spec):
+    idx = chain_indices(spec)
+    return spec.edges[idx.b - 1][0] <= spec.edges[idx.h - 1][0]
+
+
 class TestBuildJSets:
     def test_six_edge_golden(self, ex58_spec):
-        jt = build_J_sets(ex58_spec)
+        jt = trace_of(ex58_spec).j_trace
         assert jt.sets == ((4, 5), (1,))
         assert jt.pivots == (4, 1)
         assert len(jt.pivots) == 2
 
     def test_three_edge_golden(self):
-        jt = build_J_sets(SPEC_B)
+        jt = trace_of(SPEC_B).j_trace
         assert jt.sets == ((3,), (1, 2))
         assert jt.pivots == (3, 1)
         assert len(jt.pivots) == 2
@@ -78,29 +95,23 @@ class TestBuildJSets:
     def test_peak_not_above_jq(self):
         # j_q already maximal: the hypotheses fail before any case split.
         with pytest.raises(HypothesisViolated):
-            build_J_sets(normalize_spec(9, [(1, 9), (6, 8)]))
+            construct_anticycle(normalize_spec(9, [(1, 9), (6, 8)]), 18)
 
     def test_gap_one_rejected(self):
         with pytest.raises(HypothesisViolated):
-            build_J_sets(normalize_spec(4, [(1, 3), (3, 4)]))
-
-    def test_case_mismatch(self, reg3_spec):
-        # i_h = 1 < i_b = 2 sends the construction to the closed-form case.
-        with pytest.raises(CaseMismatch):
-            build_J_sets(reg3_spec)
+            construct_anticycle(normalize_spec(4, [(1, 3), (3, 4)]), 8)
 
     def test_pivot_invariants(self):
         for spec in hypothesis_specs(40, seed=111):
             idx = chain_indices(spec)
             i_b = spec.edges[idx.b - 1][0]
-            i_h = spec.edges[idx.h - 1][0]
-            if i_h < i_b:
+            if not is_case_one(spec):
                 continue
-            jt = build_J_sets(spec)
+            jt = trace_of(spec).j_trace
             assert len(jt.pivots) >= 2
             lefts = [spec.edges[u - 1][0] for u in jt.pivots]
             gaps = [spec.edges[u - 1][1] - spec.edges[u - 1][0] for u in jt.pivots]
-            assert lefts[0] == i_h
+            assert lefts[0] == spec.edges[idx.h - 1][0]
             assert lefts[-1] < i_b <= lefts[-2]
             assert all(lefts[t + 1] < lefts[t] for t in range(len(jt.pivots) - 1))
             assert gaps[0] >= 2
@@ -109,21 +120,21 @@ class TestBuildJSets:
 
 class TestBuildKSets:
     def test_six_edge_golden(self, ex58_spec):
-        kt = build_K_sets(ex58_spec)
+        kt = trace_of(ex58_spec).k_trace
         assert kt.sets == ((4, 5), (6,))
         assert kt.pivots == (5, 6)
         assert len(kt.pivots) == 2
 
     def test_single_step_cases(self, reg3_spec):
-        kt = build_K_sets(reg3_spec)
+        kt = trace_of(reg3_spec).k_trace
         assert kt.sets == ((1, 2),) and kt.pivots == (2,) and len(kt.pivots) == 1
-        kt = build_K_sets(SPEC_B)
+        kt = trace_of(SPEC_B).k_trace
         assert kt.sets == ((3,),) and kt.pivots == (3,) and len(kt.pivots) == 1
 
     def test_pivot_invariants(self):
         for spec in hypothesis_specs(40, seed=222):
             idx = chain_indices(spec)
-            kt = build_K_sets(spec)
+            kt = trace_of(spec).k_trace
             assert kt.pivots[-1] == idx.B
             rights = [spec.edges[v - 1][1] for v in kt.pivots]
             gaps = [spec.edges[v - 1][1] - spec.edges[v - 1][0] for v in kt.pivots]
@@ -135,20 +146,23 @@ class TestBuildKSets:
 
 
 def outcome(fn, *args):
-    """The trace ``fn`` returns, or the type and message of what it raises."""
+    """What ``fn`` returns, or the type and message of what it raises."""
     try:
         return fn(*args)
     except ChainRegError as exc:
         return type(exc), str(exc)
 
 
-def reference_J_sets(spec):
-    return reference_j_trace(spec, _require_hypotheses(spec))
+def reference_traces(spec):
+    """The head and tail traces from the walkers the pivot walker replaced."""
+    idx = _require_hypotheses(spec)
+    jt = reference_j_trace(spec, idx) if is_case_one(spec) else None
+    return jt, reference_k_trace(spec, idx)
 
 
-def reference_K_sets(spec):
-    _require_gap(spec)
-    return reference_k_trace(spec, chain_indices(spec))
+def construct_traces(spec):
+    trace = trace_of(spec)
+    return trace.j_trace, trace.k_trace
 
 
 class TestRearrangeAgainstReference:
@@ -158,45 +172,72 @@ class TestRearrangeAgainstReference:
     SPECS = random_specs(400, (3, 4, 5, 6, 7), seed=4242) + hypothesis_specs(400, seed=4343)
 
     def test_public_traces(self):
-        for spec in self.SPECS:
-            assert outcome(build_J_sets, spec) == outcome(reference_J_sets, spec), spec
-            assert outcome(build_K_sets, spec) == outcome(reference_K_sets, spec), spec
-
-    def test_walkers_without_hypotheses(self):
-        # Called past the hypothesis checks, the head walker also runs out of
-        # candidates on presentations whose top edge starts at i_1.
         seen = set()
         for spec in self.SPECS:
-            idx = chain_indices(spec)
-            head = outcome(_head_trace, spec, idx)
-            assert head == outcome(reference_j_trace, spec, idx), spec
-            assert outcome(_tail_trace, spec, idx) == outcome(reference_k_trace, spec, idx), spec
-            seen.add(head[0] if isinstance(head, tuple) else "trace")
-        assert seen == {"trace", CaseMismatch, HypothesisViolated}
+            got = outcome(construct_traces, spec)
+            assert got == outcome(reference_traces, spec), spec
+            seen.add("error" if isinstance(got[0], type) else got[0] is None)
+        assert seen == {"error", True, False}
+
+
+class TestConstructAgainstReference:
+    """``construct_anticycle`` reproduces the segment-wrapper path it
+    replaced: witnesses, traces, error types and messages."""
+
+    POOL = random_specs(4800, tuple(range(3, 10)), seed=7070)
+    SPECS = POOL + hypothesis_specs(200, seed=7171)
+
+    def test_matches_reference(self):
+        seen = set()
+        for k, spec in enumerate(self.SPECS):
+            r = spec.r
+            for n in (2 * r - 1, 2 * r, 2 * r + 1 + k % 11, 5 * r, 10_001):
+                got = outcome(construct_anticycle, spec, n)
+                assert got == outcome(reference_construct_anticycle, spec, n), (spec, n)
+                seen.add(got[0].__name__ if isinstance(got[0], type) else got[1].case)
+        assert seen == {"HypothesisViolated", "IndexTooSmall", "InvalidArgument", "I", "II"}
+
+    def test_reference_walkers_never_raise_past_hypotheses(self):
+        # The raises the rewrite dropped (a walker running out of candidates,
+        # a tail ending off position B, a tail start out of range, the head
+        # walker on a case-II chain) cannot fire once the hypotheses hold.
+        passed = 0
+        for spec in self.POOL + hypothesis_specs(1500, seed=7272):
+            try:
+                idx = _require_hypotheses(spec)
+            except HypothesisViolated:
+                continue
+            passed += 1
+            reference_traces(spec)
+            reference_construct_anticycle(spec, 2 * spec.r)
+            reference_construct_anticycle(spec, 5 * spec.r + 1)
+            assert reference_k_trace(spec, idx).pivots[-1] == idx.B
+        assert passed >= 1500
 
 
 class TestInitialVertices:
     def test_six_edge_golden(self, ex58_spec):
-        assert initial_vertices(ex58_spec, 18) == [1, 4]
+        assert head(ex58_spec, 18) == [1, 4]
 
     def test_independent_of_n(self, ex58_spec):
-        assert initial_vertices(ex58_spec, 30) == [1, 4]
+        assert head(ex58_spec, 30) == [1, 4]
 
     def test_three_edge_golden(self):
-        assert initial_vertices(SPEC_B, 10) == [1, 3]
+        assert head(SPEC_B, 10) == [1, 3]
 
     def test_index_too_small(self, ex58_spec):
-        with pytest.raises(IndexTooSmall):
-            initial_vertices(ex58_spec, 17)
+        with pytest.raises(IndexTooSmall, match="need n >= 2r = 18, got 17"):
+            construct_anticycle(ex58_spec, 17)
+        assert head(ex58_spec, 18) == [1, 4]
 
     def test_segment_invariants(self):
         for spec in hypothesis_specs(30, seed=333):
+            if not is_case_one(spec):
+                continue
             idx = chain_indices(spec)
             i_b = spec.edges[idx.b - 1][0]
             i_h = spec.edges[idx.h - 1][0]
-            if i_h < i_b:
-                continue
-            seq = initial_vertices(spec, 2 * spec.r)
+            seq = head(spec, 2 * spec.r)
             assert len(seq) >= 2
             assert all(a < b for a, b in zip(seq, seq[1:]))
             assert spec.edges[0][0] <= seq[0] < i_b <= seq[1]
@@ -205,19 +246,9 @@ class TestInitialVertices:
 
 class TestFinalVertices:
     def test_six_edge_goldens(self, ex58_spec):
-        assert final_vertices(ex58_spec, 18, 4) == [4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 27]
-        assert final_vertices(ex58_spec, 19, 4) == [4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 27, 28]
-        assert final_vertices(ex58_spec, 20, 4) == [4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 29]
-
-    def test_start_out_of_range(self, ex58_spec):
-        with pytest.raises(StartOutOfRange):
-            final_vertices(ex58_spec, 18, 2)  # below i_h = 3
-        with pytest.raises(StartOutOfRange):
-            final_vertices(ex58_spec, 18, 18 + 5 + 1)  # beyond n + i_B
-
-    def test_index_too_small(self, ex58_spec):
-        with pytest.raises(IndexTooSmall):
-            final_vertices(ex58_spec, 10, 4)
+        assert tail(ex58_spec, 18) == [4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 27]
+        assert tail(ex58_spec, 19) == [4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 27, 28]
+        assert tail(ex58_spec, 20) == [4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 29]
 
 
 class TestConstructAnticycle:
@@ -235,7 +266,7 @@ class TestConstructAnticycle:
 
     def test_closed_form_case(self, reg3_spec):
         witness, trace = construct_anticycle(reg3_spec, 8)
-        assert trace.case == "II" and trace.epsilon == 0
+        assert trace.case == "II" and trace.epsilon == 0 and trace.j_trace is None
         assert witness.vertices == tuple(range(1, 13))
         assert verify_anticycle(expand(reg3_spec, 12), witness)
 

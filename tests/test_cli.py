@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -238,6 +239,41 @@ class TestErrors:
         assert "InvalidArgument" in err and "10001" in err
         assert out == ""
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "payload, argv, vertices",
+        [
+            ({"r": 1_000_000, "edges": [[1, 1_000_000]]}, ["classify"], 1_000_000),
+            (SIX_EDGE, ["anticycle", "--n", "1000000000"], 1_000_000_009),
+        ],
+        ids=["classify-r-past-limit", "anticycle-n-past-limit"],
+    )
+    def test_refuses_past_materialize_limit_before_any_work(self, spec_file, payload, argv, vertices):
+        # A packed matrix of G_r, or the anticycle's O(n) ladder walk, would
+        # need gigabytes here; under a 1 GB address space either one fails
+        # with a MemoryError instead of the refusal.
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        verb, *rest = argv
+        code = "import sys\nfrom chainreg.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), *sys.path])}
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", code, verb, spec_file(payload), *rest],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=limit_address_space,
+        )
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr == (
+            f"InvalidArgument: refusing to materialize {vertices} vertices; "
+            "query membership via orbit_witness\n"
+        )
+        assert elapsed < 2.0
 
     def test_internal_value_error_is_not_user_error(self, spec_file, monkeypatch):
         def broken(spec, n):
