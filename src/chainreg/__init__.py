@@ -1,7 +1,7 @@
 """Exact combinatorics of increasing-map-invariant chains of edge ideals.
 
 The package computes, classifies and certifies the eventual regularity of
-such chains: window expansion and orbit witnesses, exact graph algorithms
+such chains: window expansion, exact graph algorithms
 (chordality, induced matchings, induced 4-cycles), a homology-based regularity
 oracle, greedy anticycle constructions, and the limit-regularity classifier
 with explicit stabilization thresholds.
@@ -12,14 +12,11 @@ from .anticycle import AnticycleTrace, PivotTrace, construct_anticycle
 from .chain import (
     ChainIndices,
     ChainSpec,
-    IncMapWitness,
     chain_indices,
     derived_chain,
     expand,
     is_quasi_saturated,
-    msupp,
     normalize_spec,
-    orbit_witness,
     q_invariant,
     reduce_index,
 )
@@ -37,7 +34,6 @@ from .graphs import (
     find_induced_c4,
     find_induced_kK2,
     induced_matching,
-    induced_matching_number,
     induced_subgraph,
     is_chordal,
     is_cochordal,

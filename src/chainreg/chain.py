@@ -21,8 +21,7 @@ from .graphs import SimpleGraph
 
 Edge = tuple[int, int]
 
-#: expand() materializes adjacency rows only up to this vertex count;
-#: membership at larger indices goes through orbit_witness().
+#: expand() and reduce_index() refuse any index past this vertex count.
 MATERIALIZE_LIMIT = 10_000
 
 
@@ -86,27 +85,6 @@ class ChainIndices:
     B: int
 
 
-@dataclass(frozen=True)
-class IncMapWitness:
-    """Strictly increasing reindexing with one jump before ``breakpoint``.
-
-    Sends t to t + shifts[0] below the breakpoint and to t + shifts[1] from
-    the breakpoint on.
-    """
-
-    breakpoint: int
-    shifts: tuple[int, int]
-
-    def __post_init__(self):
-        low, high = self.shifts
-        if low < 0 or low > high:
-            raise ValueError(f"shifts must satisfy 0 <= low <= high, got {self.shifts}")
-
-    def apply(self, t: int) -> int:
-        low, high = self.shifts
-        return t + (low if t < self.breakpoint else high)
-
-
 def normalize_spec(r: int, raw_edges) -> ChainSpec:
     """Orient, deduplicate and sort raw edge input into a ChainSpec."""
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
@@ -128,7 +106,7 @@ def normalize_spec(r: int, raw_edges) -> ChainSpec:
 def _require_materializable(n: int) -> None:
     if n > MATERIALIZE_LIMIT:
         raise InvalidArgument(
-            f"refusing to materialize {n} vertices; query membership via orbit_witness"
+            f"refusing to materialize {n} vertices, past the limit of {MATERIALIZE_LIMIT}"
         )
 
 
@@ -182,33 +160,6 @@ def expand(spec: ChainSpec, n: int) -> SimpleGraph:
     from_bytes = int.from_bytes
     rows = [from_bytes(buf[k : k + sb], "little") for k in range(0, (n + 1) * sb, sb)]
     return SimpleGraph._from_rows(n, rows)
-
-
-def orbit_witness(spec: ChainSpec, n: int, u: int, v: int):
-    """Locate {u, v} in G_n: the smallest generator position t (1-based) whose
-    window covers it, plus the explicit increasing map sending that generator
-    to (u, v).  Returns None when {u, v} is not an edge of G_n.
-    """
-    if n < spec.r:
-        raise IndexBelowStability(f"n={n} is below the presentation index r={spec.r}")
-    if not (1 <= u < v <= n):
-        raise ValueError(f"need 1 <= u < v <= n, got u={u}, v={v}, n={n}")
-    m = n - spec.r
-    for t, (i, j) in enumerate(spec.edges, start=1):
-        if 0 <= u - i <= v - j <= m:
-            return t, IncMapWitness(breakpoint=j, shifts=(u - i, v - j))
-    return None
-
-
-def msupp(spec: ChainSpec, n: int) -> int:
-    """Largest vertex covered by an edge of G_n.
-
-    The top corner of the tallest window is always realized, so this equals
-    n - r plus the largest generator endpoint.
-    """
-    if n < spec.r:
-        raise IndexBelowStability(f"n={n} is below the presentation index r={spec.r}")
-    return n - spec.r + spec.max_endpoint
 
 
 def q_invariant(spec: ChainSpec) -> int:

@@ -29,8 +29,7 @@ class ClassifierVerdict:
 
     ``n0`` is the index from which the verdict value is guaranteed; ``N`` the
     uniform constancy threshold max(5r, 2r(r-2), 4(r + q)); ``coarse`` its
-    bound 2(r^2 + 5r).  ``reduced_r`` is the index after re-presentation,
-    ``presented_r`` the one handed in.
+    bound 2(r^2 + 5r).  ``reduced_r`` is the index after re-presentation.
     """
 
     limit_reg: int
@@ -40,7 +39,6 @@ class ClassifierVerdict:
     coarse: int
     limit_indmatch: int
     reduced_r: int
-    presented_r: int
 
     def to_json(self) -> dict:
         return {
@@ -84,7 +82,6 @@ def limit_regularity(spec: ChainSpec) -> ClassifierVerdict:
     both hold; verdict 3 reports 4r when G_{3r} already shows two far-apart
     edges, else 4(r + q).
     """
-    presented_r = spec.r
     spec = reduce_index(spec)
     r = spec.r
     i1 = spec.edges[0][0]
@@ -106,7 +103,6 @@ def limit_regularity(spec: ChainSpec) -> ClassifierVerdict:
         coarse=coarse,
         limit_indmatch=im,
         reduced_r=r,
-        presented_r=presented_r,
     )
 
 

@@ -297,19 +297,6 @@ def find_induced_kK2(G: SimpleGraph, k: int):
     return witness if best >= k else None
 
 
-def induced_matching_number(G: SimpleGraph) -> int:
-    """Exact induced matching number.
-
-    A cochordal graph with an edge has value 1, which skips the search; the
-    general case runs the branch and bound to completion.
-    """
-    if not any(G.adj):
-        return 0
-    if is_cochordal(G):
-        return 1
-    return induced_matching(G)[0]
-
-
 def verify_anticycle(G: SimpleGraph, witness) -> bool:
     """Check that the vertex sequence induces a complement-of-cycle in G.
 

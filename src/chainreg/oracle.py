@@ -61,8 +61,15 @@ from .graphs import SimpleGraph
 DEFAULT_SUBSET_BUDGET = 22
 
 
+# Field characteristics must lie below this bound, which keeps the trial
+# division in require_prime to about 46,000 steps.
+FIELD_CHAR_LIMIT = 1 << 31
+
+
 def require_prime(p: int) -> None:
-    """Raise InvalidArgument unless ``p`` is a prime field characteristic."""
+    """Raise InvalidArgument unless ``p`` is a prime below ``FIELD_CHAR_LIMIT``."""
+    if p >= FIELD_CHAR_LIMIT:
+        raise InvalidArgument(f"field characteristic must be below 2^31, got {p}")
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise InvalidArgument(f"field characteristic must be prime, got {p}")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .anticycle import construct_anticycle
 from .chain import expand, is_quasi_saturated, normalize_spec, q_invariant
 from .classify import limit_regularity
-from .graphs import induced_matching_number, is_cochordal, verify_anticycle
+from .graphs import induced_matching, is_cochordal, verify_anticycle
 from .oracle import regularity
 from .randspec import spec_pool
 
@@ -76,7 +76,7 @@ def check_reg3_chain_bundle() -> str:
     verdict = limit_regularity(REG3_CHAIN)
     assert verdict.limit_reg == 3, f"verdict {verdict.limit_reg} != 3"
     for n in range(9, 13):
-        got = induced_matching_number(expand(REG3_CHAIN, n))
+        got = induced_matching(expand(REG3_CHAIN, n))[0]
         assert got == 1, f"indmatch at n={n}: {got} != 1"
     for n in range(5, 9):
         # (1..n) is an induced n-cycle of the complement: an anticycle of G_n.
@@ -106,7 +106,7 @@ def check_near_sharp_chain() -> str:
 def check_indmatch_window_property(seed: int = BASE_SEED) -> str:
     for spec in spec_pool(200, (2, 3, 4, 5), seed):
         r = spec.r
-        vals = [induced_matching_number(expand(spec, n)) for n in range(3 * r, 3 * r + 4)]
+        vals = [induced_matching(expand(spec, n))[0] for n in range(3 * r, 3 * r + 4)]
         assert all(v in (1, 2) for v in vals), f"{spec}: values {vals} leave {{1, 2}}"
         assert len(set(vals)) == 1, f"{spec}: not constant on [3r, 3r+3]: {vals}"
     return "200 seeded presentations: indmatch in {1,2} and constant on [3r, 3r+3]"

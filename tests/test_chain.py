@@ -14,9 +14,7 @@ from chainreg import (
     derived_chain,
     expand,
     is_quasi_saturated,
-    msupp,
     normalize_spec,
-    orbit_witness,
     q_invariant,
     reduce_index,
 )
@@ -121,6 +119,13 @@ class TestExpand:
             for n in range(spec.r, spec.r + 4):
                 assert set(expand(spec, n).edges) <= set(expand(spec, n + 1).edges)
 
+    def test_top_vertex_is_n_minus_r_plus_max_endpoint(self):
+        # The top corner of the tallest window is always an edge of G_n.
+        for spec in random_specs(25, (2, 3, 4, 5), seed=55):
+            for n in range(spec.r, spec.r + 4):
+                top = max(v for e in expand(spec, n).edges for v in e)
+                assert top == n - spec.r + spec.max_endpoint, (spec, n)
+
     def test_matches_reference_window_loop(self):
         # Windows at r..4r, plus n on both sides of the 8-bit row strides.
         boundaries = (7, 8, 9, 15, 16, 17, 63, 64, 65, 141)
@@ -166,65 +171,6 @@ class TestExpand:
         assert got["n"] == MATERIALIZE_LIMIT
         assert got["deg1"] == MATERIALIZE_LIMIT - 5  # vertices 5..n-1, from (1, 5) and (1, 8)
         assert got["s"] < 2.0 and got["mb"] < 256, got
-
-
-class TestOrbitWitness:
-    def test_golden_witness(self):
-        spec = normalize_spec(7, [(2, 7), (3, 4)])
-        t, pi = orbit_witness(spec, 9, 3, 8)
-        assert t == 1
-        assert pi.breakpoint == 7 and pi.shifts == (1, 1)
-        assert pi.apply(2) == 3 and pi.apply(7) == 8
-        assert pi.apply(7) <= 9
-
-    def test_identity_at_r(self, table_spec):
-        t, pi = orbit_witness(table_spec, 10, 1, 10)
-        assert t == 1 and pi.shifts == (0, 0)
-
-    def test_non_edge_is_none(self):
-        spec = normalize_spec(7, [(2, 7), (3, 4)])
-        assert orbit_witness(spec, 9, 1, 2) is None
-
-    def test_agrees_with_expansion(self):
-        for spec in random_specs(20, (3, 4), seed=77):
-            n = spec.r + 3
-            edges = set(expand(spec, n).edges)
-            for u in range(1, n + 1):
-                for v in range(u + 1, n + 1):
-                    hit = orbit_witness(spec, n, u, v)
-                    assert (hit is not None) == ((u, v) in edges)
-                    if hit is not None:
-                        t, pi = hit
-                        i, j = spec.edges[t - 1]
-                        assert (pi.apply(i), pi.apply(j)) == (u, v)
-                        assert pi.apply(spec.r) <= n
-
-    def test_smallest_generator_wins(self):
-        spec = normalize_spec(4, [(1, 3), (2, 4)])
-        # (2, 4) is covered by both windows at n = 5; position 1 must win.
-        t, _ = orbit_witness(spec, 5, 2, 4)
-        assert t == 1
-
-
-class TestMsupp:
-    def test_golden_values(self, reg3_spec):
-        spec7 = normalize_spec(7, [(2, 7), (3, 4)])
-        assert msupp(spec7, 7) == 7
-        assert msupp(spec7, 9) == 9
-        assert msupp(reg3_spec, 10) == 10
-
-    def test_matches_expansion_max(self):
-        for spec in random_specs(25, (2, 3, 4, 5), seed=55):
-            for n in range(spec.r, spec.r + 4):
-                top = max(v for e in expand(spec, n).edges for v in e)
-                assert msupp(spec, n) == top
-
-    def test_growth_bound(self):
-        for spec in random_specs(25, (2, 3, 4, 5), seed=56):
-            p = spec.max_endpoint
-            for n in range(spec.r, spec.r + 6):
-                assert msupp(spec, n + 1) <= msupp(spec, n) + 1
-                assert msupp(spec, n) <= n - spec.r + p
 
 
 class TestQInvariant:

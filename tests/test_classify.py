@@ -46,7 +46,7 @@ class TestLimitRegularity:
     def test_reduces_presentation_first(self, reg3_spec):
         big = normalize_spec(5, [(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)])
         v = limit_regularity(big)
-        assert v.presented_r == 5 and v.reduced_r == 4
+        assert v.reduced_r == 4
         assert v.to_json() == limit_regularity(reg3_spec).to_json()
 
     def test_gap1_case_exists_and_verdict_two(self):

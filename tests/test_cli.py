@@ -270,8 +270,37 @@ class TestErrors:
         elapsed = time.perf_counter() - start
         assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
         assert proc.stderr == (
-            f"InvalidArgument: refusing to materialize {vertices} vertices; "
-            "query membership via orbit_witness\n"
+            f"InvalidArgument: refusing to materialize {vertices} vertices, "
+            "past the limit of 10000\n"
+        )
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reg", "--n", "8"],
+            ["sweep", "--from", "8", "--to", "8"],
+        ],
+        ids=["reg", "sweep"],
+    )
+    def test_large_field_refused_before_trial_division(self, argv):
+        # Trial division of the prime 2^61 - 1 would run for minutes.
+        verb, *rest = argv
+        spec = str(REPO / "bench" / "specs" / "reg3.json")
+        code = "import sys\nfrom chainreg.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), *sys.path])}
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", code, verb, spec, *rest, "--field", str(2**61 - 1)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr == (
+            f"InvalidArgument: field characteristic must be below 2^31, got {2**61 - 1}\n"
         )
         assert elapsed < 2.0
 

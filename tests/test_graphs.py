@@ -13,7 +13,6 @@ from chainreg import (
     find_induced_c4,
     find_induced_kK2,
     induced_matching,
-    induced_matching_number,
     induced_subgraph,
     is_chordal,
     is_cochordal,
@@ -238,22 +237,22 @@ class TestChordalityAgainstReference:
 
 class TestInducedMatching:
     def test_basics(self):
-        assert induced_matching_number(SimpleGraph(4, [(1, 2), (3, 4)])) == 2
-        assert induced_matching_number(complete_graph(4)) == 1
-        assert induced_matching_number(SimpleGraph(3)) == 0
-        assert induced_matching_number(cycle_graph(5)) == 1
+        assert induced_matching(SimpleGraph(4, [(1, 2), (3, 4)]))[0] == 2
+        assert induced_matching(complete_graph(4))[0] == 1
+        assert induced_matching(SimpleGraph(3))[0] == 0
+        assert induced_matching(cycle_graph(5))[0] == 1
 
     def test_golden_expansions(self, reg3_spec):
-        assert induced_matching_number(expand(reg3_spec, 9)) == 1
+        assert induced_matching(expand(reg3_spec, 9))[0] == 1
         g17 = expand(normalize_spec(9, [(1, 9), (6, 8)]), 17)
-        assert induced_matching_number(g17) == 2
+        assert induced_matching(g17)[0] == 2
 
     def test_agrees_with_subset_oracle(self):
         rng = random.Random(99)
         for _ in range(150):
             n = rng.randint(2, 7)
             g = random_graph(rng, n, rng.uniform(0.15, 0.85))
-            assert induced_matching_number(g) == brute_indmatch(g), g
+            assert induced_matching(g)[0] == brute_indmatch(g), g
 
     def test_cochordal_graphs_have_value_one(self):
         rng = random.Random(100)
@@ -262,14 +261,13 @@ class TestInducedMatching:
             g = random_graph(rng, rng.randint(2, 8), rng.uniform(0.2, 0.9))
             if g.edges and is_cochordal(g):
                 hits += 1
-                # search route, independent of the cochordal shortcut
                 assert find_induced_kK2(g, 2) is None
         assert hits > 20
 
     def test_window_constancy(self):
         for spec in random_specs(30, (2, 3, 4, 5), seed=31337):
             r = spec.r
-            vals = [induced_matching_number(expand(spec, n)) for n in range(3 * r, 3 * r + 4)]
+            vals = [induced_matching(expand(spec, n))[0] for n in range(3 * r, 3 * r + 4)]
             assert set(vals) <= {1, 2} and len(set(vals)) == 1, (spec, vals)
 
 

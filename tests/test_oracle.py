@@ -7,14 +7,14 @@ import pytest
 from chainreg import (
     SimpleGraph,
     expand,
-    induced_matching_number,
+    induced_matching,
     induced_subgraph,
     is_cochordal,
     reduced_homology_ranks,
     regularity,
 )
 from chainreg.errors import InvalidArgument, SubsetBudgetExceeded
-from chainreg.oracle import _fold_survivors
+from chainreg.oracle import _fold_survivors, require_prime
 
 from conftest import brute_fold_survivors, random_graph, reference_regularity
 
@@ -62,6 +62,11 @@ class TestHomologyProfile:
     def test_prime_validation(self):
         with pytest.raises(ValueError):
             reduced_homology_ranks(SimpleGraph(2, [(1, 2)]), 4)
+
+    def test_field_bound(self):
+        require_prime(2**31 - 1)  # prime, and the largest characteristic allowed
+        with pytest.raises(InvalidArgument, match="below 2\\^31, got 2147483648$"):
+            require_prime(2**31)
 
 
 class TestRegularity:
@@ -124,7 +129,7 @@ class TestRegularity:
             g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.1, 0.9))
             if not g.edges:
                 continue
-            assert regularity(g, 2).value >= 1 + induced_matching_number(g), g
+            assert regularity(g, 2).value >= 1 + induced_matching(g)[0], g
 
     def test_deletion_bound(self):
         # reg(G) <= max(reg(G - N[v]) + 1, reg(G - v)) for every vertex.
@@ -252,5 +257,5 @@ class TestRegularityBounds:
         g = expand(reg3_spec, 9)
         # The matching bound gives only 1 + 1 = 2 and G_9 is not cochordal;
         # the true value is 3, strictly above the matching bound.
-        assert induced_matching_number(g) == 1 and not is_cochordal(g)
+        assert induced_matching(g)[0] == 1 and not is_cochordal(g)
         assert regularity(g, 2).value == 3
