@@ -404,27 +404,39 @@ GOLDEN_COMMANDS = {
     "expand": ["--n", "30"],
     "indmatch": ["--n", "12"],
     "classify": [],
+    "reg": ["--n", "14"],
+    "quasisat": [],
     "sweep": ["--from", "30", "--to", "33"],
 }
 
 
 class TestGoldenSnapshots:
     """The output on the golden chains, byte for byte, against snapshots in
-    tests/golden/: JSON named <chain>.<command>.json, or <chain>.anticycle.<n>.json
-    for the anticycle construction, which applies to two of the chains; the
-    anticycle text output as <chain>.anticycle.<n>.txt; the table chain's
+    tests/golden/: JSON named <chain>.<command>.json and text named
+    <chain>.<command>.txt, or <chain>.anticycle.<n>.json and .txt for the
+    anticycle construction, which applies to two of the chains; the table chain's
     sweep with every row through the oracle as table.sweep.oracle.json; and
     the report of ``verify --suite all`` as verify.all.txt."""
 
     def test_every_golden_chain_is_covered(self):
         assert [p.stem for p in GOLDEN_SPECS] == ["near_sharp", "reg3", "six_edge", "table"]
 
-    @pytest.mark.parametrize("verb", sorted(GOLDEN_COMMANDS))
+    # The JSON cases keep their historical ids (<chain>-<verb>); the text
+    # cases add a -text suffix.
+    @pytest.mark.parametrize(
+        "verb, fmt",
+        [
+            pytest.param(verb, fmt, id=verb if fmt == "json" else f"{verb}-text")
+            for verb in sorted(GOLDEN_COMMANDS)
+            for fmt in ("json", "text")
+        ],
+    )
     @pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda p: p.stem)
-    def test_json_output_is_unchanged(self, spec, verb, capsys):
-        argv = [verb, str(spec), *GOLDEN_COMMANDS[verb], "--format", "json"]
+    def test_json_output_is_unchanged(self, spec, verb, fmt, capsys):
+        argv = [verb, str(spec), *GOLDEN_COMMANDS[verb], "--format", fmt]
         assert main(argv) == 0
-        want = (REPO / "tests" / "golden" / f"{spec.stem}.{verb}.json").read_text()
+        suffix = "json" if fmt == "json" else "txt"
+        want = (REPO / "tests" / "golden" / f"{spec.stem}.{verb}.{suffix}").read_text()
         assert capsys.readouterr().out == want
 
     @pytest.mark.parametrize("n", [18, 19, 20])
