@@ -1,11 +1,18 @@
 """Command-line front end.
 
 Subcommands: expand, classify, indmatch, reg, anticycle, quasisat, sweep,
-verify.  Every command reads a chain-spec JSON file {"r": int, "edges":
-[[i, j], ...]} (edges may be unsorted and unoriented), prints either an
-aligned text rendering or machine JSON, and exits 0 on success, 1 on a
+verify.  Every command but verify reads a chain-spec JSON file {"r": int,
+"edges": [[i, j], ...]} (edges may be unsorted and unoriented), prints either
+an aligned text rendering or machine JSON, and exits 0 on success, 1 on a
 computation error, 2 on invalid input.  Any other exception is a fault in
 the program and propagates with its traceback (exit 1).
+
+The spec commands are the rows of ``COMMANDS``: a verb, its help, its
+function and its extra flags.  A command function takes the loaded spec and
+the parsed arguments and returns ``(payload, lines)``: ``payload`` is the
+dict that ``--format json`` prints, ``lines`` the text lines, yielded lazily
+where the listing can be long.  ``main`` alone loads the spec, prints one or
+the other and maps the exit code; a sweep with violations exits 1.
 """
 
 from __future__ import annotations
@@ -13,10 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from . import errors
 from .anticycle import construct_anticycle
-from .chain import derived_chain, expand, is_quasi_saturated, normalize_spec
+from .chain import derived_chain, expand, normalize_spec
 from .classify import limit_regularity, sweep_verify
 from .graphs import induced_matching
 from .oracle import DEFAULT_SUBSET_BUDGET, regularity
@@ -58,18 +66,7 @@ def load_spec(path: str):
     return normalize_spec(r, [tuple(e) for e in edges])
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=False))
-
-
-def _emit_table(pairs) -> None:
-    width = max(len(k) for k, _ in pairs)
-    for k, v in pairs:
-        print(f"{k:<{width}}  {v}")
-
-
-def _cmd_expand(args) -> int:
-    spec = load_spec(args.spec)
+def _expand(spec, args):
     g = expand(spec, args.n)
     edge_count = g.edge_count
     if edge_count > EDGE_LIST_LIMIT:
@@ -77,54 +74,34 @@ def _cmd_expand(args) -> int:
             f"G_{args.n} has {edge_count} edges, more than the {EDGE_LIST_LIMIT} "
             "that expand lists"
         )
-    if args.format == "json":
-        _emit_json(g.to_json())
-    else:
-        print(f"G_{args.n}: {edge_count} edges")
-        for u, v in g.sorted_edges():
-            print(f"{u} {v}")
-    return 0
+    edges = g.sorted_edges()
+    lines = chain([f"G_{args.n}: {edge_count} edges"], (f"{u} {v}" for u, v in edges))
+    return {"n": g.n, "edges": edges}, lines
 
 
-def _cmd_classify(args) -> int:
-    spec = load_spec(args.spec)
-    verdict = limit_regularity(spec)
-    if args.format == "json":
-        _emit_json(verdict.to_json())
-    else:
-        _emit_table(list(verdict.to_json().items()))
-    return 0
+def _classify(spec, args):
+    payload = limit_regularity(spec).to_json()
+    width = max(len(k) for k in payload)
+    return payload, [f"{k:<{width}}  {v}" for k, v in payload.items()]
 
 
-def _cmd_indmatch(args) -> int:
-    spec = load_spec(args.spec)
-    g = expand(spec, args.n)
-    value, witness = induced_matching(g)
-    if args.format == "json":
-        _emit_json({"n": args.n, "indmatch": value, "witness": [list(e) for e in witness]})
-    else:
-        print(f"indmatch(G_{args.n}) = {value}")
-        for u, v in witness:
-            print(f"{u} {v}")
-    return 0
+def _indmatch(spec, args):
+    value, witness = induced_matching(expand(spec, args.n))
+    payload = {"n": args.n, "indmatch": value, "witness": [list(e) for e in witness]}
+    return payload, chain([f"indmatch(G_{args.n}) = {value}"], (f"{u} {v}" for u, v in witness))
 
 
-def _cmd_reg(args) -> int:
-    spec = load_spec(args.spec)
+def _reg(spec, args):
     g = expand(spec, args.n)
     report = regularity(g, field_char=args.field, subset_budget=args.oracle_cap)
-    if args.format == "json":
-        _emit_json({"n": args.n, **report.to_json()})
-    else:
-        print(f"reg(G_{args.n}) = {report.value}  [method={report.method}, field=GF({args.field})]")
-        if report.certificate:
-            cert = report.certificate
-            print(f"certificate: subset={cert['subset']} dimension={cert['dimension']}")
-    return 0
+    lines = [f"reg(G_{args.n}) = {report.value}  [method={report.method}, field=GF({args.field})]"]
+    if report.certificate:
+        cert = report.certificate
+        lines.append(f"certificate: subset={cert['subset']} dimension={cert['dimension']}")
+    return {"n": args.n, **report.to_json()}, lines
 
 
-def _cmd_anticycle(args) -> int:
-    spec = load_spec(args.spec)
+def _anticycle(spec, args):
     witness, trace = construct_anticycle(spec, args.n)
     payload = {
         "case": trace.case,
@@ -136,54 +113,60 @@ def _cmd_anticycle(args) -> int:
         "gamma": len(trace.k_trace.pivots),
         "vertices": list(witness.vertices),
     }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(f"anticycle of length {witness.m} in G_{args.n + spec.r} (case {trace.case})")
-        print(" ".join(str(a) for a in witness.vertices))
-        if trace.j_trace is not None:
-            print(f"head sets: {payload['J']}  pivots: {payload['u']}")
-        print(f"tail sets: {payload['K']}  pivots: {payload['v']}")
-    return 0
+    lines = [
+        f"anticycle of length {witness.m} in G_{args.n + spec.r} (case {trace.case})",
+        " ".join(str(a) for a in witness.vertices),
+    ]
+    if trace.j_trace is not None:
+        lines.append(f"head sets: {payload['J']}  pivots: {payload['u']}")
+    lines.append(f"tail sets: {payload['K']}  pivots: {payload['v']}")
+    return payload, lines
 
 
-def _cmd_quasisat(args) -> int:
-    spec = load_spec(args.spec)
-    qs = is_quasi_saturated(spec)
-    if args.format == "json":
-        _emit_json({"quasi_saturated": qs, "derived": derived_chain(spec).to_json()})
-    else:
-        print(f"quasi-saturated: {'true' if qs else 'false'}")
-    return 0
+def _quasisat(spec, args):
+    # is_quasi_saturated's test, on the one derived chain the JSON also shows.
+    derived = derived_chain(spec)
+    qs = set(derived.edges) == set(spec.edges)
+    payload = {"quasi_saturated": qs, "derived": derived.to_json()}
+    return payload, [f"quasi-saturated: {json.dumps(qs)}"]
 
 
-def _cmd_sweep(args) -> int:
-    spec = load_spec(args.spec)
+def _sweep(spec, args):
     report = sweep_verify(
         spec, args.n_from, args.n_to, field_char=args.field, oracle_cap=args.oracle_cap
     )
-    if args.format == "json":
-        _emit_json(report)
-    else:
-        verdict = report["verdict"]
-        print(
-            f"verdict: limit_reg={verdict['limit_reg']} case={verdict['case']} "
-            f"n0={verdict['n0']} N={verdict['N']}"
-        )
-        print(f"{'n':>5}  {'reg':>4}  {'cochordal':>9}  flag")
-        for row in report["rows"]:
-            reg_s = "-" if row["reg"] is None else str(row["reg"])
-            coch_s = "yes" if row["cochordal"] else "no"
-            flag_s = "VIOLATION" if row["flag"] else ""
-            print(f"{row['n']:>5}  {reg_s:>4}  {coch_s:>9}  {flag_s}")
-        if report["violations"]:
-            print(f"violations at n = {report['violations']}")
-    return 1 if report["violations"] else 0
+    verdict = report["verdict"]
+    head = [
+        f"verdict: limit_reg={verdict['limit_reg']} case={verdict['case']} "
+        f"n0={verdict['n0']} N={verdict['N']}",
+        f"{'n':>5}  {'reg':>4}  {'cochordal':>9}  flag",
+    ]
+    rows = (
+        f"{row['n']:>5}  {'-' if row['reg'] is None else row['reg']:>4}  "
+        f"{'yes' if row['cochordal'] else 'no':>9}  {'VIOLATION' if row['flag'] else ''}"
+        for row in report["rows"]
+    )
+    tail = [f"violations at n = {report['violations']}"] if report["violations"] else []
+    return report, chain(head, rows, tail)
 
 
-def _cmd_verify(args) -> int:
-    ok = run_suite(args.suite, seed=args.seed)
-    return 0 if ok else 1
+_N = (("--n",), {"type": int, "required": True})
+_FIELD = (("--field",), {"type": int, "default": 2})
+_ORACLE_CAP = (("--oracle-cap",), {"type": int, "default": DEFAULT_SUBSET_BUDGET})
+_FROM = (("--from",), {"dest": "n_from", "type": int, "required": True})
+_TO = (("--to",), {"dest": "n_to", "type": int, "required": True})
+
+# (verb, help, function, flags after the spec and --format), in -h order.
+COMMANDS = (
+    ("expand", "materialize G_n", _expand, (_N,)),
+    ("classify", "limit regularity verdict with thresholds", _classify, ()),
+    ("indmatch", "exact induced matching number of G_n", _indmatch, (_N,)),
+    ("reg", "homology oracle regularity of G_n", _reg, (_N, _FIELD, _ORACLE_CAP)),
+    ("anticycle", "construct an induced anticycle of G_{n+r}", _anticycle, (_N,)),
+    ("quasisat", "quasi-saturation test", _quasisat, ()),
+    ("sweep", "verdict vs oracle/cochordality over an index range", _sweep,
+     (_FROM, _TO, _FIELD, _ORACLE_CAP)),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -192,49 +175,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact combinatorics of increasing-map-invariant chains of edge ideals.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, spec=True):
-        if spec:
-            p.add_argument("spec", help="path to a chain-spec JSON file")
+    for verb, help_text, func, flags in COMMANDS:
+        p = sub.add_parser(verb, help=help_text)
+        p.add_argument("spec", help="path to a chain-spec JSON file")
         p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("expand", help="materialize G_n")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_expand)
-
-    p = sub.add_parser("classify", help="limit regularity verdict with thresholds")
-    common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("indmatch", help="exact induced matching number of G_n")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_indmatch)
-
-    p = sub.add_parser("reg", help="homology oracle regularity of G_n")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--field", type=int, default=2)
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_SUBSET_BUDGET)
-    p.set_defaults(func=_cmd_reg)
-
-    p = sub.add_parser("anticycle", help="construct an induced anticycle of G_{n+r}")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_anticycle)
-
-    p = sub.add_parser("quasisat", help="quasi-saturation test")
-    common(p)
-    p.set_defaults(func=_cmd_quasisat)
-
-    p = sub.add_parser("sweep", help="verdict vs oracle/cochordality over an index range")
-    common(p)
-    p.add_argument("--from", dest="n_from", type=int, required=True)
-    p.add_argument("--to", dest="n_to", type=int, required=True)
-    p.add_argument("--field", type=int, default=2)
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_SUBSET_BUDGET)
-    p.set_defaults(func=_cmd_sweep)
+        for names, kwargs in flags:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run the bundled verification suites")
     p.add_argument("--suite", choices=("golden", "properties", "all"), default="all")
@@ -242,21 +189,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None,
         help="override the frozen base seed of the property checks",
     )
-    p.set_defaults(func=_cmd_verify)
-
     return parser
+
+
+def _verify(args) -> int:
+    return 0 if run_suite(args.suite, seed=args.seed) else 1
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except errors.InvalidInputError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        if args.verb == "verify":
+            return _verify(args)
+        payload, lines = args.func(load_spec(args.spec), args)
+        if args.format == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        return 1 if payload.get("violations") else 0
     except errors.ChainRegError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, errors.InvalidInputError) else 1
 
 
 if __name__ == "__main__":

@@ -95,9 +95,6 @@ class SimpleGraph:
         # Bit k of adj[u] >> u is the neighbour u + k + 1 above u.
         return [(u, u + b) for u in range(1, self.n + 1) for b in _iter_bits(self.adj[u] >> u)]
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimpleGraph):
             return NotImplemented

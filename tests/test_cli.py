@@ -161,6 +161,25 @@ class TestSweepCommand:
         assert [row["reg"] for row in data["rows"]] == [2, 2, 2, 2, 2]
         assert data["violations"] == []
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_violations_exit_1(self, spec_file, fmt, monkeypatch, capsys):
+        real = cli.sweep_verify
+
+        def violating(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report["rows"][0]["flag"] = True
+            report["violations"] = [report["rows"][0]["n"]]
+            return report
+
+        monkeypatch.setattr(cli, "sweep_verify", violating)
+        path = spec_file({"r": 2, "edges": [[2, 1]]})
+        assert main(["sweep", path, "--from", "2", "--to", "3", "--format", fmt]) == 1
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert json.loads(out)["violations"] == [2]
+        else:
+            assert "VIOLATION" in out and out.endswith("violations at n = [2]\n")
+
 
 class TestErrors:
     def test_invalid_input_exit_codes(self, spec_file, capsys):
@@ -244,9 +263,11 @@ class TestErrors:
         "payload, argv, vertices",
         [
             ({"r": 1_000_000, "edges": [[1, 1_000_000]]}, ["classify"], 1_000_000),
+            # Irreducible, so limit_indmatch expands G_{3r}.
+            ({"r": 4000, "edges": [[1, 4000]]}, ["classify"], 12_000),
             (SIX_EDGE, ["anticycle", "--n", "1000000000"], 1_000_000_009),
         ],
-        ids=["classify-r-past-limit", "anticycle-n-past-limit"],
+        ids=["classify-r-past-limit", "classify-3r-past-limit", "anticycle-n-past-limit"],
     )
     def test_refuses_past_materialize_limit_before_any_work(self, spec_file, payload, argv, vertices):
         # A packed matrix of G_r, or the anticycle's O(n) ladder walk, would
@@ -381,6 +402,23 @@ class TestVerifyCommand:
         assert calls == {"suite": "golden", "seed": 7}
         assert main(["verify", "--suite", "properties"]) == 1
 
+    def test_seed_sets_the_base_of_each_check(self, monkeypatch, capsys):
+        # --seed names the base seed, so the frozen one draws a plain run's pools.
+        from chainreg import verify as verify_mod
+
+        seeds = []
+        real = verify_mod.spec_pool
+
+        def recording_pool(count, rs, seed):
+            seeds.append(seed)
+            return real(count, rs, seed)
+
+        monkeypatch.setattr(verify_mod, "spec_pool", recording_pool)
+        main(["verify", "--suite", "properties"])
+        plain, seeds[:] = list(seeds), []
+        main(["verify", "--suite", "properties", "--seed", str(verify_mod.BASE_SEED)])
+        assert len(plain) == 5 and seeds == plain
+
     def test_run_suite_reports_failures(self, monkeypatch, capsys):
         from chainreg import verify as verify_mod
 
@@ -413,16 +451,15 @@ GOLDEN_COMMANDS = {
 class TestGoldenSnapshots:
     """The output on the golden chains, byte for byte, against snapshots in
     tests/golden/: JSON named <chain>.<command>.json and text named
-    <chain>.<command>.txt, or <chain>.anticycle.<n>.json and .txt for the
-    anticycle construction, which applies to two of the chains; the table chain's
+    <chain>.<command>.txt, or <chain>.anticycle.<n>.json (and .txt at n = 18)
+    for the anticycle construction, which applies to two of the chains; the table chain's
     sweep with every row through the oracle as table.sweep.oracle.json; and
     the report of ``verify --suite all`` as verify.all.txt."""
 
     def test_every_golden_chain_is_covered(self):
         assert [p.stem for p in GOLDEN_SPECS] == ["near_sharp", "reg3", "six_edge", "table"]
 
-    # The JSON cases keep their historical ids (<chain>-<verb>); the text
-    # cases add a -text suffix.
+    # Case ids: <chain>-<verb> for JSON, <chain>-<verb>-text for text.
     @pytest.mark.parametrize(
         "verb, fmt",
         [
