@@ -31,7 +31,8 @@ class ChainSpec:
 
     Edges are ordered pairs (i, j) with 1 <= i < j <= r, sorted by left then
     right endpoint and free of duplicates.  Use normalize_spec to build one
-    from raw input.
+    from raw input.  The only checks of a presentation are here: they raise
+    EmptyEdgeSet, DegenerateEdge, EdgeOutOfRange, or InvalidArgument.
     """
 
     r: int
@@ -40,7 +41,7 @@ class ChainSpec:
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
         if self.r < 1:
-            raise ValueError(f"index r must be positive, got {self.r}")
+            raise InvalidArgument(f"index r must be positive, got {self.r}")
         if not self.edges:
             raise EmptyEdgeSet("a chain needs at least one generator edge")
         for i, j in self.edges:
@@ -49,7 +50,7 @@ class ChainSpec:
             if not (1 <= i < j <= self.r):
                 raise EdgeOutOfRange(f"edge ({i}, {j}) leaves [1, {self.r}]")
         if list(self.edges) != sorted(set(self.edges)):
-            raise ValueError("edges must be sorted and duplicate-free; use normalize_spec")
+            raise InvalidArgument("edges must be sorted and duplicate-free; use normalize_spec")
 
     @property
     def s(self) -> int:
@@ -86,21 +87,11 @@ class ChainIndices:
 
 
 def normalize_spec(r: int, raw_edges) -> ChainSpec:
-    """Orient, deduplicate and sort raw edge input into a ChainSpec."""
+    """Orient, deduplicate and sort raw edges into a ChainSpec, whose checks
+    then name a bad edge as (min, max), the first in sorted order."""
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise InvalidArgument(f"index r must be a positive integer, got {r!r}")
-    raw = list(raw_edges)
-    if not raw:
-        raise EmptyEdgeSet("edge list is empty")
-    seen = set()
-    for pair in raw:
-        u, v = pair
-        if u == v:
-            raise DegenerateEdge(f"edge ({u}, {v}) has equal endpoints")
-        if not (1 <= u <= r and 1 <= v <= r):
-            raise EdgeOutOfRange(f"edge ({u}, {v}) leaves [1, {r}]")
-        seen.add((u, v) if u < v else (v, u))
-    return ChainSpec(r, tuple(sorted(seen)))
+    return ChainSpec(r, tuple(sorted({(u, v) if u < v else (v, u) for u, v in raw_edges})))
 
 
 def _require_materializable(n: int) -> None:
@@ -195,10 +186,9 @@ def chain_indices(spec: ChainSpec) -> ChainIndices:
     edges = spec.edges
     i1 = edges[0][0]
     q = max(t for t, (i, _) in enumerate(edges, start=1) if i == i1)
-    gaps = [j - i for i, j in edges]
-    g = min(gaps)
-    J1 = tuple(t for t, gap in enumerate(gaps, start=1) if gap == g)
-    jmax = max(j for _, j in edges)
+    g = spec.min_gap
+    J1 = tuple(t for t, (i, j) in enumerate(edges, start=1) if j - i == g)
+    jmax = spec.max_endpoint
     tops = [t for t, (_, j) in enumerate(edges, start=1) if j == jmax]
     return ChainIndices(q=q, J1=J1, h=J1[0], H=J1[-1], b=tops[0], B=tops[-1])
 

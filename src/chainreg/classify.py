@@ -41,15 +41,7 @@ class ClassifierVerdict:
     reduced_r: int
 
     def to_json(self) -> dict:
-        return {
-            "limit_reg": self.limit_reg,
-            "case": self.case,
-            "n0": self.n0,
-            "N": self.N,
-            "coarse": self.coarse,
-            "limit_indmatch": self.limit_indmatch,
-            "reduced_r": self.reduced_r,
-        }
+        return self.__dict__.copy()
 
 
 def stabilization_threshold(spec: ChainSpec) -> tuple[int, int]:

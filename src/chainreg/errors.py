@@ -32,9 +32,10 @@ class VertexOutOfRange(InvalidInputError):
 class InvalidArgument(InvalidInputError, ValueError):
     """An argument value is out of its domain: a field characteristic that
     is not a prime below 2^31, an index range starting below r, an index past
-    the materialization limit, a non-positive r, a negative oracle budget, a
-    matching size k below 1, or an edge list too long to print.  Also a
-    ValueError, so callers catching that still work."""
+    the materialization limit, a non-positive r, a ChainSpec whose edges are
+    unsorted or repeated, a negative oracle budget, a matching size k below
+    1, or an edge list too long to print.  Also a ValueError, so callers
+    catching that still work."""
 
 
 class IndexBelowStability(InvalidInputError):

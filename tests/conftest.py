@@ -15,7 +15,11 @@ segment-wrapper path it replaced, the window-depth index reduction against a
 copy of the triangle-point reduction it replaced, and the packed window-matrix expansion
 against a copy of the row-by-row window loop it replaced.  The chordality
 test is also checked against a copy of the induced-cycle enumerator the
-package no longer ships.
+package no longer ships, and ``normalize_spec`` against a copy of the version
+that checked each raw pair itself.  The homology ranks of both rank kernels are
+checked against a reference that shares no oracle code: independent sets from
+a scan of every vertex subset and dense boundary matrices ranked by Gaussian
+elimination over GF(p).
 """
 
 from __future__ import annotations
@@ -38,7 +42,11 @@ from chainreg import (
 from chainreg.chain import chain_indices
 from chainreg.errors import (
     ChainRegError,
+    DegenerateEdge,
+    EdgeOutOfRange,
+    EmptyEdgeSet,
     HypothesisViolated,
+    InvalidArgument,
     IndexTooSmall,
     SubsetBudgetExceeded,
     VertexOutOfRange,
@@ -67,6 +75,25 @@ def table_spec() -> ChainSpec:
 @pytest.fixture
 def reg3_spec() -> ChainSpec:
     return normalize_spec(4, [(1, 3), (2, 4)])
+
+
+def reference_normalize_spec(r: int, raw_edges) -> ChainSpec:
+    """A verbatim copy of ``chain.normalize_spec`` when it checked each raw
+    pair itself before handing the sorted pairs to ChainSpec."""
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+        raise InvalidArgument(f"index r must be a positive integer, got {r!r}")
+    raw = list(raw_edges)
+    if not raw:
+        raise EmptyEdgeSet("edge list is empty")
+    seen = set()
+    for pair in raw:
+        u, v = pair
+        if u == v:
+            raise DegenerateEdge(f"edge ({u}, {v}) has equal endpoints")
+        if not (1 <= u <= r and 1 <= v <= r):
+            raise EdgeOutOfRange(f"edge ({u}, {v}) leaves [1, {r}]")
+        seen.add((u, v) if u < v else (v, u))
+    return ChainSpec(r, tuple(sorted(seen)))
 
 
 def brute_expand(spec: ChainSpec, n: int) -> set[tuple[int, int]]:
@@ -344,6 +371,56 @@ def reference_regularity(
         field_char=field_char,
         certificate={"subset": subset, "dimension": best_d},
     )
+
+
+def brute_independent_sets(G: SimpleGraph) -> list[list[tuple[int, ...]]]:
+    """The faces of the independence complex of G, grouped by size from the
+    empty face, by testing every vertex subset for an edge inside it."""
+    faces: list[list[tuple[int, ...]]] = [[] for _ in range(G.n + 1)]
+    for k in range(G.n + 1):
+        for sub in combinations(range(1, G.n + 1), k):
+            if not any(G.has_edge(u, v) for u, v in combinations(sub, 2)):
+                faces[k].append(sub)
+    while not faces[-1]:
+        faces.pop()
+    return faces
+
+
+def dense_rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank over GF(p) of a dense matrix, by Gaussian elimination."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def reference_homology_ranks(G: SimpleGraph, p: int) -> tuple[int, ...]:
+    """Reduced homology ranks of the independence complex of G over GF(p),
+    index k for dimension k - 1, from the faces of ``brute_independent_sets``
+    and the dense signed boundary matrices, the empty face included."""
+    faces = brute_independent_sets(G)
+    top = len(faces) - 1
+    b_ranks = [0] * (top + 2)
+    for k in range(1, top + 1):
+        row_of = {f: i for i, f in enumerate(faces[k - 1])}
+        rows = [[0] * len(faces[k]) for _ in faces[k - 1]]
+        for c, f in enumerate(faces[k]):
+            for i in range(k):
+                rows[row_of[f[:i] + f[i + 1 :]]][c] = (-1) ** i
+        b_ranks[k] = dense_rank_mod_p(rows, p)
+    return tuple(len(faces[k]) - b_ranks[k] - b_ranks[k + 1] for k in range(top + 1))
 
 
 def brute_fold_survivors(adj, nn: int) -> set[int]:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -20,10 +21,12 @@ from chainreg import (
 )
 from chainreg.chain import MATERIALIZE_LIMIT
 from chainreg.errors import (
+    ChainRegError,
     DegenerateEdge,
     EdgeOutOfRange,
     EmptyEdgeSet,
     IndexBelowStability,
+    InvalidArgument,
 )
 
 from conftest import (
@@ -32,6 +35,7 @@ from conftest import (
     brute_low_degree_survivors,
     random_specs,
     reference_expand,
+    reference_normalize_spec,
     reference_reduce_index,
 )
 
@@ -61,6 +65,60 @@ class TestNormalizeSpec:
     def test_constructor_rejects_unsorted(self):
         with pytest.raises(ValueError):
             ChainSpec(4, ((2, 4), (1, 3)))
+
+    @pytest.mark.parametrize(
+        "r, edges",
+        [(0, ((1, 2),)), (4, ((2, 4), (1, 3))), (4, ((1, 3), (1, 3)))],
+        ids=["r-below-one", "unsorted", "repeated"],
+    )
+    def test_constructor_errors_are_package_errors(self, r, edges):
+        with pytest.raises(InvalidArgument):
+            ChainSpec(r, edges)
+
+    def test_matches_reference_on_random_raw_edges(self):
+        # One kind of raw input per case: with two kinds of bad edge in one
+        # list the two versions may name different ones first.
+        kinds = ("valid", "reversed", "duplicated", "degenerate", "zero", "negative",
+                 "past-r", "empty", "bad-r")
+        rng = random.Random(20240915)
+        outcomes = set()
+        for trial in range(900):
+            kind = kinds[trial % len(kinds)]
+            r = rng.randint(1, 9)
+            raw = [
+                tuple(sorted(rng.sample(range(1, r + 1), 2)))
+                for _ in range(rng.randint(1, 6) if r > 1 else 0)
+            ]
+            if kind == "reversed":
+                raw = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in raw]
+            elif kind == "duplicated" and raw:
+                raw += [rng.choice(raw)[:: rng.choice((1, -1))] for _ in range(rng.randint(1, 3))]
+            elif kind in ("degenerate", "zero", "negative", "past-r"):
+                for _ in range(rng.randint(1, 2)):
+                    u = rng.randint(1, r)
+                    bad = {
+                        "degenerate": (u, u),
+                        "zero": (0, u),
+                        "negative": (-rng.randint(1, 3), u),
+                        "past-r": (r + 1, u),
+                    }[kind]
+                    raw.insert(rng.randint(0, len(raw)), bad[:: rng.choice((1, -1))])
+            elif kind == "empty":
+                raw = []
+            elif kind == "bad-r":
+                r = rng.choice((0, -1, True))
+            got = self._outcome(normalize_spec, r, raw)
+            want = self._outcome(reference_normalize_spec, r, raw)
+            assert got == want, (r, raw)
+            outcomes.add(want if isinstance(want, type) else ChainSpec)
+        assert outcomes == {ChainSpec, EmptyEdgeSet, DegenerateEdge, EdgeOutOfRange, InvalidArgument}
+
+    @staticmethod
+    def _outcome(normalize, r, raw):
+        try:
+            return normalize(r, list(raw))
+        except ChainRegError as exc:
+            return type(exc)
 
 
 class TestTriangle:
@@ -150,7 +208,7 @@ class TestExpand:
             "g = expand(spec, MATERIALIZE_LIMIT)\n"
             "dt = time.perf_counter() - t0\n"
             "kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "print(json.dumps({'s': dt, 'mb': kb / 1024, 'n': g.n, 'deg1': g.degree(1)}))\n"
+            "print(json.dumps({'s': dt, 'mb': kb / 1024, 'n': g.n, 'deg1': g.adj[1].bit_count()}))\n"
         )
         # On Linux a child's ru_maxrss starts at its parent's peak, so the
         # measuring process is started by a small launcher, not by pytest.

@@ -79,6 +79,30 @@ class TestExpandCommand:
         assert main(["expand", spec_file(EXPANSION), "--n", "5"]) == 2
         assert "IndexBelowStability" in capsys.readouterr().err
 
+    def test_json_peak_memory_matches_text_in_fresh_process(self, spec_file):
+        # G_700 of one generator has 244,650 edges.  Built as one string,
+        # the indented JSON took about 2.5x the text path's peak.
+        launcher = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-m', 'chainreg.cli', *sys.argv[1:]],\n"
+            "               stdout=subprocess.DEVNULL, check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), *sys.path])}
+        spec = spec_file({"r": 2, "edges": [[1, 2]]})
+        peak_kb = {}
+        for fmt in ("text", "json"):
+            proc = subprocess.run(
+                [sys.executable, "-c", launcher, "expand", spec, "--n", "700", "--format", fmt],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            )
+            peak_kb[fmt] = int(proc.stdout)
+        assert peak_kb["json"] <= 1.3 * peak_kb["text"], peak_kb
+
 
 class TestClassifyCommand:
     def test_golden_json(self, spec_file, capsys):
@@ -182,6 +206,19 @@ class TestSweepCommand:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "payload, err",
+        [
+            ({"r": 5, "edges": [[7, 2]]}, "EdgeOutOfRange: edge (2, 7) leaves [1, 5]\n"),
+            ({"r": 5, "edges": []}, "EmptyEdgeSet: a chain needs at least one generator edge\n"),
+        ],
+        ids=["reversed-out-of-range", "empty"],
+    )
+    def test_bad_presentation_message(self, spec_file, payload, err, capsys):
+        # ChainSpec's check names the oriented edge.
+        assert main(["expand", spec_file(payload), "--n", "9"]) == 2
+        assert capsys.readouterr() == ("", err)
+
     def test_invalid_input_exit_codes(self, spec_file, capsys):
         assert main(["expand", spec_file("{oops"), "--n", "4"]) == 2
         assert "ParseError" in capsys.readouterr().err

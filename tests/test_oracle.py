@@ -16,7 +16,13 @@ from chainreg import (
 from chainreg.errors import InvalidArgument, SubsetBudgetExceeded
 from chainreg.oracle import _fold_survivors, require_prime
 
-from conftest import brute_fold_survivors, random_graph, reference_regularity
+from conftest import (
+    brute_fold_survivors,
+    brute_independent_sets,
+    random_graph,
+    reference_homology_ranks,
+    reference_regularity,
+)
 
 
 def disjoint_edges(k):
@@ -52,12 +58,32 @@ class TestHomologyProfile:
         assert prof.rank(1) == 1 and prof.rank(0) == 0
 
     def test_euler_characteristic(self):
+        def euler(counts):
+            return sum((-1) ** (k - 1) * c for k, c in enumerate(counts))
+
         rng = random.Random(11)
         for _ in range(120):
             g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.9))
+            faces = euler([len(fs) for fs in brute_independent_sets(g)])
             for p in (2, 3):
-                prof = reduced_homology_ranks(g, p)
-                assert prof.euler_from_faces() == prof.euler_from_ranks(), g
+                assert euler(reduced_homology_ranks(g, p).ranks) == faces, g
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_random_graphs_match_independent_reference(self, p):
+        rng = random.Random(7000 + p)
+        nontrivial = 0
+        for _ in range(120):
+            g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.9))
+            ranks = reduced_homology_ranks(g, p).ranks
+            assert ranks == reference_homology_ranks(g, p), (g, p)
+            nontrivial += any(ranks[2:])
+        assert nontrivial >= 10  # homology above dimension 0 is exercised
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_cycles_match_independent_reference(self, n, p):
+        g = cycle_graph(n)
+        assert reduced_homology_ranks(g, p).ranks == reference_homology_ranks(g, p)
 
     def test_prime_validation(self):
         with pytest.raises(ValueError):
