@@ -145,15 +145,18 @@ def induced_subgraph(G: SimpleGraph, W) -> SimpleGraph:
     return SimpleGraph._from_rows(len(keep), rows)
 
 
-def is_chordal(G: SimpleGraph) -> bool:
-    """Chordality in one maximum cardinality search pass (Tarjan-Yannakakis).
+def _chordal_rows(adj, vertices: int, flip: int) -> bool:
+    """Chordality of the graph on the vertex mask ``vertices`` whose row of v
+    is ``(adj[v] ^ flip) & vertices`` without v: G itself for ``flip`` 0, its
+    complement for ``flip`` -1.
 
-    The search numbers the vertices one at a time, always taking the lowest
-    unnumbered vertex with the most numbered neighbours.  Unnumbered vertices
-    sit in weight layers, ``layers[w]`` being the mask of those with w
-    numbered neighbours, so a step takes the lowest bit of the top non-empty
-    layer and lifts the new vertex's unnumbered neighbours one layer up with
-    mask operations.  The graph has no induced cycle of length four or more
+    One maximum cardinality search pass (Tarjan-Yannakakis).  The search
+    numbers the vertices one at a time, always taking the lowest unnumbered
+    vertex with the most numbered neighbours.  Unnumbered vertices sit in
+    weight layers, ``layers[w]`` being the mask of those with w numbered
+    neighbours, so a step takes the lowest bit of the top non-empty layer and
+    lifts the new vertex's unnumbered neighbours one layer up with mask
+    operations.  The graph has no induced cycle of length four or more
     exactly when the reverse numbering is a perfect elimination order: at
     each step, the earlier-numbered neighbours of the new vertex other than
     the most recently numbered one, w, must all be adjacent to w.  That test
@@ -163,31 +166,32 @@ def is_chordal(G: SimpleGraph) -> bool:
     sparse complements of late windows that is usually the last vertex
     numbered.
     """
-    n = G.n
-    if n <= 2:
+    count = vertices.bit_count()
+    if count <= 2:
         return True
-    adj = G.adj
-    layers = [0] * (n + 1)
-    layers[0] = (1 << n) - 1
+    layers = [0] * (count + 1)
+    layers[0] = unnumbered = vertices
     top = 0
     order: list[int] = []
     numbered = 0
-    for _ in range(n):
+    for _ in range(count):
         while not layers[top]:
             top -= 1
         b = layers[top] & -layers[top]
         layers[top] ^= b
         v = b.bit_length()
-        later = adj[v] & numbered
+        row = adj[v] ^ flip
+        later = row & numbered
         if later & (later - 1):  # a single earlier neighbour passes trivially
             for w in reversed(order):
                 if later >> (w - 1) & 1:
                     break
-            if later & ~(adj[w] | 1 << (w - 1)):
+            if later & ~((adj[w] ^ flip) | 1 << (w - 1)):
                 return False
         numbered |= b
+        unnumbered ^= b
         order.append(v)
-        nb = adj[v] & ~numbered
+        nb = row & unnumbered
         k = top
         while nb:
             moved = layers[k] & nb
@@ -201,8 +205,22 @@ def is_chordal(G: SimpleGraph) -> bool:
     return True
 
 
-def is_cochordal(G: SimpleGraph) -> bool:
-    return is_chordal(complement(G))
+def is_chordal(G: SimpleGraph) -> bool:
+    """Whether G has no induced cycle of length four or more."""
+    return _chordal_rows(G.adj, (1 << G.n) - 1, 0)
+
+
+def is_cochordal(G: SimpleGraph, vertices: int | None = None) -> bool:
+    """Whether the complement of G, or of G induced on the vertex mask
+    ``vertices`` (bit v-1 for vertex v), is chordal.
+
+    The complement's rows are read off G's rows, so it is never built.
+    """
+    if vertices is None:
+        vertices = (1 << G.n) - 1
+    elif vertices < 0 or vertices >> G.n:
+        raise VertexOutOfRange(f"vertex mask {vertices:#x} leaves [1, {G.n}]")
+    return _chordal_rows(G.adj, vertices, -1)
 
 
 def find_induced_c4(G: SimpleGraph):

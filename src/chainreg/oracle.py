@@ -19,14 +19,13 @@ order:
   complexes", Discrete Math. 2009) makes Ind(G[W]) homotopy equivalent to
   Ind(G[W - v]).  The cone case is the fold with N(u) empty.
 
-The survivors are found by a depth-first walk over vertex sets, each grown
-only by later candidates, that cuts whole subtrees of pruned sets: on the
-table chain's G_18 it pops 251 sets where a scan of all subsets of its 18
-supported vertices tests 262,125.  After vertex t joins a set S, ``reach`` is
-S with its remaining candidates.  Every set below S in the walk lies between
-S and reach, so a vertex adjacent to all of reach dominates each of them, and
-neighbourhoods that nest inside reach nest inside each of them.  The walk
-cuts:
+The survivors come from a walk over vertex sets, each grown only by later
+candidates, that cuts whole subtrees of pruned sets: on the table chain's G_18
+it visits 251 sets where a scan of all subsets of its 18 supported vertices
+tests 262,125.  After vertex t joins a set S, ``reach`` is S with its
+remaining candidates.  Every set below S lies between S and reach, so a vertex
+adjacent to all of reach dominates each of them, and neighbourhoods that nest
+inside reach nest inside each of them.  The walk cuts:
 
 - the whole subtree, when t is adjacent to all of reach: t dominates every
   set below;
@@ -36,12 +35,23 @@ cuts:
   adjacent, each would lie in the other's neighbourhood but not in its own.
 
 Every cut set would fail the per-subset test, which still runs on each
-visited set, so the survivors are exactly those of a scan of all subsets.
+visited set, so the survivors are exactly those of a scan of all subsets.  The
+walk goes one cardinality at a time and sorts each level's survivors by mask,
+so they arrive in scan order and a level is built only when it is needed.
 
-Dimension 0 is covered once and for all by any single edge.  The prunes never
-remove the first subset in scan order that attains the maximum dimension, since
-the smaller subset it reduces to would attain it earlier, so the certificate is
-the same as that of the unpruned scan.
+Dimension 0 is covered once and for all by any single edge.  The certificate
+is the first subset in scan order that attains the maximum dimension; no prune
+removes it, since the smaller subset it reduces to would attain it earlier.
+Before walking, an upper bound on the maximum, valid over every field, is
+read from chordality tests:
+
+- 0 when G is cochordal (Fröberg: reg = 2), and the seeded edge is returned;
+- 1 when a greedy deletion sequence proves reg <= 3 (Dao, Huneke and
+  Schweig, J. Algebraic Combin. 38 (2013), Lemma 3.1).
+
+The scan stops at the first survivor attaining the bound.  That survivor
+attains the maximum and comes first in scan order, so value and certificate
+are those of the full scan.
 
 The walk reads G's own rows and visits only the mask of its supported vertices
 (those on an edge), so a certificate is read straight from mask bits in G's
@@ -53,10 +63,11 @@ every set's size and the numeric order of masks of equal size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
 
 from .errors import InvalidArgument, SubsetBudgetExceeded
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, is_cochordal
 
 DEFAULT_SUBSET_BUDGET = 22
 
@@ -249,44 +260,87 @@ def _pruned(adj, mask: int) -> bool:
     return False
 
 
-def _fold_survivors(adj, support: int) -> list[int]:
-    """The vertex sets of size >= 2 inside the vertex mask ``support`` that no
-    prune removes, unsorted.
+def _survivor_levels(adj, support: int):
+    """The vertex sets inside the vertex mask ``support`` that no prune
+    removes, one list per cardinality from 2 upwards, each sorted by mask.
 
-    The depth-first walk and its three cuts of the module docstring, on the
-    rows ``adj`` of the whole graph; each visited set of size >= 2 goes
-    through ``_pruned``.  Passing the supported vertices loses no survivor,
-    since a set holding an isolated vertex is a cone and always pruned.
+    The walk and its three cuts of the module docstring, on the rows ``adj``
+    of the whole graph, taken one level at a time; each visited set of size
+    >= 2 goes through ``_pruned``.  A node is stored as two entries of
+    parallel lists: its ``reach`` and its top vertex t, since the set is the
+    part of reach at or below t and the candidates are the rest.  The next
+    level is built only when the caller asks for it.  Passing the supported
+    vertices loses no survivor, since a set holding an isolated vertex is a
+    cone and always pruned.
     """
-    survivors: list[int] = []
-    stack = []
+    reaches: list[int] = []
+    tops: list[int] = []
     rest = support
     while rest:
         b = rest & -rest
+        reaches.append(rest)
+        tops.append(b.bit_length())
         rest ^= b
-        stack.append((b, b, rest))
-    while stack:
-        s, tb, cands = stack.pop()
-        reach = s | cands
-        at = adj[tb.bit_length()] & reach
-        c = cands
-        while c:
-            xb = c & -c
-            c ^= xb
-            ax = adj[xb.bit_length()] & reach
-            # x dominates reach, or N(x) and N(t) nest inside reach.
-            if ax == reach ^ xb or not ax & ~at or not at & ~ax:
-                cands ^= xb
-                reach ^= xb
-                at &= reach
-        if at != reach ^ tb:  # t dominating reach cuts the whole subtree
-            if s != tb and not _pruned(adj, s):
-                survivors.append(s)
-            while cands:
-                xb = cands & -cands
-                cands ^= xb
-                stack.append((s | xb, xb, cands))
-    return survivors
+    first = True
+    while reaches:
+        survivors: list[int] = []
+        next_reaches: list[int] = []
+        next_tops: list[int] = []
+        for reach, t in zip(reaches, tops):
+            tb = 1 << (t - 1)
+            s = reach & ((tb << 1) - 1)
+            cands = reach ^ s
+            at = adj[t] & reach
+            c = cands
+            while c:
+                xb = c & -c
+                c ^= xb
+                ax = adj[xb.bit_length()] & reach
+                # x dominates reach, or N(x) and N(t) nest inside reach.
+                if ax == reach ^ xb or not ax & ~at or not at & ~ax:
+                    cands ^= xb
+                    reach ^= xb
+                    at &= reach
+            if at != reach ^ tb:  # t dominating reach cuts the whole subtree
+                if not first and not _pruned(adj, s):
+                    survivors.append(s)
+                while cands:
+                    next_reaches.append(s | cands)
+                    next_tops.append((cands & -cands).bit_length())
+                    cands &= cands - 1
+        if not first:
+            survivors.sort()
+            yield survivors
+        first = False
+        reaches, tops = next_reaches, next_tops
+
+
+def _dimension_cap(G: SimpleGraph, support: int) -> int | None:
+    """An upper bound on the largest homological dimension, or None.
+
+    0 when G on its support is cochordal (Fröberg: reg = 2).  1 when a
+    greedy Dao-Huneke-Schweig deletion sequence exists: each step deletes
+    the smallest x of the remaining graph H whose H - N[x] is cochordal or
+    edgeless (an edgeless graph is cochordal), and success comes once H - x
+    is cochordal; then reg <= 3 by reg I(H) <= max{reg I(H - x),
+    reg I(H - N[x]) + 1}.  None when some step finds no such x.
+    """
+    if is_cochordal(G, support):
+        return 0
+    adj = G.adj
+    rest = support
+    while True:
+        w = rest
+        while w:
+            b = w & -w
+            w ^= b
+            if is_cochordal(G, rest & ~(adj[b.bit_length()] | b)):
+                break
+        else:
+            return None
+        rest ^= b
+        if is_cochordal(G, rest):
+            return 1
 
 
 def regularity(
@@ -296,15 +350,15 @@ def regularity(
 ) -> RegularityReport:
     """Exact regularity of the edge ideal of G by subset enumeration.
 
-    Walks the subsets of G's supported vertices depth first on G's own rows,
-    cutting those that a prune removes, and runs the homology computation on
-    the survivors in increasing cardinality (then numeric mask order), keeping
-    the maximum homological dimension found together with the first subset
-    attaining it, in G's numbering.  The survivors, and so the value and
-    certificate, are those of a scan of every subset, and the same as on a
-    copy of G renumbered in vertex order.  Raises InvalidArgument for a
-    non-prime field or a negative ``subset_budget``, and SubsetBudgetExceeded
-    when more than ``subset_budget`` vertices carry an edge.
+    Walks the subsets of G's supported vertices level by level on G's own
+    rows, and runs the homology computation on the survivors in increasing
+    cardinality, then numeric mask order, keeping the largest homological
+    dimension found and the first subset attaining it, in G's numbering.  It
+    stops once that dimension reaches the cap of ``_dimension_cap``.  Value
+    and certificate are those of a scan of every subset, over every field.
+    Raises InvalidArgument for a non-prime field or a negative
+    ``subset_budget``, and SubsetBudgetExceeded when more than
+    ``subset_budget`` vertices carry an edge, both before any work.
     """
     require_prime(field_char)
     if subset_budget < 0:
@@ -324,14 +378,16 @@ def regularity(
     below = adj[v] & ((1 << (v - 1)) - 1)
     best_mask = 1 << (v - 1) | (below & -below)
 
-    survivors = _fold_survivors(adj, support)
-    survivors.sort(key=lambda m: (m.bit_count(), m))
-    for mask in survivors:
-        faces = _independent_faces(adj, mask)
-        if len(faces) - 2 > best_d:
-            d = _top_nonzero_excess(faces, field_char, best_d)
-            if d is not None:
-                best_d, best_mask = d, mask
+    cap = _dimension_cap(G, support)
+    if cap != 0:
+        for mask in chain.from_iterable(_survivor_levels(adj, support)):
+            faces = _independent_faces(adj, mask)
+            if len(faces) - 2 > best_d:
+                d = _top_nonzero_excess(faces, field_char, best_d)
+                if d is not None:
+                    best_d, best_mask = d, mask
+                    if d == cap:
+                        break
 
     subset = [v for v in range(1, G.n + 1) if best_mask >> (v - 1) & 1]
     return RegularityReport(

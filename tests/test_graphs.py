@@ -220,8 +220,11 @@ class TestChordalityAgainstReference:
         # Up to the end of the benchmark's sweep range, where the numbering
         # the search walks back through for w is longest.
         for n in [*range(30, 81), *range(90, 141, 10)]:
-            h = complement(expand(GOLDEN_CHAINS[name], n))
-            assert is_chordal(h) == reference_is_chordal(h), n
+            g = expand(GOLDEN_CHAINS[name], n)
+            h = complement(g)
+            want = reference_is_chordal(h)
+            assert is_chordal(h) == want, n
+            assert is_cochordal(g) == want, n
 
     def test_random_chain_late_complements(self):
         verdicts = set()
@@ -232,6 +235,36 @@ class TestChordalityAgainstReference:
                 assert is_chordal(h) == want, (spec, n)
                 verdicts.add(want)
         assert verdicts == {False, True}
+
+
+class TestMaskedCochordality:
+    """``is_cochordal`` inside a vertex mask reads the complement of the
+    induced subgraph off G's rows, in G's own numbering."""
+
+    def test_random_masks(self):
+        rng = random.Random(2718)
+        verdicts = []
+        for _ in range(1500):
+            n = rng.randint(0, 14)
+            g = random_graph(rng, n, rng.uniform(0.05, 0.95))
+            W = [v for v in range(1, n + 1) if rng.random() < 0.6]
+            mask = sum(1 << (v - 1) for v in W)
+            want = is_cochordal(induced_subgraph(g, W))
+            assert want == reference_is_chordal(complement(induced_subgraph(g, W))), (g, W)
+            assert is_cochordal(g, mask) == want, (g, W)
+            verdicts.append(want)
+        assert 300 < sum(verdicts) < 1300
+
+    def test_whole_mask_is_the_default(self):
+        g = cycle_graph(6)
+        assert is_cochordal(g, (1 << 6) - 1) == is_cochordal(g)
+        assert is_cochordal(g, 0) and is_cochordal(g, 0b101)
+
+    def test_mask_out_of_range(self):
+        with pytest.raises(VertexOutOfRange):
+            is_cochordal(cycle_graph(4), 1 << 4)
+        with pytest.raises(VertexOutOfRange):
+            is_cochordal(cycle_graph(4), -1)
 
 
 class TestInducedMatching:

@@ -1,6 +1,7 @@
 """Regularity oracle: homology profiles, exact values, bounds, consistency."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,11 +11,12 @@ from chainreg import (
     induced_matching,
     induced_subgraph,
     is_cochordal,
+    normalize_spec,
     reduced_homology_ranks,
     regularity,
 )
 from chainreg.errors import InvalidArgument, SubsetBudgetExceeded
-from chainreg.oracle import _fold_survivors, require_prime
+from chainreg.oracle import _dimension_cap, _survivor_levels, require_prime
 
 from conftest import (
     brute_fold_survivors,
@@ -211,9 +213,14 @@ class TestAgainstReference:
                 assert regularity(g, p) == reference_regularity(g, p), (g, p)
 
     @pytest.mark.parametrize("p", [2, 3])
-    def test_golden_windows(self, table_spec, reg3_spec, p):
+    def test_golden_windows(self, table_spec, reg3_spec, ex58_spec, p):
+        # The reg3, six-edge and near-sharp rows stop at a cap of 1, on a
+        # certificate that is an induced anticycle.
+        near_sharp = normalize_spec(9, [(1, 9), (6, 8)])
         windows = [(table_spec, n) for n in range(10, 17)]
-        windows += [(reg3_spec, n) for n in range(6, 11)]
+        windows += [(reg3_spec, n) for n in range(6, 15)]
+        windows += [(ex58_spec, n) for n in range(14, 17)]
+        windows += [(near_sharp, n) for n in range(14, 16)]
         for spec, n in windows:
             g = expand(spec, n)
             assert regularity(g, p) == reference_regularity(g, p), (spec, n)
@@ -232,26 +239,53 @@ def scattered_graph(rng, n, k):
     return SimpleGraph(n, [(pos[u - 1], pos[v - 1]) for u, v in h.sorted_edges()])
 
 
+def levels_match(g, support):
+    """Whether the level walk over ``support`` yields, at each size, exactly
+    the sets of that size that the per-subset test keeps, in mask order."""
+    want = brute_fold_survivors(g.adj, g.n)
+    levels = list(_survivor_levels(g.adj, support))
+    return sum(map(len, levels)) == len(want) and all(
+        level == sorted(m for m in want if m.bit_count() == size)
+        for size, level in enumerate(levels, 2)
+    )
+
+
 class TestSurvivorWalk:
-    """The depth-first walk keeps exactly the subsets the per-subset test keeps."""
+    """The level walk keeps exactly the subsets the per-subset test keeps."""
 
     def test_random_graphs(self):
         rng = random.Random(91)
         for _ in range(1000):
             n = rng.randint(1, 12)
             g = random_graph(rng, n, rng.uniform(0.05, 0.95))
-            got = _fold_survivors(g.adj, (1 << n) - 1)
-            assert len(got) == len(set(got)), g
-            assert set(got) == brute_fold_survivors(g.adj, n), g
+            assert levels_match(g, (1 << n) - 1), g
 
     def test_golden_windows(self, table_spec, reg3_spec):
         windows = [(table_spec, n) for n in range(10, 17)]
         windows += [(reg3_spec, n) for n in range(6, 13)]
         for spec, n in windows:
             g = expand(spec, n)
-            got = _fold_survivors(g.adj, support_mask(g))
-            assert len(got) == len(set(got)), (spec, n)
-            assert set(got) == brute_fold_survivors(g.adj, g.n), (spec, n)
+            assert levels_match(g, support_mask(g)), (spec, n)
+
+    def test_levels_are_built_on_demand(self, ex58_spec):
+        # Past the budget of the default oracle: the first level comes at
+        # once, without walking the larger sets.
+        g = expand(ex58_spec, 200)
+        pairs = next(_survivor_levels(g.adj, support_mask(g)))
+        assert pairs == sorted(pairs) and all(m.bit_count() == 2 for m in pairs)
+
+    def test_early_stop_memory(self, ex58_spec):
+        # Six-edge G_30 stops at the first survivor of dimension 1, 15 levels
+        # into a walk of 30 supported vertices; two levels are held at a time.
+        g = expand(ex58_spec, 30)
+        tracemalloc.start()
+        try:
+            rep = regularity(g, 2, subset_budget=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.value == 3 and len(rep.certificate["subset"]) == 15
+        assert peak < 1 << 20, peak
 
 
 class TestOwnNumbering:
@@ -268,14 +302,51 @@ class TestOwnNumbering:
             if i % 10 == 0:
                 # A set holding an isolated vertex is a cone, so walking the
                 # support mask loses nothing against all 2^16 sets.
-                got = _fold_survivors(g.adj, support_mask(g))
-                assert set(got) == brute_fold_survivors(g.adj, g.n), g
+                assert levels_match(g, support_mask(g)), g
             if reps[0].certificate is not None:
                 # The same subset in the numbering of a copy renumbered to 1..k.
                 support = [v for v in range(1, g.n + 1) if g.adj[v]]
                 subset = reps[0].certificate["subset"]
                 moved += subset != [support.index(v) + 1 for v in subset]
         assert moved > 200, moved
+
+
+class TestDimensionCap:
+    """The cap bounds the largest homological dimension from above: 0 by
+    Fröberg's theorem, 1 by a greedy Dao-Huneke-Schweig deletion sequence."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_sound_against_reference(self, p):
+        rng = random.Random(111)
+        caps = {0: 0, 1: 0, None: 0}
+        for _ in range(3000):
+            g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.1, 0.9))
+            ref = reference_regularity(g, p)
+            assert regularity(g, p) == ref, g
+            if ref.value is None:
+                continue
+            cap = _dimension_cap(g, support_mask(g))
+            caps[cap] += 1
+            assert (cap == 0) == is_cochordal(g), g
+            assert cap is None or ref.value <= 2 + cap, g
+        # Every branch is exercised, reg >= 4 included.
+        assert min(caps.values()) > 80, caps
+
+    def test_scattered_support(self):
+        # Bit v-1 stands for vertex v: the cap of a graph with isolated
+        # vertices in between is that of its support renumbered to 1..k.
+        rng = random.Random(121)
+        caps = set()
+        for _ in range(600):
+            g = scattered_graph(rng, 16, rng.randint(2, 12))
+            support = [v for v in range(1, g.n + 1) if g.adj[v]]
+            if not support:
+                continue
+            h = induced_subgraph(g, support)
+            cap = _dimension_cap(g, support_mask(g))
+            assert cap == _dimension_cap(h, (1 << h.n) - 1), g
+            caps.add(cap)
+        assert caps == {0, 1, None}
 
 
 class TestRegularityBounds:
