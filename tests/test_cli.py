@@ -490,8 +490,10 @@ class TestGoldenSnapshots:
     tests/golden/: JSON named <chain>.<command>.json and text named
     <chain>.<command>.txt, or <chain>.anticycle.<n>.json (and .txt at n = 18)
     for the anticycle construction, which applies to two of the chains; the table chain's
-    sweep with every row through the oracle as table.sweep.oracle.json; and
-    the report of ``verify --suite all`` as verify.all.txt."""
+    sweep with every row through the oracle as table.sweep.oracle.json;
+    six-edge ``reg`` at n = 38 past the default oracle cap as
+    six_edge.reg.38.json; and the report of ``verify --suite all`` as
+    verify.all.txt."""
 
     def test_every_golden_chain_is_covered(self):
         assert [p.stem for p in GOLDEN_SPECS] == ["near_sharp", "reg3", "six_edge", "table"]
@@ -534,6 +536,14 @@ class TestGoldenSnapshots:
         argv = ["sweep", str(spec), "--from", "10", "--to", "34", "--oracle-cap", "34"]
         assert main([*argv, "--format", "json"]) == 0
         want = (REPO / "tests" / "golden" / "table.sweep.oracle.json").read_text()
+        assert capsys.readouterr().out == want
+
+    def test_reg_past_the_default_cap_is_unchanged(self, capsys):
+        # Six-edge G_38 has 38 supported vertices and reg 3.
+        spec = REPO / "bench" / "specs" / "six_edge.json"
+        argv = ["reg", str(spec), "--n", "38", "--oracle-cap", "64", "--format", "json"]
+        assert main(argv) == 0
+        want = (REPO / "tests" / "golden" / "six_edge.reg.38.json").read_text()
         assert capsys.readouterr().out == want
 
     def test_verify_report_is_unchanged(self, capsys):

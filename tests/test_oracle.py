@@ -7,6 +7,7 @@ import pytest
 
 from chainreg import (
     SimpleGraph,
+    complement,
     expand,
     induced_matching,
     induced_subgraph,
@@ -20,6 +21,7 @@ from chainreg.oracle import _dimension_cap, _survivor_levels, require_prime
 
 from conftest import (
     brute_fold_survivors,
+    brute_induced_cycles,
     brute_independent_sets,
     random_graph,
     reference_homology_ranks,
@@ -275,8 +277,9 @@ class TestSurvivorWalk:
         assert pairs == sorted(pairs) and all(m.bit_count() == 2 for m in pairs)
 
     def test_early_stop_memory(self, ex58_spec):
-        # Six-edge G_30 stops at the first survivor of dimension 1, 15 levels
-        # into a walk of 30 supported vertices; two levels are held at a time.
+        # Six-edge G_30 has a cap of 1, so the oracle walks no subsets: the
+        # 15-vertex certificate comes from the breadth-first hole search over
+        # 30 supported vertices, which holds a few masks per search.
         g = expand(ex58_spec, 30)
         tracemalloc.start()
         try:
@@ -347,6 +350,56 @@ class TestDimensionCap:
             assert cap == _dimension_cap(h, (1 << h.n) - 1), g
             caps.add(cap)
         assert caps == {0, 1, None}
+
+
+class TestFirstHole:
+    """On a cap of 1 the oracle answers with the first hole of the
+    complement, in (length, mask) order, in place of the walk."""
+
+    def test_matches_brute_cycles(self):
+        rng = random.Random(131)
+        checked = 0
+        while checked < 1500:
+            n = rng.randint(4, 10)
+            g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+            if _dimension_cap(g, support_mask(g)) != 1:
+                continue
+            holes = brute_induced_cycles(complement(g), 4, n)
+            want = min(holes, key=lambda c: (len(c), sum(1 << (v - 1) for v in c)))
+            reps = [regularity(g, p) for p in (2, 3)]
+            assert reps[0].certificate == {"subset": sorted(want), "dimension": 1}, g
+            assert reps == [reference_regularity(g, p) for p in (2, 3)], g
+            checked += 1
+
+    # Subsets from the level walk (budget 10^6) before the hole search
+    # replaced it on cap-1 rows; past the reference's reach.
+    SIX_EDGE = {
+        20: [1, 2, 5, 7, 9, 11, 13, 15, 17, 20],
+        24: [1, 2, 5, 7, 9, 11, 13, 15, 17, 19, 21, 24],
+        30: [1, 2, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 30],
+        36: [1, 2, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31, 33, 36],
+        38: [1, 2, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31, 33, 35, 38],
+    }
+    TABLE = {
+        15: [1, 2, 9, 10],
+        16: [1, 4, 6, 12],
+        17: [1, 5, 9, 13, 17],
+        18: [1, 6, 9, 10, 14, 18],
+    }
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_pinned_chain_certificates(self, ex58_spec, table_spec, p):
+        rows = [(ex58_spec, n, subset) for n, subset in self.SIX_EDGE.items()]
+        rows += [(table_spec, n, subset) for n, subset in self.TABLE.items()]
+        for spec, n, subset in rows:
+            g = expand(spec, n)
+            assert _dimension_cap(g, support_mask(g)) == 1, (spec, n)
+            # The subset induces a chordless cycle of the complement.
+            hole = complement(induced_subgraph(g, subset))
+            assert brute_induced_cycles(hole, hole.n, hole.n), (spec, n)
+            rep = regularity(g, p, subset_budget=10**6)
+            assert rep.value == 3, (spec, n)
+            assert rep.certificate == {"subset": subset, "dimension": 1}, (spec, n)
 
 
 class TestRegularityBounds:
