@@ -264,40 +264,45 @@ def induced_matching(G: SimpleGraph, stop_at: int | None = None):
     the improvements, and the witness, are the same as an unpruned search's.
     Returns (best size, witness edges); with ``stop_at`` the search stops as
     soon as that size is reached, so the witness is the lexicographically
-    first one of that size.
+    first one of that size.  The search keeps its own stack of nodes, so a
+    deep matching does not meet Python's recursion limit.
     """
     adj = G.adj
     best = 0
     best_w: list[tuple[int, int]] = []
     chosen: list[tuple[int, int]] = []
-
-    def go(allowed: int) -> bool:
-        nonlocal best, best_w
-        depth = len(chosen)
-        if depth > best:
-            best = depth
-            best_w = list(chosen)
-            if stop_at is not None and best >= stop_at:
-                return True
-        rest = allowed
+    # One frame per node on the path, root first, so frame i + 1 is the node
+    # of chosen[i]: [rest, u, u's pending neighbours v, allowed after u].
+    frames = [[(1 << G.n) - 1, 0, 0, 0]]
+    while frames:
+        frame = frames[-1]
+        rest, u, nbrs, base = frame
+        if nbrs:
+            vb = nbrs & -nbrs
+            frame[2] = nbrs ^ vb
+            chosen.append((u, vb.bit_length()))
+            if len(chosen) > best:
+                best = len(chosen)
+                best_w = list(chosen)
+                if stop_at is not None and best >= stop_at:
+                    break
+            frames.append([base & ~adj[vb.bit_length()], 0, 0, 0])
+            continue
         # Every edge left for this node and its later siblings lies inside
         # rest, the allowed vertices from u upwards.
+        depth = len(chosen)
         while rest and depth + rest.bit_count() // 2 > best:
             b = rest & -rest
             rest ^= b
             u = b.bit_length()
             nbrs = adj[u] & rest
-            if not nbrs:
-                continue
-            base = rest & ~adj[u]
-            for v in _iter_bits(nbrs):
-                chosen.append((u, v))
-                if go(base & ~adj[v]):
-                    return True
+            if nbrs:
+                frame[:] = rest, u, nbrs, rest & ~adj[u]
+                break
+        else:
+            frames.pop()
+            if chosen:
                 chosen.pop()
-        return False
-
-    go((1 << G.n) - 1)
     return best, best_w
 
 

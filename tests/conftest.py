@@ -5,7 +5,7 @@ checked against explicit enumeration of increasing maps, cycles and matchings
 against raw subset search, monomial counts against direct enumeration.  The
 pruned homology scan is checked against a copy of the scan without its fold
 prune, which shares only the face enumeration and rank code, and its
-level walk against all subsets filtered through a copy of the per-subset
+subset walk against all subsets filtered through a copy of the per-subset
 prune test; the vertex-mask matching search against a copy of the edge-list
 search it replaced, and the one-pass chordality test and row-mask anticycle
 check against copies of the two-pass search and pairwise check they replaced,

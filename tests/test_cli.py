@@ -138,6 +138,13 @@ class TestIndmatchCommand:
         assert data["indmatch"] == 4
         assert data["witness"] == [[1, 10], [2, 4], [3, 5], [7, 9]]
 
+    def test_thousand_edge_matching(self, spec_file, capsys):
+        edges = [[2 * i + 1, 2 * i + 2] for i in range(1000)]
+        spec = spec_file({"r": 2000, "edges": edges})
+        assert main(["indmatch", spec, "--n", "2000", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["indmatch"] == 1000 and data["witness"] == edges
+
 
 class TestAnticycleCommand:
     def test_golden_trace_json(self, spec_file, capsys):

@@ -296,6 +296,11 @@ class TestInducedMatching:
                 assert find_induced_kK2(g, 2) is None
         assert hits > 20
 
+    def test_deep_matching(self):
+        # 1,500 chosen edges deep: past Python's recursion limit.
+        edges = [(2 * i + 1, 2 * i + 2) for i in range(1500)]
+        assert induced_matching(SimpleGraph(3000, edges)) == (1500, edges)
+
     def test_window_constancy(self):
         for spec in random_specs(30, (2, 3, 4, 5), seed=31337):
             r = spec.r

@@ -17,7 +17,7 @@ from chainreg import (
     regularity,
 )
 from chainreg.errors import InvalidArgument, SubsetBudgetExceeded
-from chainreg.oracle import _dimension_cap, _survivor_levels, require_prime
+from chainreg.oracle import _dimension_cap, _survivors, require_prime
 
 from conftest import (
     brute_fold_survivors,
@@ -241,54 +241,49 @@ def scattered_graph(rng, n, k):
     return SimpleGraph(n, [(pos[u - 1], pos[v - 1]) for u, v in h.sorted_edges()])
 
 
-def levels_match(g, support):
-    """Whether the level walk over ``support`` yields, at each size, exactly
-    the sets of that size that the per-subset test keeps, in mask order."""
-    want = brute_fold_survivors(g.adj, g.n)
-    levels = list(_survivor_levels(g.adj, support))
-    return sum(map(len, levels)) == len(want) and all(
-        level == sorted(m for m in want if m.bit_count() == size)
-        for size, level in enumerate(levels, 2)
-    )
+def traced_regularity(g, **kwargs):
+    """``regularity(g, 2, **kwargs)`` and the traced memory peak of the call."""
+    tracemalloc.start()
+    try:
+        rep = regularity(g, 2, **kwargs)
+        return rep, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def survivors_match(g, support):
+    """Whether the walk over ``support`` returns exactly the sets that the
+    per-subset test keeps, in (cardinality, mask) order."""
+    want = sorted(brute_fold_survivors(g.adj, g.n), key=lambda m: (m.bit_count(), m))
+    return _survivors(g.adj, support) == want
 
 
 class TestSurvivorWalk:
-    """The level walk keeps exactly the subsets the per-subset test keeps."""
+    """The walk keeps exactly the subsets the per-subset test keeps."""
 
     def test_random_graphs(self):
         rng = random.Random(91)
         for _ in range(1000):
             n = rng.randint(1, 12)
             g = random_graph(rng, n, rng.uniform(0.05, 0.95))
-            assert levels_match(g, (1 << n) - 1), g
+            assert survivors_match(g, (1 << n) - 1), g
 
     def test_golden_windows(self, table_spec, reg3_spec):
         windows = [(table_spec, n) for n in range(10, 17)]
         windows += [(reg3_spec, n) for n in range(6, 13)]
         for spec, n in windows:
             g = expand(spec, n)
-            assert levels_match(g, support_mask(g)), (spec, n)
+            assert survivors_match(g, support_mask(g)), (spec, n)
 
-    def test_levels_are_built_on_demand(self, ex58_spec):
-        # Past the budget of the default oracle: the first level comes at
-        # once, without walking the larger sets.
-        g = expand(ex58_spec, 200)
-        pairs = next(_survivor_levels(g.adj, support_mask(g)))
-        assert pairs == sorted(pairs) and all(m.bit_count() == 2 for m in pairs)
-
-    def test_early_stop_memory(self, ex58_spec):
-        # Six-edge G_30 has a cap of 1, so the oracle walks no subsets: the
-        # 15-vertex certificate comes from the breadth-first hole search over
-        # 30 supported vertices, which holds a few masks per search.
-        g = expand(ex58_spec, 30)
-        tracemalloc.start()
-        try:
-            rep = regularity(g, 2, subset_budget=10**6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.value == 3 and len(rep.certificate["subset"]) == 15
-        assert peak < 1 << 20, peak
+    def test_walk_memory(self, table_spec):
+        # Table G_14 has no cap, so the oracle walks its 14 supported
+        # vertices.  The depth-first stack holds a few sets per size, and the
+        # 150 survivors are sorted without a key tuple each: about 11 KB
+        # traced.  A walk holding a whole level of its tree at once takes
+        # 35 KB, above the bound.
+        rep, peak = traced_regularity(expand(table_spec, 14))
+        assert rep.value == 4
+        assert peak < 20_000, peak
 
 
 class TestOwnNumbering:
@@ -305,7 +300,7 @@ class TestOwnNumbering:
             if i % 10 == 0:
                 # A set holding an isolated vertex is a cone, so walking the
                 # support mask loses nothing against all 2^16 sets.
-                assert levels_match(g, support_mask(g)), g
+                assert survivors_match(g, support_mask(g)), g
             if reps[0].certificate is not None:
                 # The same subset in the numbering of a copy renumbered to 1..k.
                 support = [v for v in range(1, g.n + 1) if g.adj[v]]
@@ -371,7 +366,15 @@ class TestFirstHole:
             assert reps == [reference_regularity(g, p) for p in (2, 3)], g
             checked += 1
 
-    # Subsets from the level walk (budget 10^6) before the hole search
+    def test_hole_search_memory(self, ex58_spec):
+        # Six-edge G_30 has a cap of 1, so the oracle walks no subsets: the
+        # 15-vertex certificate comes from the breadth-first hole search over
+        # 30 supported vertices, which holds a few masks per search.
+        rep, peak = traced_regularity(expand(ex58_spec, 30), subset_budget=10**6)
+        assert rep.value == 3 and len(rep.certificate["subset"]) == 15
+        assert peak < 1 << 20, peak
+
+    # Subsets from the subset walk (budget 10^6) before the hole search
     # replaced it on cap-1 rows; past the reference's reach.
     SIX_EDGE = {
         20: [1, 2, 5, 7, 9, 11, 13, 15, 17, 20],
