@@ -1,10 +1,10 @@
 """Exact combinatorics of increasing-map-invariant chains of edge ideals.
 
 The package computes, classifies and certifies the eventual regularity of
-such chains: window expansion, exact graph algorithms
-(chordality, induced matchings, induced 4-cycles), a homology-based regularity
-oracle, greedy anticycle constructions, and the limit-regularity classifier
-with explicit stabilization thresholds.
+such chains: window expansion, exact graph algorithms (chordality, induced
+matchings, holes of the complement), a homology-based regularity oracle,
+greedy anticycle constructions, and the limit-regularity classifier with
+explicit stabilization thresholds.
 """
 
 from . import errors
@@ -31,8 +31,8 @@ from .graphs import (
     AnticycleWitness,
     SimpleGraph,
     complement,
-    find_induced_c4,
     find_induced_kK2,
+    first_hole,
     induced_matching,
     induced_subgraph,
     is_chordal,

@@ -4,7 +4,8 @@ The eventual regularity of a chain of nonzero edge ideals is 2 or 3, and which
 one is read off the (index-reduced) generator window: it is 2 exactly when the
 last generator sharing the smallest left endpoint already carries the largest
 endpoint, or when some generator has gap 1 and G_{3r} has no induced pair of
-far-apart edges, which is read as its complement having no induced 4-cycle.
+far-apart edges, which is read as its complement having no hole (induced
+cycle) of length 4.
 Every verdict comes with a case-specific onset index n0, the uniform
 constancy threshold N, and its coarse bound in terms of r alone.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from .chain import MATERIALIZE_LIMIT, ChainSpec, expand, q_invariant, reduce_index
 from .errors import InvalidArgument
-from .graphs import complement, find_induced_c4, is_cochordal
+from .graphs import first_hole, is_cochordal
 from .oracle import DEFAULT_SUBSET_BUDGET, regularity, require_prime
 
 CASE_JQ_MAX = "jq-is-max"
@@ -54,14 +55,15 @@ def stabilization_threshold(spec: ChainSpec) -> tuple[int, int]:
 def limit_indmatch(spec: ChainSpec) -> int:
     """Eventual induced matching number, read off G_{3r}; always 1 or 2.
 
-    An induced pair of far-apart edges (2K2) in G is exactly an induced
-    4-cycle in its complement, so the question is asked of the complement of
-    G_{3r}, which late windows make sparse.  G_{3r} has an edge since
-    3r >= r, so the value is 2 when that complement has an induced 4-cycle
-    and 1 otherwise.  The search alone is exact, and it costs less than a
-    chordality test run first to skip it on cochordal windows.
+    An induced pair of far-apart edges (2K2) in G is exactly a hole of length
+    4 in its complement, so the question is asked of the complement of
+    G_{3r}, whose rows ``first_hole`` reads off G_{3r}'s own, with no
+    complement built.  G_{3r} has an edge since 3r >= r, so the value is 2
+    when that complement has a hole of length 4 and 1 otherwise.  The
+    search alone is exact, and it costs less than a chordality test run
+    first to skip it on cochordal windows.
     """
-    return 2 if find_induced_c4(complement(expand(spec, 3 * spec.r))) is not None else 1
+    return 2 if first_hole(expand(spec, 3 * spec.r), longest=4) else 1
 
 
 def limit_regularity(spec: ChainSpec) -> ClassifierVerdict:

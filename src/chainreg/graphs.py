@@ -5,7 +5,7 @@ stands for vertex v.  A graph is n and its tuple of adjacency rows, nothing
 else: the edge-list constructor, expansion and complement all write rows
 directly, every algorithm here reads them, and the edge set is built from
 them on each access to ``edges``.  This keeps the chordality check, the
-induced matching search and the 4-cycle search allocation-free in the inner
+induced matching search and the hole search allocation-free in the inner
 loops.
 """
 
@@ -223,34 +223,85 @@ def is_cochordal(G: SimpleGraph, vertices: int | None = None) -> bool:
     return _chordal_rows(G.adj, vertices, -1)
 
 
-def find_induced_c4(G: SimpleGraph):
-    """An induced 4-cycle (a, b, c, d) of G, in cycle order, or None.
+def first_hole(G: SimpleGraph, longest: int | None = None) -> int:
+    """The vertex mask of the first hole of G's complement, or 0 if none.
 
-    The search takes a as the cycle's smallest vertex, so b, c and d all lie
-    above it.  For each neighbour b of a, the candidates for d are D, the
-    neighbours of a other than b and not adjacent to b; a vertex c adjacent
-    to b but not to a closes the cycle through any d in its row that is in
-    D.  The first cycle in (a, b, c, d) order is returned, with d the
-    smallest choice.  An induced 4-cycle of G is exactly an induced pair of
-    far-apart edges (2K2) of its complement.
+    A hole is an induced cycle of length >= 4; the first is the shortest, then
+    the least by mask, among the holes at most ``longest`` long (any, for
+    None).  So G is cochordal exactly when ``first_hole(G)`` is 0, and a hole
+    of length 4 is an induced 2K2 of G.  The complement's rows are read off
+    G's, on G's supported vertices: an isolated vertex of G is adjacent to
+    all others in the complement, so it lies on no hole.
+
+    A hole through h inside a mask A leaves h by a complement neighbour a and
+    comes back by a complement neighbour b of h that is not one of a; a
+    shortest a-b path through A minus h and its complement neighbours has no
+    chord, and none to h, so the shortest such hole is that distance plus 2
+    long.  Step 1 takes, for each h, the shortest hole whose top (largest)
+    vertex is h, skipping an h with fewer than two complement neighbours
+    below it: the least length L over all h is the shortest hole, and the
+    least h attaining it is the top of the least mask of length L.  Step 2
+    goes down from that top, dropping each vertex whose removal still leaves
+    a hole of length L through the top.  A vertex kept lies on every such
+    hole left at its turn, so what remains is one hole R.  Let M be the least
+    such hole and v the highest vertex where M and R differ.  At v's turn the
+    set held is R above v and everything below, so it holds M; had v been in
+    R and not in M, it would have been dropped.  So v is in M, and M > R
+    unless M = R.
     """
     adj = G.adj
-    full = (1 << G.n) - 1
-    for a in range(1, G.n + 1):
-        above = full >> a << a
-        na = adj[a] & above
-        if na & (na - 1) == 0:  # a needs two neighbours above it
-            continue
-        far = above & ~adj[a]
-        for b in _iter_bits(na):
-            d_cands = na & ~(adj[b] | _bit(b))
-            if not d_cands:
-                continue
-            for c in _iter_bits(adj[b] & far):
-                hit = adj[c] & d_cands
-                if hit:
-                    return a, b, c, (hit & -hit).bit_length()
-    return None
+
+    def shortest(h: int, A: int, limit: int) -> int:
+        # Length of a shortest hole through h, the top vertex of A, inside
+        # A, or 0 if none is at most ``limit`` long.  ``ends`` holds h and its
+        # complement neighbours; only pairs a < b are tried, as a path is
+        # symmetric, so h, on top, never pairs.
+        ends = A & ~adj[h]
+        inner = A ^ ends
+        found = 0
+        while ends:
+            ab = ends & -ends
+            ends ^= ab
+            targets = ends & adj[ab.bit_length()]
+            seen = frontier = ab
+            length = 3
+            while targets and frontier and length <= limit:
+                reach = 0
+                while frontier:
+                    xb = frontier & -frontier
+                    frontier ^= xb
+                    reach |= ~adj[xb.bit_length()]
+                if reach & targets:
+                    found, limit = length, length - 1
+                    break
+                frontier = reach & inner & ~seen
+                seen |= frontier
+                length += 1
+        return found
+
+    support = sum(_bit(v) for v in range(1, G.n + 1) if adj[v])
+    best = (support.bit_count() if longest is None else longest) + 1
+    top = 0
+    rest = support
+    while rest and best > 4:
+        hb = rest & -rest
+        rest ^= hb
+        h = hb.bit_length()
+        low = support & (hb - 1) & ~adj[h]
+        if low & (low - 1):  # a top has two complement neighbours below it
+            found = shortest(h, support & ((hb << 1) - 1), best - 1)
+            if found:
+                best, top = found, h
+    if not top:
+        return 0
+    hole = support & ((1 << top) - 1)
+    below = hole & ((1 << (top - 1)) - 1)
+    while below:
+        vb = 1 << (below.bit_length() - 1)
+        below ^= vb
+        if shortest(top, hole ^ vb, best):
+            hole ^= vb
+    return hole
 
 
 def induced_matching(G: SimpleGraph, stop_at: int | None = None):

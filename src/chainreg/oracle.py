@@ -42,23 +42,23 @@ sorted once they come in scan order.
 Dimension 0 is covered once and for all by any single edge.  The certificate
 is the first subset in scan order that attains the maximum dimension; no prune
 removes it, since the smaller subset it reduces to would attain it earlier.
-Before walking, an upper bound on the maximum, valid over every field, is
-read from chordality tests, and it decides the route:
+The route starts from ``graphs.first_hole``, the first hole (an induced cycle
+of length >= 4) of the complement of G in (length, mask) order:
 
-- cap 0, when G is cochordal (Fröberg: reg = 2): the seeded edge;
-- cap 1, when a greedy deletion sequence proves reg <= 3 (Dao, Huneke and
-  Schweig, J. Algebraic Combin. 38 (2013), Lemma 3.1): the first hole, an
-  induced cycle of length >= 4 in the complement of G, with no walk;
-- otherwise: the walk.
+- no hole: G is cochordal (chordal means having no hole), so reg = 2
+  (Fröberg): the seeded edge;
+- a hole, and a greedy deletion sequence proving reg <= 3 (Dao, Huneke and
+  Schweig, J. Algebraic Combin. 38 (2013), Lemma 3.1): the hole, no walk;
+- a hole and no such sequence: the walk, started from the hole.
 
-The first hole is the certificate of the walk.  Ind(G[W]) is the clique
-complex of the complement on W.  When that complement is chordal, each
-component of the complex is contractible, so a W with homology in dimension
-1 holds a hole C with |C| <= |W|, and C comes no later than W in scan order.
-The clique complex of a hole is a circle, which has homology in dimension 1
-over every field.  So the first W in scan order with that homology is the
-first hole in (length, mask) order, and a cap of 1 says that dimension 1 is
-the maximum and that a hole exists.
+The hole is the walk's first set with homology in dimension 1.  Ind(G[W]) is
+the clique complex of the complement on W.  When that complement is chordal,
+each component of the complex is contractible, so a W with homology in
+dimension 1 holds a hole C with |C| <= |W|, and C comes no later than W in
+scan order.  The clique complex of a hole is a circle, which has homology in
+dimension 1 over every field.  The walk replaces its set only on a strictly
+larger dimension, so started from the hole it still ends on the first set of
+the maximum dimension.
 
 The walk reads G's own rows and visits only the mask of its supported vertices
 (those on an edge), so a certificate is read straight from mask bits in G's
@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import InvalidArgument, SubsetBudgetExceeded
-from .graphs import SimpleGraph, is_cochordal
+from .graphs import SimpleGraph, first_hole, is_cochordal
 
 DEFAULT_SUBSET_BUDGET = 22
 
@@ -309,18 +309,14 @@ def _survivors(adj, support: int) -> list[int]:
     return survivors
 
 
-def _dimension_cap(G: SimpleGraph, support: int) -> int | None:
-    """An upper bound on the largest homological dimension, or None.
+def _deletion_sequence(G: SimpleGraph, support: int) -> bool:
+    """Whether a greedy Dao-Huneke-Schweig deletion sequence proves reg <= 3.
 
-    0 when G on its support is cochordal (Fröberg: reg = 2).  1 when a
-    greedy Dao-Huneke-Schweig deletion sequence exists: each step deletes
-    the smallest x of the remaining graph H whose H - N[x] is cochordal or
-    edgeless (an edgeless graph is cochordal), and success comes once H - x
-    is cochordal; then reg <= 3 by reg I(H) <= max{reg I(H - x),
-    reg I(H - N[x]) + 1}.  None when some step finds no such x.
+    Each step deletes the smallest x of the remaining graph H (at first G on
+    its support, which has a hole) whose H - N[x] is cochordal or edgeless,
+    and success comes once H - x is cochordal; then reg <= 3 by reg I(H) <=
+    max{reg I(H - x), reg I(H - N[x]) + 1}.  False when some step finds no x.
     """
-    if is_cochordal(G, support):
-        return 0
     adj = G.adj
     rest = support
     while True:
@@ -331,79 +327,10 @@ def _dimension_cap(G: SimpleGraph, support: int) -> int | None:
             if is_cochordal(G, rest & ~(adj[b.bit_length()] | b)):
                 break
         else:
-            return None
+            return False
         rest ^= b
         if is_cochordal(G, rest):
-            return 1
-
-
-def _first_hole(adj, support: int) -> int:
-    """The vertex mask of the first hole of G's complement inside ``support``.
-
-    A hole is an induced cycle of length >= 4; the first is the shortest, then
-    the least by mask.  Rows are G's, bit v - 1 for vertex v.  A hole through
-    h inside a mask A leaves h by a complement neighbour a and comes back by a
-    complement neighbour b of h that is not one of a; a shortest a-b path
-    through A minus h and its complement neighbours has no chord, and none to
-    h, so the shortest such hole is that distance plus 2 long.
-
-    Step 1 takes, for each h over the support, the shortest hole whose top
-    (largest) vertex is h: the least length L over all h is the shortest
-    hole, and the least h attaining it is the top of the least mask of length
-    L.  Step 2 goes down from that top, dropping each vertex whose removal
-    still leaves a hole of length L through the top.  A vertex kept lies on
-    every such hole left at its turn, so what remains is one hole R.  Let M
-    be the least such hole and v the highest vertex where M and R differ.
-    At v's turn the set held is R above v and everything below, so it holds
-    M; had v been in R and not in M, it would have been dropped.  So v is in
-    M, and M > R unless M = R.  The caller guarantees that a hole exists.
-    """
-
-    def shortest(h: int, A: int, limit: int) -> int:
-        # Length of a shortest hole through h, the top vertex of A, inside
-        # A, or 0 if none is at most ``limit`` long.  ``ends`` holds h and its
-        # complement neighbours; only pairs a < b are tried, as a path is
-        # symmetric, so h, on top, never pairs.
-        ends = A & ~adj[h]
-        inner = A ^ ends
-        found = 0
-        while ends:
-            ab = ends & -ends
-            ends ^= ab
-            targets = ends & adj[ab.bit_length()]
-            seen = frontier = ab
-            length = 3
-            while targets and frontier and length <= limit:
-                reach = 0
-                while frontier:
-                    xb = frontier & -frontier
-                    frontier ^= xb
-                    reach |= ~adj[xb.bit_length()]
-                if reach & targets:
-                    found, limit = length, length - 1
-                    break
-                frontier = reach & inner & ~seen
-                seen |= frontier
-                length += 1
-        return found
-
-    best, top = support.bit_count() + 1, 0
-    rest = support
-    while rest and best > 4:
-        hb = rest & -rest
-        rest ^= hb
-        h = hb.bit_length()
-        found = shortest(h, support & ((hb << 1) - 1), best - 1)
-        if found:
-            best, top = found, h
-    hole = support & ((1 << top) - 1)
-    below = hole & ((1 << (top - 1)) - 1)
-    while below:
-        vb = 1 << (below.bit_length() - 1)
-        below ^= vb
-        if shortest(top, hole ^ vb, best):
-            hole ^= vb
-    return hole
+            return True
 
 
 def regularity(
@@ -413,15 +340,16 @@ def regularity(
 ) -> RegularityReport:
     """Exact regularity of the edge ideal of G by subset enumeration.
 
-    The route follows the cap of ``_dimension_cap``: on cap 0 the seeded
-    edge, on cap 1 the first hole of the complement (``_first_hole``), and
-    otherwise the depth-first walk over the subsets of G's supported vertices
-    on G's own rows, with the homology computation run on the sorted
-    survivors in increasing cardinality, then numeric mask order, keeping the
-    largest homological dimension found and the first subset attaining it,
-    in G's numbering.  Value and certificate are those of a scan of every
-    subset, over every field.  Raises InvalidArgument for a non-prime field
-    or a negative ``subset_budget``, and SubsetBudgetExceeded when more than
+    The route follows the first hole of the complement (``first_hole``): with
+    none the seeded edge; with one and a deletion sequence the hole; and
+    otherwise the depth-first walk over the subsets of G's supported
+    vertices on G's own rows, started from the hole in dimension 1, with the
+    homology computation run on the sorted survivors in increasing
+    cardinality, then numeric mask order, keeping the largest homological
+    dimension found and the first subset attaining it, in G's numbering.
+    Value and certificate are those of a scan of every subset, over every
+    field.  Raises InvalidArgument for a non-prime field or a negative
+    ``subset_budget``, and SubsetBudgetExceeded when more than
     ``subset_budget`` vertices carry an edge, both before any work.
     """
     require_prime(field_char)
@@ -435,23 +363,24 @@ def regularity(
     if k > subset_budget:
         raise SubsetBudgetExceeded(f"{k} supported vertices exceed the budget of {subset_budget}")
 
-    # Any edge realizes dimension 0, so seed with the smallest edge subset:
-    # the edge whose upper end v is least, then the least u below v.
-    best_d = 0
-    v = next(v for v in range(1, G.n + 1) if adj[v] & ((1 << (v - 1)) - 1))
-    below = adj[v] & ((1 << (v - 1)) - 1)
-    best_mask = 1 << (v - 1) | (below & -below)
-
-    cap = _dimension_cap(G, support)
-    if cap == 1:
-        best_d, best_mask = 1, _first_hole(adj, support)
-    elif cap is None:
-        for mask in _survivors(adj, support):
-            faces = _independent_faces(adj, mask)
-            if len(faces) - 2 > best_d:
-                d = _top_nonzero_excess(faces, field_char, best_d)
-                if d is not None:
-                    best_d, best_mask = d, mask
+    hole = first_hole(G)
+    if not hole:
+        # Cochordal, so reg = 2 (Fröberg).  Any edge realizes dimension 0:
+        # the smallest edge subset is the edge whose upper end v is least,
+        # then the least u below v.
+        best_d = 0
+        v = next(v for v in range(1, G.n + 1) if adj[v] & ((1 << (v - 1)) - 1))
+        below = adj[v] & ((1 << (v - 1)) - 1)
+        best_mask = 1 << (v - 1) | (below & -below)
+    else:
+        best_d, best_mask = 1, hole
+        if not _deletion_sequence(G, support):
+            for mask in _survivors(adj, support):
+                faces = _independent_faces(adj, mask)
+                if len(faces) - 2 > best_d:
+                    d = _top_nonzero_excess(faces, field_char, best_d)
+                    if d is not None:
+                        best_d, best_mask = d, mask
 
     subset = [v for v in range(1, G.n + 1) if best_mask >> (v - 1) & 1]
     return RegularityReport(

@@ -1,9 +1,10 @@
 """Bundled verification suites: golden-value reproduction and seeded properties.
 
-Each check is a plain function that asserts its claims and returns a one-line
-detail string.  The CLI ``verify`` command and the acceptance test module both
-run exactly these functions, so there is a single source of truth for what
-"passing" means.  All randomness is derived from fixed integer seeds.
+Each check is a plain function that states its claims through ``require``,
+which ``python -O`` keeps, and returns a one-line detail string.  The CLI
+``verify`` command and the acceptance test module both run exactly these
+functions, so there is a single source of truth for what "passing" means.
+All randomness is derived from fixed integer seeds.
 """
 
 from __future__ import annotations
@@ -31,57 +32,65 @@ WITNESS_28 = (1, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 27, 28)
 WITNESS_29 = (1, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 29)
 
 
+def require(ok: bool, message: str = "") -> None:
+    """Raise AssertionError(message) unless ``ok``; unlike ``assert``, under
+    ``python -O`` too."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def check_golden_expansion() -> str:
     g = expand(EXPANSION_CHAIN, 9)
     want = {
         (2, 7), (2, 8), (2, 9), (3, 8), (3, 9), (4, 9),
         (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6),
     }
-    assert set(g.edges) == want, f"expansion mismatch: {sorted(g.edges)}"
+    require(set(g.edges) == want, f"expansion mismatch: {sorted(g.edges)}")
     return "12 generators of the window at n=9 reproduced exactly"
 
 
 def check_golden_q_invariant() -> str:
     spec = normalize_spec(5, [(1, 3), (2, 4)])
     got = q_invariant(spec)
-    assert got == 13, f"q-invariant mismatch: {got} != 13"
+    require(got == 13, f"q-invariant mismatch: {got} != 13")
     return "q-invariant of the two-generator window equals 13"
 
 
 def check_golden_regularity_table() -> str:
     for p in (2, 3):
         got = [regularity(expand(TABLE_CHAIN, n), field_char=p).value for n in range(10, 20)]
-        assert got == TABLE_REGS, f"GF({p}) table mismatch: {got} != {TABLE_REGS}"
+        require(got == TABLE_REGS, f"GF({p}) table mismatch: {got} != {TABLE_REGS}")
     return "regularity 5,4,3,4,4,3,3,3,3,2 on n=10..19 over GF(2), GF(3)"
 
 
 def check_golden_anticycle_traces() -> str:
     for n, want in ((18, WITNESS_27), (19, WITNESS_28), (20, WITNESS_29)):
         witness, trace = construct_anticycle(SIX_EDGE_CHAIN, n)
-        assert trace.case == "I"
+        require(trace.case == "I")
         jt, kt = trace.j_trace, trace.k_trace
-        assert jt.sets == ((4, 5), (1,)), f"head sets {jt.sets}"
-        assert jt.pivots == (4, 1) and len(jt.pivots) == 2, f"head pivots {jt.pivots}"
-        assert kt.sets == ((4, 5), (6,)), f"tail sets {kt.sets}"
-        assert kt.pivots == (5, 6) and len(kt.pivots) == 2, f"tail pivots {kt.pivots}"
-        assert witness.vertices == want, f"n={n}: {witness.vertices} != {want}"
-        assert verify_anticycle(expand(SIX_EDGE_CHAIN, n + 9), witness)
+        require(jt.sets == ((4, 5), (1,)), f"head sets {jt.sets}")
+        require(jt.pivots == (4, 1) and len(jt.pivots) == 2, f"head pivots {jt.pivots}")
+        require(kt.sets == ((4, 5), (6,)), f"tail sets {kt.sets}")
+        require(kt.pivots == (5, 6) and len(kt.pivots) == 2, f"tail pivots {kt.pivots}")
+        require(witness.vertices == want, f"n={n}: {witness.vertices} != {want}")
+        require(verify_anticycle(expand(SIX_EDGE_CHAIN, n + 9), witness))
     return "head/tail traces and the three witnesses (m=13,14,14) match vertex-for-vertex"
 
 
 def check_reg3_chain_bundle() -> str:
     for n in range(6, 11):
         got = regularity(expand(REG3_CHAIN, n)).value
-        assert got == 3, f"reg at n={n}: {got} != 3"
+        require(got == 3, f"reg at n={n}: {got} != 3")
     verdict = limit_regularity(REG3_CHAIN)
-    assert verdict.limit_reg == 3, f"verdict {verdict.limit_reg} != 3"
+    require(verdict.limit_reg == 3, f"verdict {verdict.limit_reg} != 3")
     for n in range(9, 13):
         got = induced_matching(expand(REG3_CHAIN, n))[0]
-        assert got == 1, f"indmatch at n={n}: {got} != 1"
+        require(got == 1, f"indmatch at n={n}: {got} != 1")
     for n in range(5, 9):
         # (1..n) is an induced n-cycle of the complement: an anticycle of G_n.
-        assert verify_anticycle(expand(REG3_CHAIN, n), range(1, n + 1)), (
-            f"missing {n}-cycle in complement"
+        require(
+            verify_anticycle(expand(REG3_CHAIN, n), range(1, n + 1)),
+            f"missing {n}-cycle in complement",
         )
     return "oracle reg 3 on n=6..10, verdict 3, indmatch 1 on n=9..12, complement n-cycles on n=5..8"
 
@@ -89,17 +98,18 @@ def check_reg3_chain_bundle() -> str:
 def check_near_sharp_chain() -> str:
     g17 = expand(NEAR_SHARP_CHAIN, 17)
     e1, e2 = (10, 12), (5, 17)
-    assert g17.has_edge(*e1) and g17.has_edge(*e2), "witness edges missing"
+    require(g17.has_edge(*e1) and g17.has_edge(*e2), "witness edges missing")
     for a in e1:
         for b in e2:
-            assert not g17.has_edge(a, b), f"cross edge ({a}, {b}) breaks the witness"
-    assert not is_cochordal(g17), "G_17 is cochordal"
+            require(not g17.has_edge(a, b), f"cross edge ({a}, {b}) breaks the witness")
+    require(not is_cochordal(g17), "G_17 is cochordal")
     verdict = limit_regularity(NEAR_SHARP_CHAIN)
-    assert verdict.limit_reg == 2 and verdict.case == "jq-is-max" and verdict.n0 == 27, (
-        f"verdict {verdict}"
+    require(
+        verdict.limit_reg == 2 and verdict.case == "jq-is-max" and verdict.n0 == 27,
+        f"verdict {verdict}",
     )
     for n in range(27, 33):
-        assert is_cochordal(expand(NEAR_SHARP_CHAIN, n)), f"G_{n} not cochordal"
+        require(is_cochordal(expand(NEAR_SHARP_CHAIN, n)), f"G_{n} not cochordal")
     return "2K2 {10,12},{5,17} in G_17 gives reg >= 3; G_27..G_32 cochordal with n0 = 27"
 
 
@@ -107,8 +117,8 @@ def check_indmatch_window_property(seed: int = BASE_SEED) -> str:
     for spec in spec_pool(200, (2, 3, 4, 5), seed):
         r = spec.r
         vals = [induced_matching(expand(spec, n))[0] for n in range(3 * r, 3 * r + 4)]
-        assert all(v in (1, 2) for v in vals), f"{spec}: values {vals} leave {{1, 2}}"
-        assert len(set(vals)) == 1, f"{spec}: not constant on [3r, 3r+3]: {vals}"
+        require(all(v in (1, 2) for v in vals), f"{spec}: values {vals} leave {{1, 2}}")
+        require(len(set(vals)) == 1, f"{spec}: not constant on [3r, 3r+3]: {vals}")
     return "200 seeded presentations: indmatch in {1,2} and constant on [3r, 3r+3]"
 
 
@@ -117,7 +127,7 @@ def check_reg_upper_bound_property(seed: int = BASE_SEED) -> str:
         r = spec.r
         for n in (4 * r, 4 * r + 1):
             got = regularity(expand(spec, n)).value
-            assert got is not None and got <= 3, f"{spec}: reg at n={n} is {got} > 3"
+            require(got is not None and got <= 3, f"{spec}: reg at n={n} is {got} > 3")
     return "100 seeded presentations: oracle regularity <= 3 at n = 4r and 4r+1"
 
 
@@ -127,8 +137,9 @@ def check_classifier_consistency_property(seed: int = BASE_SEED) -> str:
         base = max(verdict.n0, 4 * spec.r)
         for n in range(base, base + 3):
             coch = is_cochordal(expand(spec, n))
-            assert coch == (verdict.limit_reg == 2), (
-                f"{spec}: cochordality {coch} at n={n} contradicts verdict {verdict.limit_reg}"
+            require(
+                coch == (verdict.limit_reg == 2),
+                f"{spec}: cochordality {coch} at n={n} contradicts verdict {verdict.limit_reg}",
             )
     return "200 seeded presentations: cochordality matches the verdict at n >= max(n0, 4r)"
 
@@ -144,7 +155,7 @@ def check_orbit_oracle_property(seed: int = BASE_SEED) -> str:
             for i, j in spec.edges:
                 brute.add((image[i - 1], image[j - 1]))
         got = set(expand(spec, n).edges)
-        assert got == brute, f"{spec} at n={n}: expansion disagrees with the map oracle"
+        require(got == brute, f"{spec} at n={n}: expansion disagrees with the map oracle")
     return "100 seeded presentations: expansion equals brute-force orbit enumeration"
 
 
@@ -159,8 +170,8 @@ def check_quasi_saturated_property(seed: int = BASE_SEED) -> str:
             continue
         hits += 1
         for n in range(spec.r, spec.r + 7):
-            assert is_cochordal(expand(spec, n)), f"{spec}: G_{n} not cochordal"
-    assert hits >= 3, f"only {hits} quasi-saturated presentations in the pool"
+            require(is_cochordal(expand(spec, n)), f"{spec}: G_{n} not cochordal")
+    require(hits >= 3, f"only {hits} quasi-saturated presentations in the pool")
     return f"{hits} quasi-saturated presentations: G_n cochordal for n = r..r+6"
 
 

@@ -720,3 +720,11 @@ def random_graph(rng: random.Random, n: int, prob: float) -> SimpleGraph:
         if rng.random() < prob
     ]
     return SimpleGraph(n, edges)
+
+
+def scattered_graph(rng: random.Random, n: int, k: int) -> SimpleGraph:
+    """A random graph on k vertices placed at random positions in 1..n, with
+    isolated vertices in between."""
+    pos = sorted(rng.sample(range(1, n + 1), k))
+    h = random_graph(rng, k, rng.uniform(0.2, 0.8))
+    return SimpleGraph(n, [(pos[u - 1], pos[v - 1]) for u, v in h.sorted_edges()])

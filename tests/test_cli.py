@@ -479,6 +479,40 @@ class TestVerifyCommand:
         assert "PASS ok: fine" in out
         assert "FAIL bad: boom" in out
 
+    def test_corrupted_golden_value_fails_under_optimisation(self):
+        # python -O strips assert statements, so the checks raise their own
+        # AssertionError: a corrupted golden value still fails.
+        code = (
+            "from chainreg import verify\n"
+            "verify.TABLE_REGS[0] = 99\n"
+            "print(verify.run_suite('golden'))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), *sys.path])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        lines = proc.stdout.splitlines()
+        assert lines[2].startswith("FAIL golden-regularity-table: GF(2) table mismatch"), lines
+        assert lines[-1] == "False", lines
+
+    def test_runs_as_a_module(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), *sys.path])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "chainreg", "verify", "--suite", "golden"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        golden = (REPO / "tests" / "golden" / "verify.all.txt").read_text().splitlines()
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == golden[:6]
+
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_SPECS = sorted((REPO / "bench" / "specs").glob("*.json"))

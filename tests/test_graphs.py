@@ -10,8 +10,8 @@ from chainreg import (
     complement,
     construct_anticycle,
     expand,
-    find_induced_c4,
     find_induced_kK2,
+    first_hole,
     induced_matching,
     induced_subgraph,
     is_chordal,
@@ -31,6 +31,7 @@ from conftest import (
     reference_is_chordal,
     reference_matching_search,
     reference_verify_anticycle,
+    scattered_graph,
 )
 
 GOLDEN_CHAINS = {
@@ -393,38 +394,66 @@ class TestFindInducedKK2:
                     assert hi1 < lo2 or hi2 < lo1, (spec, pairs[a], pairs[b])
 
 
-class TestFindInducedC4:
-    """An induced 4-cycle of the complement is exactly an induced 2K2 of G,
-    checked against the edge-list matching search run on G itself."""
+def mask_of(vertices):
+    return sum(1 << (v - 1) for v in vertices)
+
+
+class TestFirstHole:
+    """The first hole of the complement, in (length, mask) order, against
+    raw subset search; with ``longest`` 4 it is an induced 4-cycle of the
+    complement, which is exactly an induced 2K2 of G, checked against the
+    edge-list matching search run on G itself."""
 
     def test_small_cases(self):
-        assert find_induced_c4(cycle_graph(4)) == (1, 2, 3, 4)
-        assert find_induced_c4(cycle_graph(5)) is None
-        assert find_induced_c4(complete_graph(5)) is None
-        assert find_induced_c4(SimpleGraph(0)) is None
-        # K4 without (1, 2) and (3, 4) is the 4-cycle 1-3-2-4
-        k4_minus_two = SimpleGraph(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
-        assert find_induced_c4(k4_minus_two) == (1, 3, 2, 4)
+        two_edges = SimpleGraph(4, [(1, 2), (3, 4)])
+        assert first_hole(two_edges) == first_hole(two_edges, 4) == 0b1111
+        pentagon = complement(cycle_graph(5))
+        assert first_hole(pentagon) == 0b11111 and first_hole(pentagon, 4) == 0
+        hexagon = complement(cycle_graph(6))
+        assert first_hole(hexagon) == 0b111111 and first_hole(hexagon, 5) == 0
+        assert first_hole(complete_graph(5)) == 0
+        assert first_hole(SimpleGraph(5)) == 0
+        assert first_hole(SimpleGraph(0)) == 0
+        # Isolated vertices lie on no hole: 2K2 at 2, 4, 6, 8 inside 1..9.
+        assert first_hole(SimpleGraph(9, [(2, 4), (6, 8)])) == mask_of((2, 4, 6, 8))
+
+    def test_matches_brute_cycles(self):
+        rng = random.Random(4141)
+        lengths = set()
+        for i in range(600):
+            n = rng.randint(0, 10)
+            if i % 3 == 0 and n >= 2:
+                g = scattered_graph(rng, n, rng.randint(2, n))
+            else:
+                g = random_graph(rng, n, rng.uniform(0.05, 0.95))
+            holes = sorted(
+                (len(c), mask_of(c)) for c in brute_induced_cycles(complement(g), 4, n)
+            )
+            for longest in (4, 5, None):
+                want = [m for k, m in holes if longest is None or k <= longest][:1]
+                assert first_hole(g, longest) == (want[0] if want else 0), (g, longest)
+            assert (first_hole(g) == 0) == is_cochordal(g), g
+            lengths.add(holes[0][0] if holes else 0)
+        assert lengths == {0, 4, 5}, lengths
 
     def check(self, g, outcomes):
-        h = complement(g)
-        cycle = find_induced_c4(h)
-        assert (cycle is not None) == (reference_matching_search(g, 2)[0] == 2), g
-        if cycle is not None:
-            # edge by edge: four distinct vertices, four sides, no diagonal
-            a, b, c, d = cycle
-            assert len({a, b, c, d}) == 4, cycle
-            assert h.has_edge(a, b) and h.has_edge(b, c) and h.has_edge(c, d), cycle
-            assert h.has_edge(d, a) and not h.has_edge(a, c) and not h.has_edge(b, d), cycle
-        if not is_chordal(h):
-            outcomes.add(cycle is not None)
+        hole = first_hole(g, 4)
+        assert bool(hole) == (reference_matching_search(g, 2)[0] == 2), g
+        if hole:
+            # Four vertices whose complement is a 4-cycle: each has one
+            # neighbour in G among the other three, so G is 2K2 there.
+            verts = [v for v in range(1, g.n + 1) if hole >> (v - 1) & 1]
+            assert len(verts) == 4, verts
+            assert all((g.adj[v] & hole).bit_count() == 1 for v in verts), verts
+        if not is_cochordal(g):
+            outcomes.add(bool(hole))
 
     def test_random_graphs(self):
         rng = random.Random(4004)
         outcomes = set()
         for _ in range(2000):
             self.check(random_graph(rng, rng.randint(0, 14), rng.uniform(0.05, 0.95)), outcomes)
-        # The no-cycle outcome on a non-chordal complement is the one where
+        # The no-cycle outcome on a non-cochordal graph is the one where
         # the search runs to its end.
         assert outcomes == {False, True}
 

@@ -9,6 +9,7 @@ from chainreg import (
     SimpleGraph,
     complement,
     expand,
+    first_hole,
     induced_matching,
     induced_subgraph,
     is_cochordal,
@@ -17,7 +18,7 @@ from chainreg import (
     regularity,
 )
 from chainreg.errors import InvalidArgument, SubsetBudgetExceeded
-from chainreg.oracle import _dimension_cap, _survivors, require_prime
+from chainreg.oracle import _deletion_sequence, _survivors, require_prime
 
 from conftest import (
     brute_fold_survivors,
@@ -26,6 +27,7 @@ from conftest import (
     random_graph,
     reference_homology_ranks,
     reference_regularity,
+    scattered_graph,
 )
 
 
@@ -216,8 +218,8 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_golden_windows(self, table_spec, reg3_spec, ex58_spec, p):
-        # The reg3, six-edge and near-sharp rows stop at a cap of 1, on a
-        # certificate that is an induced anticycle.
+        # The reg3, six-edge and near-sharp rows have a deletion sequence, so
+        # their certificate is the first hole: an induced anticycle.
         near_sharp = normalize_spec(9, [(1, 9), (6, 8)])
         windows = [(table_spec, n) for n in range(10, 17)]
         windows += [(reg3_spec, n) for n in range(6, 15)]
@@ -231,14 +233,6 @@ class TestAgainstReference:
 def support_mask(g):
     """The vertex mask of g's supported vertices, those on an edge."""
     return sum(1 << (v - 1) for v in range(1, g.n + 1) if g.adj[v])
-
-
-def scattered_graph(rng, n, k):
-    """A random graph on k vertices placed at random positions in 1..n, with
-    isolated vertices in between."""
-    pos = sorted(rng.sample(range(1, n + 1), k))
-    h = random_graph(rng, k, rng.uniform(0.2, 0.8))
-    return SimpleGraph(n, [(pos[u - 1], pos[v - 1]) for u, v in h.sorted_edges()])
 
 
 def traced_regularity(g, **kwargs):
@@ -276,11 +270,11 @@ class TestSurvivorWalk:
             assert survivors_match(g, support_mask(g)), (spec, n)
 
     def test_walk_memory(self, table_spec):
-        # Table G_14 has no cap, so the oracle walks its 14 supported
-        # vertices.  The depth-first stack holds a few sets per size, and the
-        # 150 survivors are sorted without a key tuple each: about 11 KB
-        # traced.  A walk holding a whole level of its tree at once takes
-        # 35 KB, above the bound.
+        # Table G_14 has no deletion sequence, so the oracle walks its 14
+        # supported vertices.  The depth-first stack holds a few sets per
+        # size, and the 150 survivors are sorted without a key tuple each:
+        # about 11 KB traced.  A walk holding a whole level of its tree at
+        # once takes 35 KB, above the bound.
         rep, peak = traced_regularity(expand(table_spec, 14))
         assert rep.value == 4
         assert peak < 20_000, peak
@@ -309,47 +303,57 @@ class TestOwnNumbering:
         assert moved > 200, moved
 
 
+def route(g):
+    """The oracle's route for g: "cochordal" with no hole in the complement,
+    "sequence" with a hole and a deletion sequence, else "walk"."""
+    if not first_hole(g):
+        return "cochordal"
+    return "sequence" if _deletion_sequence(g, support_mask(g)) else "walk"
+
+
 class TestDimensionCap:
-    """The cap bounds the largest homological dimension from above: 0 by
-    Fröberg's theorem, 1 by a greedy Dao-Huneke-Schweig deletion sequence."""
+    """The route caps the largest homological dimension: 0 with no hole in
+    the complement (Fröberg), 1 with a hole and a greedy Dao-Huneke-Schweig
+    deletion sequence; otherwise the walk finds it."""
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_sound_against_reference(self, p):
         rng = random.Random(111)
-        caps = {0: 0, 1: 0, None: 0}
+        routes = {"cochordal": 0, "sequence": 0, "walk": 0}
         for _ in range(3000):
             g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.1, 0.9))
             ref = reference_regularity(g, p)
             assert regularity(g, p) == ref, g
             if ref.value is None:
                 continue
-            cap = _dimension_cap(g, support_mask(g))
-            caps[cap] += 1
-            assert (cap == 0) == is_cochordal(g), g
-            assert cap is None or ref.value <= 2 + cap, g
+            way = route(g)
+            routes[way] += 1
+            # Chordal means having no hole.
+            assert (way == "cochordal") == is_cochordal(g), g
+            assert way != "sequence" or ref.value <= 3, g
         # Every branch is exercised, reg >= 4 included.
-        assert min(caps.values()) > 80, caps
+        assert min(routes.values()) > 80, routes
 
     def test_scattered_support(self):
-        # Bit v-1 stands for vertex v: the cap of a graph with isolated
+        # Bit v-1 stands for vertex v: the route of a graph with isolated
         # vertices in between is that of its support renumbered to 1..k.
         rng = random.Random(121)
-        caps = set()
+        routes = set()
         for _ in range(600):
             g = scattered_graph(rng, 16, rng.randint(2, 12))
             support = [v for v in range(1, g.n + 1) if g.adj[v]]
             if not support:
                 continue
             h = induced_subgraph(g, support)
-            cap = _dimension_cap(g, support_mask(g))
-            assert cap == _dimension_cap(h, (1 << h.n) - 1), g
-            caps.add(cap)
-        assert caps == {0, 1, None}
+            way = route(g)
+            assert way == route(h), g
+            routes.add(way)
+        assert routes == {"cochordal", "sequence", "walk"}
 
 
 class TestFirstHole:
-    """On a cap of 1 the oracle answers with the first hole of the
-    complement, in (length, mask) order, in place of the walk."""
+    """With a hole and a deletion sequence the oracle answers with the first
+    hole of the complement, in (length, mask) order, in place of the walk."""
 
     def test_matches_brute_cycles(self):
         rng = random.Random(131)
@@ -357,7 +361,7 @@ class TestFirstHole:
         while checked < 1500:
             n = rng.randint(4, 10)
             g = random_graph(rng, n, rng.uniform(0.1, 0.9))
-            if _dimension_cap(g, support_mask(g)) != 1:
+            if route(g) != "sequence":
                 continue
             holes = brute_induced_cycles(complement(g), 4, n)
             want = min(holes, key=lambda c: (len(c), sum(1 << (v - 1) for v in c)))
@@ -367,15 +371,16 @@ class TestFirstHole:
             checked += 1
 
     def test_hole_search_memory(self, ex58_spec):
-        # Six-edge G_30 has a cap of 1, so the oracle walks no subsets: the
-        # 15-vertex certificate comes from the breadth-first hole search over
-        # 30 supported vertices, which holds a few masks per search.
+        # Six-edge G_30 has a deletion sequence, so the oracle walks no
+        # subsets: the 15-vertex certificate comes from the breadth-first
+        # hole search over 30 supported vertices, which holds a few masks per
+        # search.
         rep, peak = traced_regularity(expand(ex58_spec, 30), subset_budget=10**6)
         assert rep.value == 3 and len(rep.certificate["subset"]) == 15
         assert peak < 1 << 20, peak
 
     # Subsets from the subset walk (budget 10^6) before the hole search
-    # replaced it on cap-1 rows; past the reference's reach.
+    # replaced it on rows with a deletion sequence; past the reference's reach.
     SIX_EDGE = {
         20: [1, 2, 5, 7, 9, 11, 13, 15, 17, 20],
         24: [1, 2, 5, 7, 9, 11, 13, 15, 17, 19, 21, 24],
@@ -396,7 +401,7 @@ class TestFirstHole:
         rows += [(table_spec, n, subset) for n, subset in self.TABLE.items()]
         for spec, n, subset in rows:
             g = expand(spec, n)
-            assert _dimension_cap(g, support_mask(g)) == 1, (spec, n)
+            assert route(g) == "sequence", (spec, n)
             # The subset induces a chordless cycle of the complement.
             hole = complement(induced_subgraph(g, subset))
             assert brute_induced_cycles(hole, hole.n, hole.n), (spec, n)

@@ -29,8 +29,8 @@ PUBLIC_NAMES = [
     "derived_chain",
     "errors",
     "expand",
-    "find_induced_c4",
     "find_induced_kK2",
+    "first_hole",
     "generate_random_spec",
     "graphs",
     "induced_matching",
@@ -53,7 +53,13 @@ PUBLIC_NAMES = [
     "verify_anticycle",
 ]
 
-REMOVED_NAMES = ["IncMapWitness", "induced_matching_number", "msupp", "orbit_witness"]
+REMOVED_NAMES = [
+    "IncMapWitness",
+    "find_induced_c4",
+    "induced_matching_number",
+    "msupp",
+    "orbit_witness",
+]
 
 
 def _fresh_public_names() -> list[str]:
@@ -80,4 +86,5 @@ def test_removed_routes_stay_removed():
     assert not hasattr(chain, "orbit_witness") and not hasattr(chain, "IncMapWitness")
     assert not hasattr(chain, "msupp")
     assert not hasattr(graphs, "induced_matching_number")
+    assert not hasattr(graphs, "find_induced_c4")
     assert "presented_r" not in classify.ClassifierVerdict.__dataclass_fields__
