@@ -3,8 +3,8 @@
 The regularity of a nonzero edge ideal equals 2 plus the largest dimension in
 which the independence complex of some induced subgraph carries reduced
 homology over the chosen prime field.  This module finds the vertex subsets
-that no prune removes, then computes boundary-matrix ranks for each of them in
-increasing cardinality (then numeric mask order).
+that no prune or cut removes, then computes boundary-matrix ranks for each of
+them in scan order: increasing cardinality, then numeric mask order.
 
 Three prunes are applied, all exact, each removing a subset W whose homology
 is already accounted for by a smaller subset, which comes earlier in that
@@ -19,46 +19,49 @@ order:
   complexes", Discrete Math. 2009) makes Ind(G[W]) homotopy equivalent to
   Ind(G[W - v]).  The cone case is the fold with N(u) empty.
 
-The survivors come from a depth-first walk over vertex sets, each grown only
-by later candidates, that cuts whole subtrees of pruned sets: on the table
-chain's G_14 it visits 1,677 sets where a scan of the subsets of its 14
-supported vertices tests 16,369, and 150 survive.  After vertex t joins a set
-S, ``reach`` is S with its remaining candidates.  Every set below S lies
-between S and reach, so a vertex adjacent to all of reach dominates each of
-them, and neighbourhoods that nest inside reach nest inside each of them.  The
-walk cuts:
-
-- the whole subtree, when t is adjacent to all of reach: t dominates every
-  set below;
-- a candidate x adjacent to all of reach: x dominates every set it joins;
-- a candidate x whose neighbourhood in reach nests with t's, either way:
-  every set holding both folds.  Nesting forces x and t apart: were they
-  adjacent, each would lie in the other's neighbourhood but not in its own.
-
-Every cut set would fail the per-subset test, which still runs on each
-visited set, so the survivors are exactly those of a scan of all subsets, and
-sorted once they come in scan order.
-
-Dimension 0 is covered once and for all by any single edge.  The certificate
-is the first subset in scan order that attains the maximum dimension; no prune
-removes it, since the smaller subset it reduces to would attain it earlier.
 The route starts from ``graphs.first_hole``, the first hole (an induced cycle
 of length >= 4) of the complement of G in (length, mask) order:
 
 - no hole: G is cochordal (chordal means having no hole), so reg = 2
-  (Fröberg): the seeded edge;
+  (Fröberg), and any single edge covers dimension 0;
 - a hole, and a greedy deletion sequence proving reg <= 3 (Dao, Huneke and
   Schweig, J. Algebraic Combin. 38 (2013), Lemma 3.1): the hole, no walk;
 - a hole and no such sequence: the walk, started from the hole.
 
-The hole is the walk's first set with homology in dimension 1.  Ind(G[W]) is
-the clique complex of the complement on W.  When that complement is chordal,
-each component of the complex is contractible, so a W with homology in
-dimension 1 holds a hole C with |C| <= |W|, and C comes no later than W in
-scan order.  The clique complex of a hole is a circle, which has homology in
-dimension 1 over every field.  The walk replaces its set only on a strictly
-larger dimension, so started from the hole it still ends on the first set of
-the maximum dimension.
+The certificate is the first subset in scan order that attains the maximum
+dimension.  Ind(G[W]) is the clique complex of the complement on W, and the
+clique complex of a chordal graph has contractible components.  So a W with
+homology in dimension 1 holds a hole, which comes no later in scan order,
+and the hole, whose complex is a circle, with homology in dimension 1 over
+every field, is the first set of dimension 1.  The walk looks for the first set W with homology in a
+dimension d >= 2.  No prune removes W, since the smaller subset it reduces
+to would attain d earlier.  Nor is the complement-link of any vertex v of W,
+the complement on W - N[v], chordal: Ind(G[W]) is Ind(G[W - v]) glued to the
+star of v, a cone, along the link's clique complex, so by Mayer-Vietoris
+H_d(W - v) maps onto H_d(W) when the link's H_{d-1} vanishes, as it does
+for a chordal link and d >= 2; then W - v, earlier, attains d.
+
+The walk is depth-first over vertex sets, each grown only by later
+candidates: on the table chain's G_14 it visits 94 sets where a scan of the
+subsets of its 14 supported vertices tests 16,369, and keeps one, the
+certificate.  After vertex t joins a set S, ``reach`` is S with its remaining
+candidates.  Every set below S lies between S and reach, so a vertex adjacent
+to all of reach dominates each of them, neighbourhoods that nest inside reach
+nest inside each of them, and t's complement-link in reach, when chordal,
+stays chordal in each of them.  The walk cuts:
+
+- a candidate x adjacent to all of reach: x dominates every set it joins;
+- a candidate x whose neighbourhood in reach nests with t's, either way:
+  every set holding both folds.  Nesting forces x and t apart: were they
+  adjacent, each would lie in the other's neighbourhood but not in its own;
+- S and its whole subtree, when S has candidates left and t's
+  complement-link in reach is chordal, as it is when t dominates reach and
+  the link is empty.
+
+It keeps each visited set that no prune removes.  So the survivors lie
+between the sets a scan of all subsets keeps and those of them with no
+chordal complement-link, which no cut reaches, and hold the first set of
+every dimension >= 2; sorted once, they come in scan order.
 
 The walk reads G's own rows and visits only the mask of its supported vertices
 (those on an edge), so a certificate is read straight from mask bits in G's
@@ -266,15 +269,16 @@ def _pruned(adj, mask: int) -> bool:
     return False
 
 
-def _survivors(adj, support: int) -> list[int]:
-    """The vertex sets of size >= 2 inside the vertex mask ``support`` that no
-    prune removes, sorted by cardinality, then mask.
+def _survivors(G: SimpleGraph, support: int) -> list[int]:
+    """The vertex sets inside the vertex mask ``support`` that the walk of the
+    module docstring keeps, sorted by cardinality, then mask.
 
-    The depth-first walk and its three cuts of the module docstring, on the
-    rows ``adj`` of the whole graph; each visited set of size >= 2 goes
-    through ``_pruned``.  Passing the supported vertices loses no survivor,
-    since a set holding an isolated vertex is a cone and always pruned.
+    Valid only for a search from a hole for dimensions >= 2: the sets hold
+    the first one in scan order with homology in each dimension >= 2, and
+    may miss any other.  Passing the supported vertices loses none, since a
+    set holding an isolated vertex is a cone.
     """
+    adj = G.adj
     survivors: list[int] = []
     stack = []
     rest = support
@@ -296,13 +300,17 @@ def _survivors(adj, support: int) -> list[int]:
                 cands ^= xb
                 reach ^= xb
                 at &= reach
-        if at != reach ^ tb:  # t dominating reach cuts the whole subtree
-            if s != tb and not _pruned(adj, s):
-                survivors.append(s)
-            while cands:
-                xb = cands & -cands
-                cands ^= xb
-                stack.append((s | xb, xb, cands))
+        # t's complement-link in reach is the complement on reach - N[t].  A
+        # leaf, with no candidates left, skips the test: over random graphs
+        # it saves about as much homology as it costs.
+        if cands and is_cochordal(G, reach ^ tb ^ at):
+            continue
+        if not _pruned(adj, s):
+            survivors.append(s)
+        while cands:
+            xb = cands & -cands
+            cands ^= xb
+            stack.append((s | xb, xb, cands))
     # By mask, then stably by size: no key tuple is built per set.
     survivors.sort()
     survivors.sort(key=int.bit_count)
@@ -342,15 +350,13 @@ def regularity(
 
     The route follows the first hole of the complement (``first_hole``): with
     none the seeded edge; with one and a deletion sequence the hole; and
-    otherwise the depth-first walk over the subsets of G's supported
-    vertices on G's own rows, started from the hole in dimension 1, with the
-    homology computation run on the sorted survivors in increasing
-    cardinality, then numeric mask order, keeping the largest homological
-    dimension found and the first subset attaining it, in G's numbering.
-    Value and certificate are those of a scan of every subset, over every
-    field.  Raises InvalidArgument for a non-prime field or a negative
-    ``subset_budget``, and SubsetBudgetExceeded when more than
-    ``subset_budget`` vertices carry an edge, both before any work.
+    otherwise the hole in dimension 1, then the homology of the walk's
+    survivors in scan order, keeping the largest dimension found and the
+    first subset attaining it, in G's numbering.  Value and certificate are
+    those of a scan of every subset, over every field.  Raises
+    InvalidArgument for a non-prime field or a negative ``subset_budget``,
+    and SubsetBudgetExceeded when more than ``subset_budget`` vertices carry
+    an edge, both before any work.
     """
     require_prime(field_char)
     if subset_budget < 0:
@@ -375,7 +381,7 @@ def regularity(
     else:
         best_d, best_mask = 1, hole
         if not _deletion_sequence(G, support):
-            for mask in _survivors(adj, support):
+            for mask in _survivors(G, support):
                 faces = _independent_faces(adj, mask)
                 if len(faces) - 2 > best_d:
                     d = _top_nonzero_excess(faces, field_char, best_d)

@@ -531,7 +531,8 @@ class TestGoldenSnapshots:
     tests/golden/: JSON named <chain>.<command>.json and text named
     <chain>.<command>.txt, or <chain>.anticycle.<n>.json (and .txt at n = 18)
     for the anticycle construction, which applies to two of the chains; the table chain's
-    sweep with every row through the oracle as table.sweep.oracle.json;
+    sweep with every row through the oracle as table.sweep.oracle.json, and
+    rows 10..19 over GF(3) as table.sweep.oracle.gf3.json;
     six-edge ``reg`` at n = 38 past the default oracle cap as
     six_edge.reg.38.json; and the report of ``verify --suite all`` as
     verify.all.txt."""
@@ -577,6 +578,15 @@ class TestGoldenSnapshots:
         argv = ["sweep", str(spec), "--from", "10", "--to", "34", "--oracle-cap", "34"]
         assert main([*argv, "--format", "json"]) == 0
         want = (REPO / "tests" / "golden" / "table.sweep.oracle.json").read_text()
+        assert capsys.readouterr().out == want
+
+    def test_sweep_through_the_oracle_over_gf3_is_unchanged(self, capsys):
+        # Rows 10, 11, 13 and 14 take the walk, with reg 5, 4, 4 and 4: an
+        # odd field's signed boundary ranks on certificates of dimension >= 2.
+        spec = REPO / "bench" / "specs" / "table.json"
+        argv = ["sweep", str(spec), "--from", "10", "--to", "19", "--field", "3"]
+        assert main([*argv, "--format", "json"]) == 0
+        want = (REPO / "tests" / "golden" / "table.sweep.oracle.gf3.json").read_text()
         assert capsys.readouterr().out == want
 
     def test_reg_past_the_default_cap_is_unchanged(self, capsys):

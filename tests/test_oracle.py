@@ -26,6 +26,7 @@ from conftest import (
     brute_independent_sets,
     random_graph,
     reference_homology_ranks,
+    reference_is_chordal,
     reference_regularity,
     scattered_graph,
 )
@@ -245,39 +246,82 @@ def traced_regularity(g, **kwargs):
         tracemalloc.stop()
 
 
-def survivors_match(g, support):
-    """Whether the walk over ``support`` returns exactly the sets that the
-    per-subset test keeps, in (cardinality, mask) order."""
-    want = sorted(brute_fold_survivors(g.adj, g.n), key=lambda m: (m.bit_count(), m))
-    return _survivors(g.adj, support) == want
+def links_open(g, mask):
+    """Whether every vertex v of the vertex mask has a non-chordal
+    complement-link inside it: the complement of g on the mask minus N[v]."""
+    verts = [v for v in range(1, g.n + 1) if mask >> (v - 1) & 1]
+    for v in verts:
+        rest = [u for u in verts if u != v and not g.has_edge(u, v)]
+        if reference_is_chordal(complement(induced_subgraph(g, rest))):
+            return False
+    return True
+
+
+def survivors_sandwiched(g, support):
+    """Whether the walk over ``support`` returns, in (cardinality, mask) order,
+    only sets that the per-subset test keeps, and among them every kept set
+    whose vertices all have a non-chordal complement-link inside it."""
+    upper = sorted(brute_fold_survivors(g.adj, g.n), key=lambda m: (m.bit_count(), m))
+    got = _survivors(g, support)
+    kept = set(got)
+    return [m for m in upper if m in kept] == got and not any(
+        links_open(g, m) for m in upper if m not in kept
+    )
 
 
 class TestSurvivorWalk:
-    """The walk keeps exactly the subsets the per-subset test keeps."""
+    """The walk keeps only subsets the per-subset test keeps, and all of them
+    whose vertices all have a non-chordal complement-link: the others cannot
+    be the first set with homology in a dimension >= 2."""
 
     def test_random_graphs(self):
         rng = random.Random(91)
         for _ in range(1000):
             n = rng.randint(1, 12)
             g = random_graph(rng, n, rng.uniform(0.05, 0.95))
-            assert survivors_match(g, (1 << n) - 1), g
+            assert survivors_sandwiched(g, (1 << n) - 1), g
 
     def test_golden_windows(self, table_spec, reg3_spec):
         windows = [(table_spec, n) for n in range(10, 17)]
         windows += [(reg3_spec, n) for n in range(6, 13)]
         for spec, n in windows:
             g = expand(spec, n)
-            assert survivors_match(g, support_mask(g)), (spec, n)
+            assert survivors_sandwiched(g, support_mask(g)), (spec, n)
+
+    def test_table_g14_keeps_only_the_certificate(self, table_spec):
+        # Of the 150 sets that the per-subset test keeps, every one but the
+        # certificate has a vertex with a chordal complement-link.
+        g = expand(table_spec, 14)
+        cert = regularity(g, 2).certificate
+        assert cert == {"subset": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 14], "dimension": 2}
+        assert _survivors(g, support_mask(g)) == [sum(1 << (v - 1) for v in cert["subset"])]
 
     def test_walk_memory(self, table_spec):
         # Table G_14 has no deletion sequence, so the oracle walks its 14
         # supported vertices.  The depth-first stack holds a few sets per
-        # size, and the 150 survivors are sorted without a key tuple each:
-        # about 11 KB traced.  A walk holding a whole level of its tree at
-        # once takes 35 KB, above the bound.
+        # size, and the walk keeps a single survivor: about 4 KB traced.
         rep, peak = traced_regularity(expand(table_spec, 14))
         assert rep.value == 4
         assert peak < 20_000, peak
+
+    def test_walk_route_against_reference(self):
+        # Graphs with no deletion sequence, where the walk runs, a quarter
+        # with isolated vertices in between; nearly all have reg >= 4, so the
+        # walk's first sets of dimension >= 2 must survive the link cut.
+        rng = random.Random(141)
+        high = 0
+        for i in range(1000):
+            while True:
+                if i % 4:
+                    g = random_graph(rng, rng.randint(7, 10), rng.uniform(0.1, 0.9))
+                else:
+                    g = scattered_graph(rng, 13, rng.randint(7, 10))
+                if route(g) == "walk":
+                    break
+            reps = [regularity(g, p) for p in (2, 3)]
+            assert reps == [reference_regularity(g, p) for p in (2, 3)], g
+            high += reps[0].value >= 4
+        assert high > 900, high
 
 
 class TestOwnNumbering:
@@ -294,7 +338,7 @@ class TestOwnNumbering:
             if i % 10 == 0:
                 # A set holding an isolated vertex is a cone, so walking the
                 # support mask loses nothing against all 2^16 sets.
-                assert survivors_match(g, support_mask(g)), g
+                assert survivors_sandwiched(g, support_mask(g)), g
             if reps[0].certificate is not None:
                 # The same subset in the numbering of a copy renumbered to 1..k.
                 support = [v for v in range(1, g.n + 1) if g.adj[v]]
