@@ -30,21 +30,12 @@ from .classify import (
 from .graphs import (
     AnticycleWitness,
     SimpleGraph,
-    complement,
-    find_induced_kK2,
     first_hole,
     induced_matching,
-    induced_subgraph,
-    is_chordal,
     is_cochordal,
     verify_anticycle,
 )
-from .oracle import (
-    HomologyProfile,
-    RegularityReport,
-    reduced_homology_ranks,
-    regularity,
-)
+from .oracle import RegularityReport, regularity
 from .randspec import generate_random_spec, spec_pool
 
 __version__ = "0.1.0"

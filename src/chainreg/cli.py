@@ -24,7 +24,7 @@ from itertools import chain, islice
 
 from . import errors
 from .anticycle import construct_anticycle
-from .chain import derived_chain, expand, normalize_spec
+from .chain import derived_chain, expand, is_quasi_saturated, normalize_spec
 from .classify import limit_regularity, sweep_verify
 from .graphs import induced_matching
 from .oracle import DEFAULT_SUBSET_BUDGET, regularity
@@ -124,10 +124,8 @@ def _anticycle(spec, args):
 
 
 def _quasisat(spec, args):
-    # is_quasi_saturated's test, on the one derived chain the JSON also shows.
-    derived = derived_chain(spec)
-    qs = set(derived.edges) == set(spec.edges)
-    payload = {"quasi_saturated": qs, "derived": derived.to_json()}
+    qs = is_quasi_saturated(spec)
+    payload = {"quasi_saturated": qs, "derived": derived_chain(spec).to_json()}
     return payload, [f"quasi-saturated: {json.dumps(qs)}"]
 
 

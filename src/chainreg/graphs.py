@@ -145,10 +145,9 @@ def induced_subgraph(G: SimpleGraph, W) -> SimpleGraph:
     return SimpleGraph._from_rows(len(keep), rows)
 
 
-def _chordal_rows(adj, vertices: int, flip: int) -> bool:
-    """Chordality of the graph on the vertex mask ``vertices`` whose row of v
-    is ``(adj[v] ^ flip) & vertices`` without v: G itself for ``flip`` 0, its
-    complement for ``flip`` -1.
+def _chordal_rows(adj, vertices: int) -> bool:
+    """Chordality of the complement of G, whose rows are ``adj``, on the
+    vertex mask ``vertices``: the complement's row of v is ``~adj[v]``.
 
     One maximum cardinality search pass (Tarjan-Yannakakis).  The search
     numbers the vertices one at a time, always taking the lowest unnumbered
@@ -160,7 +159,8 @@ def _chordal_rows(adj, vertices: int, flip: int) -> bool:
     exactly when the reverse numbering is a perfect elimination order: at
     each step, the earlier-numbered neighbours of the new vertex other than
     the most recently numbered one, w, must all be adjacent to w.  That test
-    runs as each vertex is numbered, and the first failure returns False.
+    runs as each vertex is numbered, and the first failure returns False; on
+    complement rows it is one AND, ``later & adj[w]``, as G has no loops.
     The numbering is kept as a list in search order, so w is the first
     vertex of the new vertex's row met walking that list backwards; on the
     sparse complements of late windows that is usually the last vertex
@@ -180,13 +180,13 @@ def _chordal_rows(adj, vertices: int, flip: int) -> bool:
         b = layers[top] & -layers[top]
         layers[top] ^= b
         v = b.bit_length()
-        row = adj[v] ^ flip
+        row = ~adj[v]
         later = row & numbered
         if later & (later - 1):  # a single earlier neighbour passes trivially
             for w in reversed(order):
                 if later >> (w - 1) & 1:
                     break
-            if later & ~((adj[w] ^ flip) | 1 << (w - 1)):
+            if later & adj[w]:
                 return False
         numbered |= b
         unnumbered ^= b
@@ -207,7 +207,7 @@ def _chordal_rows(adj, vertices: int, flip: int) -> bool:
 
 def is_chordal(G: SimpleGraph) -> bool:
     """Whether G has no induced cycle of length four or more."""
-    return _chordal_rows(G.adj, (1 << G.n) - 1, 0)
+    return is_cochordal(complement(G))
 
 
 def is_cochordal(G: SimpleGraph, vertices: int | None = None) -> bool:
@@ -220,7 +220,7 @@ def is_cochordal(G: SimpleGraph, vertices: int | None = None) -> bool:
         vertices = (1 << G.n) - 1
     elif vertices < 0 or vertices >> G.n:
         raise VertexOutOfRange(f"vertex mask {vertices:#x} leaves [1, {G.n}]")
-    return _chordal_rows(G.adj, vertices, -1)
+    return _chordal_rows(G.adj, vertices)
 
 
 def first_hole(G: SimpleGraph, longest: int | None = None) -> int:
@@ -304,7 +304,7 @@ def first_hole(G: SimpleGraph, longest: int | None = None) -> int:
     return hole
 
 
-def induced_matching(G: SimpleGraph, stop_at: int | None = None):
+def induced_matching(G: SimpleGraph):
     """Branch and bound for the largest set of pairwise far-apart edges.
 
     A search node is the mask of vertices still allowed: choosing the edge
@@ -313,10 +313,10 @@ def induced_matching(G: SimpleGraph, stop_at: int | None = None):
     in sorted order.  A node is cut when half its allowed vertices cannot
     beat the best size found so far; such a node holds no improvement, so
     the improvements, and the witness, are the same as an unpruned search's.
-    Returns (best size, witness edges); with ``stop_at`` the search stops as
-    soon as that size is reached, so the witness is the lexicographically
-    first one of that size.  The search keeps its own stack of nodes, so a
-    deep matching does not meet Python's recursion limit.
+    Returns (best size, witness edges), the witness being the lexicographically
+    first maximum induced matching, its edges in sorted order.  The search keeps
+    its own stack of nodes, so a deep matching does not meet Python's
+    recursion limit.
     """
     adj = G.adj
     best = 0
@@ -335,8 +335,6 @@ def induced_matching(G: SimpleGraph, stop_at: int | None = None):
             if len(chosen) > best:
                 best = len(chosen)
                 best_w = list(chosen)
-                if stop_at is not None and best >= stop_at:
-                    break
             frames.append([base & ~adj[vb.bit_length()], 0, 0, 0])
             continue
         # Every edge left for this node and its later siblings lies inside
@@ -358,11 +356,15 @@ def induced_matching(G: SimpleGraph, stop_at: int | None = None):
 
 
 def find_induced_kK2(G: SimpleGraph, k: int):
-    """A witness list of k pairwise disjoint edges with no cross edges, or None."""
+    """A witness list of k pairwise disjoint edges with no cross edges, or None.
+
+    The first k edges of ``induced_matching``'s maximum witness; any k of its
+    edges induce kK2.  Kept for the benchmark's per-layer list only.
+    """
     if k < 1:
         raise InvalidArgument(f"k must be positive, got {k}")
-    best, witness = induced_matching(G, stop_at=k)
-    return witness if best >= k else None
+    best, witness = induced_matching(G)
+    return witness[:k] if best >= k else None
 
 
 def verify_anticycle(G: SimpleGraph, witness) -> bool:

@@ -208,11 +208,11 @@ def brute_indmatch(G: SimpleGraph) -> int:
     return best
 
 
-def reference_matching_search(G: SimpleGraph, stop_at: int | None = None):
+def reference_matching_search(G: SimpleGraph):
     """The edge-list branch and bound that ``graphs.induced_matching`` replaced.
 
-    A verbatim copy, kept as the reference whose (size, witness) the
-    vertex-mask search must reproduce exactly.
+    A copy without its early stop, kept as the reference whose (size,
+    witness) the vertex-mask search must reproduce exactly.
     """
     edges = sorted(G.edges)
     if not edges:
@@ -224,22 +224,18 @@ def reference_matching_search(G: SimpleGraph, stop_at: int | None = None):
     best = 0
     best_w: list[tuple[int, int]] = []
 
-    def go(cand: list[int], forbid: int, chosen: list[tuple[int, int]]) -> bool:
+    def go(cand: list[int], forbid: int, chosen: list[tuple[int, int]]) -> None:
         nonlocal best, best_w
         if len(chosen) > best:
             best = len(chosen)
             best_w = list(chosen)
-            if stop_at is not None and best >= stop_at:
-                return True
         feas = [k for k in cand if masks[k] & forbid == 0]
         if len(chosen) + len(feas) <= best:
-            return False
+            return
         for pos, k in enumerate(feas):
             chosen.append(edges[k])
-            if go(feas[pos + 1 :], forbid | closed[k], chosen):
-                return True
+            go(feas[pos + 1 :], forbid | closed[k], chosen)
             chosen.pop()
-        return False
 
     go(list(range(len(edges))), 0, [])
     return best, best_w
@@ -308,24 +304,20 @@ def reference_verify_anticycle(G: SimpleGraph, witness) -> bool:
     return True
 
 
-def reference_regularity(
-    G: SimpleGraph,
-    field_char: int = 2,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-    progress=None,
-) -> RegularityReport:
+def reference_regularity(G: SimpleGraph, field_char: int = 2) -> RegularityReport:
     """The oracle's subset scan with only the cone and dominating-vertex prunes.
 
-    A verbatim copy of ``oracle.regularity`` before the fold prune, kept as
-    the reference that the pruned scan must match, certificate included.
+    A copy of ``oracle.regularity`` before the fold prune, with its budget
+    fixed at the default and no progress callback, kept as the reference that
+    the pruned scan must match, certificate included.
     """
     require_prime(field_char)
     if not G.edges:
         return RegularityReport(value=None, method="hochster-oracle", field_char=field_char)
     support = [v for v in range(1, G.n + 1) if G.adj[v]]
-    if len(support) > subset_budget:
+    if len(support) > DEFAULT_SUBSET_BUDGET:  # the scan is exponential in the support
         raise SubsetBudgetExceeded(
-            f"{len(support)} supported vertices exceed the budget of {subset_budget}"
+            f"{len(support)} supported vertices exceed the budget of {DEFAULT_SUBSET_BUDGET}"
         )
     H = induced_subgraph(G, support)
     adj = H.adj
@@ -336,14 +328,9 @@ def reference_regularity(
     best_d = 0
     best_mask = min(_bit(u) | _bit(v) for u, v in H.edges)
 
-    count = 0
-    total = 1 << nn
     for card in range(2, nn + 1):
         mask = (1 << card) - 1
         while mask <= full:
-            count += 1
-            if progress is not None and count % 65536 == 0:
-                progress(count, total)
             w = mask
             ok = True
             while w:

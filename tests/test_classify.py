@@ -133,7 +133,7 @@ class TestLimitIndmatch:
         strata = Counter()
         for spec in random_specs(400, tuple(range(2, 10)), seed=819) + [reg3_spec, ex58_spec]:
             g = expand(spec, 3 * spec.r)
-            want = reference_matching_search(g, 2)[0]
+            want = reference_matching_search(g)[0]
             assert limit_indmatch(spec) == want, spec
             strata[is_cochordal(g), want] += 1
         assert strata == {(True, 1): 389, (False, 1): 9, (False, 2): 4}

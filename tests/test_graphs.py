@@ -7,19 +7,16 @@ import pytest
 from chainreg import (
     AnticycleWitness,
     SimpleGraph,
-    complement,
     construct_anticycle,
     expand,
-    find_induced_kK2,
     first_hole,
     induced_matching,
-    induced_subgraph,
-    is_chordal,
     is_cochordal,
     normalize_spec,
     verify_anticycle,
 )
 from chainreg.errors import InvalidArgument, VertexOutOfRange
+from chainreg.graphs import complement, find_induced_kK2, induced_subgraph, is_chordal
 
 from conftest import (
     brute_expand,
@@ -312,17 +309,14 @@ class TestInducedMatching:
 class TestInducedMatchingAgainstReference:
     """The vertex-mask search reproduces the edge-list search's (size, witness)."""
 
-    STOPS = (None, 1, 2, 3)
-
     def test_random_graphs(self):
         rng = random.Random(2718)
         sizes = set()
         for _ in range(1200):
             g = random_graph(rng, rng.randint(0, 12), rng.random())
-            for stop_at in self.STOPS:
-                want = reference_matching_search(g, stop_at)
-                assert induced_matching(g, stop_at) == want, (g, stop_at)
-            sizes.add(reference_matching_search(g)[0])
+            want = reference_matching_search(g)
+            assert induced_matching(g) == want, g
+            sizes.add(want[0])
         assert sizes >= {0, 1, 2, 3, 4}
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CHAINS))
@@ -330,8 +324,7 @@ class TestInducedMatchingAgainstReference:
         spec = GOLDEN_CHAINS[name]
         for n in (3 * spec.r, 4 * spec.r):
             g = expand(spec, n)
-            for stop_at in self.STOPS:
-                assert induced_matching(g, stop_at) == reference_matching_search(g, stop_at)
+            assert induced_matching(g) == reference_matching_search(g)
 
     def test_random_chains(self):
         # Late windows almost always have value 1; the first two windows
@@ -340,10 +333,9 @@ class TestInducedMatchingAgainstReference:
         for spec in random_specs(60, (3, 5, 7, 9), seed=1618):
             for n in (spec.r, spec.r + 1, 3 * spec.r):
                 g = expand(spec, n)
-                for stop_at in self.STOPS:
-                    want = reference_matching_search(g, stop_at)
-                    assert induced_matching(g, stop_at) == want, (spec, n, stop_at)
-                sizes.add(reference_matching_search(g)[0])
+                want = reference_matching_search(g)
+                assert induced_matching(g) == want, (spec, n)
+                sizes.add(want[0])
         assert sizes == {1, 2, 3}
 
 
@@ -361,6 +353,26 @@ class TestFindInducedKK2:
     def test_k_validation(self):
         with pytest.raises(InvalidArgument):
             find_induced_kK2(SimpleGraph(2, [(1, 2)]), 0)
+
+    def test_every_k_up_to_the_maximum(self):
+        # Each k below the maximum too: k edges, pairwise disjoint, with no
+        # edge between any two of them, checked pair by pair with has_edge.
+        rng = random.Random(6174)
+        sizes = set()
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 12), rng.random())
+            top = brute_indmatch(g)
+            sizes.add(top)
+            for k in range(1, top + 1):
+                got = find_induced_kK2(g, k)
+                assert got is not None and len(got) == k, (g, k)
+                for a, (u1, v1) in enumerate(got):
+                    assert g.has_edge(u1, v1), (g, k)
+                    for u2, v2 in got[a + 1 :]:
+                        assert len({u1, v1, u2, v2}) == 4, (g, k)
+                        assert not any(g.has_edge(x, y) for x in (u1, v1) for y in (u2, v2)), (g, k)
+            assert find_induced_kK2(g, top + 1) is None, g
+        assert sizes >= {0, 1, 2, 3, 4}
 
     def test_interval_disjointness_for_far_pairs(self):
         # Any induced pair of far-apart edges in a late window occupies
@@ -438,7 +450,7 @@ class TestFirstHole:
 
     def check(self, g, outcomes):
         hole = first_hole(g, 4)
-        assert bool(hole) == (reference_matching_search(g, 2)[0] == 2), g
+        assert bool(hole) == (reference_matching_search(g)[0] >= 2), g
         if hole:
             # Four vertices whose complement is a 4-cycle: each has one
             # neighbour in G among the other three, so G is 2K2 there.

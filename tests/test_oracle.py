@@ -7,18 +7,16 @@ import pytest
 
 from chainreg import (
     SimpleGraph,
-    complement,
     expand,
     first_hole,
     induced_matching,
-    induced_subgraph,
     is_cochordal,
     normalize_spec,
-    reduced_homology_ranks,
     regularity,
 )
 from chainreg.errors import InvalidArgument, SubsetBudgetExceeded
-from chainreg.oracle import _deletion_sequence, _survivors, require_prime
+from chainreg.graphs import complement, induced_subgraph
+from chainreg.oracle import _deletion_sequence, _survivors, reduced_homology_ranks, require_prime
 
 from conftest import (
     brute_fold_survivors,
