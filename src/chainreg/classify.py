@@ -13,6 +13,7 @@ constancy threshold N, and its coarse bound in terms of r alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .chain import MATERIALIZE_LIMIT, ChainSpec, expand, q_invariant, reduce_index
 from .errors import InvalidArgument
@@ -75,7 +76,18 @@ def limit_regularity(spec: ChainSpec) -> ClassifierVerdict:
     off the sorted edges.  Verdict-2 cases report the smaller threshold when
     both hold; verdict 3 reports 4r when G_{3r} already shows two far-apart
     edges, else 4(r + q).
+
+    The verdict depends on the presentation alone, so it is computed once
+    per presentation and kept for the 128 most recently used ones; a refusal
+    is raised again on every call.
     """
+    return _verdict(spec)
+
+
+@lru_cache(maxsize=128)
+def _verdict(spec: ChainSpec) -> ClassifierVerdict:
+    # ChainSpec and ClassifierVerdict are frozen, and to_json returns a copy,
+    # so callers can share one verdict.
     spec = reduce_index(spec)
     r = spec.r
     i1 = spec.edges[0][0]
@@ -118,6 +130,8 @@ def sweep_verify(
     other is a bound, ``reg_lower`` = 3.  Rows at or beyond the verdict
     threshold n0 are flagged when that value (3 for a bound) differs from the
     predicted limit.  The window below n0 is unconstrained and never flagged.
+    The verdict is ``limit_regularity``'s, computed once per presentation,
+    so single-row sweeps of one chain classify it once.
     Raises InvalidArgument, before any row is computed, unless r <= n_lo <=
     n_hi <= MATERIALIZE_LIMIT, for a negative ``oracle_cap``, or for a
     non-prime ``field_char``.

@@ -167,6 +167,26 @@ COMMANDS = (
 )
 
 
+def _json_chunks(payload: dict):
+    """The text ``json.JSONEncoder(indent=2)`` gives for ``payload``, in
+    batches, never as one string: that string took about 3x the text path's
+    peak memory.  expand's fixed shape, ``n`` and a list of integer pairs, is
+    written directly; the pure-Python indented encoder took about 1.7x the
+    text path's time on it.
+    """
+    if payload.keys() == {"n", "edges"}:
+        edges = iter(payload["edges"])
+        yield f'{{\n  "n": {payload["n"]},\n  "edges": ['
+        sep = "\n"
+        while batch := list(islice(edges, 4096)):
+            yield sep + ",\n".join(f"    [\n      {u},\n      {v}\n    ]" for u, v in batch)
+            sep = ",\n"
+        yield "]\n}" if sep == "\n" else "\n  ]\n}"
+        return
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    yield from iter(lambda: "".join(islice(chunks, 4096)), "")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chainreg",
@@ -201,10 +221,7 @@ def main(argv=None) -> int:
             return _verify(args)
         payload, lines = args.func(load_spec(args.spec), args)
         if args.format == "json":
-            # Batches of the indented encoder's tiny chunks, never one string:
-            # that string took about 3x the text path's peak memory.
-            chunks = json.JSONEncoder(indent=2).iterencode(payload)
-            sys.stdout.writelines(iter(lambda: "".join(islice(chunks, 4096)), ""))
+            sys.stdout.writelines(_json_chunks(payload))
             print()
         else:
             for line in lines:

@@ -12,6 +12,8 @@ loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import InvalidArgument, VertexOutOfRange
 
@@ -83,6 +85,12 @@ class SimpleGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> (v - 1)) & 1 == 1
+
+    @property
+    def support(self) -> int:
+        """The mask of the vertices that carry an edge: the rows are
+        symmetric, so it is the OR of the rows."""
+        return reduce(or_, self.adj, 0)
 
     @property
     def edge_count(self) -> int:
@@ -279,7 +287,7 @@ def first_hole(G: SimpleGraph, longest: int | None = None) -> int:
                 length += 1
         return found
 
-    support = sum(_bit(v) for v in range(1, G.n + 1) if adj[v])
+    support = G.support
     best = (support.bit_count() if longest is None else longest) + 1
     top = 0
     rest = support

@@ -362,7 +362,7 @@ def regularity(
     if subset_budget < 0:
         raise InvalidArgument(f"subset budget must be non-negative, got {subset_budget}")
     adj = G.adj
-    support = sum(1 << (v - 1) for v in range(1, G.n + 1) if adj[v])
+    support = G.support
     if not support:
         return RegularityReport(value=None, method="hochster-oracle", field_char=field_char)
     k = support.bit_count()

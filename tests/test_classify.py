@@ -1,5 +1,6 @@
 """Classifier: verdicts, thresholds, limit matching number, sweep harness."""
 
+import inspect
 from collections import Counter
 
 import pytest
@@ -16,7 +17,10 @@ from chainreg import (
     stabilization_threshold,
     sweep_verify,
 )
+from chainreg import classify
+from chainreg.chain import MATERIALIZE_LIMIT
 from chainreg.classify import CASE_ELSE, CASE_GAP1, CASE_JQ_MAX
+from chainreg.errors import InvalidArgument
 
 from conftest import random_specs, reference_matching_search
 
@@ -206,3 +210,63 @@ class TestSweepVerify:
                 stats = {is_cochordal(expand(spec, n)) for n in range(N, N + 6)}
                 assert len(stats) == 1, (spec, stats)
                 assert stats == {v.limit_reg == 2}
+
+
+GOLDEN_CHAINS = {
+    "table": normalize_spec(10, [(1, 10), (2, 4), (3, 5), (7, 9)]),
+    "near_sharp": normalize_spec(9, [(1, 9), (6, 8)]),
+    "reg3": normalize_spec(4, [(1, 3), (2, 4)]),
+    "six_edge": normalize_spec(9, [(1, 5), (1, 8), (2, 9), (3, 6), (4, 7), (5, 9)]),
+}
+
+
+class TestVerdictCache:
+    """limit_regularity computes each presentation's verdict once and shares it."""
+
+    def test_equal_specs_get_equal_verdicts(self):
+        for spec in random_specs(30, (3, 5, 7), seed=2201):
+            twin = normalize_spec(spec.r, [(j, i) for i, j in reversed(spec.edges)])
+            assert twin == spec and twin is not spec
+            assert limit_regularity(twin) == limit_regularity(spec)
+            assert limit_regularity(spec) == classify._verdict.__wrapped__(spec), spec
+
+    def test_mutating_the_json_leaves_the_next_call_alone(self, ex58_spec):
+        want = limit_regularity(ex58_spec).to_json()
+        got = limit_regularity(ex58_spec).to_json()
+        got["limit_reg"] = 99
+        got.clear()
+        assert limit_regularity(ex58_spec).to_json() == want
+
+    def test_cache_is_bounded(self):
+        assert classify._verdict.cache_info().maxsize is not None
+
+    def test_limit_regularity_is_a_plain_function(self):
+        # bench/tracer.py wraps only the module attributes for which
+        # inspect.isfunction holds; an lru_cache wrapper is not one, and the
+        # benchmark would stop tracing classify.limit_regularity.
+        assert inspect.isfunction(classify.limit_regularity)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            normalize_spec(MATERIALIZE_LIMIT + 1, [(1, MATERIALIZE_LIMIT + 1)]),
+            # Irreducible, so the refusal comes from expanding G_{3r}.
+            normalize_spec(4000, [(1, 4000)]),
+        ],
+        ids=["r-past-limit", "3r-past-limit"],
+    )
+    def test_refusal_is_raised_on_every_call(self, spec):
+        for _ in range(3):
+            with pytest.raises(InvalidArgument, match="refusing to materialize"):
+                limit_regularity(spec)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CHAINS))
+    def test_one_sweep_equals_its_single_rows(self, name):
+        # Rows 18..33 take the oracle up to the default cap of 22, and pass
+        # the table and near-sharp thresholds n0 = 30 and 27.
+        spec = GOLDEN_CHAINS[name]
+        whole = sweep_verify(spec, 18, 33)
+        singles = [sweep_verify(spec, n, n) for n in range(18, 34)]
+        assert [one["rows"][0] for one in singles] == whole["rows"]
+        assert all(one["verdict"] == whole["verdict"] for one in singles)
+        assert [n for one in singles for n in one["violations"]] == whole["violations"]

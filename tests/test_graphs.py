@@ -74,6 +74,17 @@ def rows_from_edges(n, edges):
 
 
 class TestRowBackedGraph:
+    def test_support_is_the_or_of_the_rows(self):
+        # Against the per-vertex sum it replaced, on graphs with isolated
+        # vertices in between the supported ones, and on edgeless graphs.
+        rng = random.Random(4244)
+        for _ in range(300):
+            n = rng.randint(0, 20)
+            g = scattered_graph(rng, n, rng.randint(0, n))
+            assert g.support == sum(1 << (v - 1) for v in range(1, n + 1) if g.adj[v]), g
+        for n in (0, 1, 6):
+            assert SimpleGraph(n).support == 0
+
     def test_row_graph_agrees_with_edge_list_twin(self):
         rng = random.Random(4242)
         for _ in range(300):

@@ -107,8 +107,9 @@ class TestRegularity:
         assert rep.certificate == {"subset": [1, 2], "dimension": 0}
 
     def test_edgeless_is_undefined(self):
-        rep = regularity(SimpleGraph(5), 2)
-        assert rep.value is None
+        for n in (0, 1, 5):
+            rep = regularity(SimpleGraph(n), 2)
+            assert rep.value is None
 
     def test_disjoint_edges(self):
         assert regularity(disjoint_edges(2), 2).value == 3
