@@ -183,8 +183,15 @@ def _json_chunks(payload: dict):
             sep = ",\n"
         yield "]\n}" if sep == "\n" else "\n  ]\n}"
         return
-    chunks = json.JSONEncoder(indent=2).iterencode(payload)
-    yield from iter(lambda: "".join(islice(chunks, 4096)), "")
+    yield from _batches(json.JSONEncoder(indent=2).iterencode(payload))
+
+
+def _batches(pieces, end: str = ""):
+    """The strings of ``pieces``, each followed by ``end``, joined 4,096 at a
+    time, so that a long listing takes one write per batch, not per piece."""
+    pieces = iter(pieces)
+    while batch := list(islice(pieces, 4096)):
+        yield end.join(batch) + end
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -224,8 +231,7 @@ def main(argv=None) -> int:
             sys.stdout.writelines(_json_chunks(payload))
             print()
         else:
-            for line in lines:
-                print(line)
+            sys.stdout.writelines(_batches(lines, "\n"))
         return 1 if payload.get("violations") else 0
     except errors.ChainRegError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -97,11 +97,8 @@ def check_reg3_chain_bundle() -> str:
 
 def check_near_sharp_chain() -> str:
     g17 = expand(NEAR_SHARP_CHAIN, 17)
-    e1, e2 = (10, 12), (5, 17)
-    require(g17.has_edge(*e1) and g17.has_edge(*e2), "witness edges missing")
-    for a in e1:
-        for b in e2:
-            require(not g17.has_edge(a, b), f"cross edge ({a}, {b}) breaks the witness")
+    # An induced 2K2 {10,12},{5,17} is an anticycle of length 4.
+    require(verify_anticycle(g17, (10, 5, 12, 17)), "no induced 2K2 {10,12},{5,17}")
     require(not is_cochordal(g17), "G_17 is cochordal")
     verdict = limit_regularity(NEAR_SHARP_CHAIN)
     require(

@@ -77,18 +77,29 @@ class TestExpandCommand:
         respec = normalize_spec(data["n"], [tuple(e) for e in data["edges"]])
         assert set(respec.edges) == {tuple(e) for e in data["edges"]}
 
-    def test_json_is_the_indented_encoders_text(self, spec_file, capsys):
-        # expand writes its JSON directly, in batches of 4096 edges; the one
-        # generator at n = 100 gives 4,950 edges, across a batch boundary.
+    @staticmethod
+    def batch_cases():
+        """41 seeded (spec, n), every fourth at n = r; expand writes in
+        batches of 4096, and the last, one generator at n = 100, gives 4,950
+        edges, across a batch boundary."""
         specs = [*random_specs(40, (2, 3, 5, 8), seed=2207), normalize_spec(2, [(1, 2)])]
-        for k, spec in enumerate(specs):
-            n = 100 if k == 40 else spec.r + k % 4  # every fourth at n = r
+        return [(spec, 100 if k == 40 else spec.r + k % 4) for k, spec in enumerate(specs)]
+
+    def test_json_is_the_indented_encoders_text(self, spec_file, capsys):
+        for spec, n in self.batch_cases():
             argv = ["expand", spec_file(spec.to_json()), "--n", str(n), "--format", "json"]
             assert main(argv) == 0
             payload = {"n": n, "edges": expand(spec, n).sorted_edges()}
             assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n", (spec, n)
         empty = {"n": 3, "edges": []}
         assert "".join(cli._json_chunks(empty)) == json.dumps(empty, indent=2)
+
+    def test_text_is_the_per_line_rendering(self, spec_file, capsys):
+        for spec, n in self.batch_cases():
+            assert main(["expand", spec_file(spec.to_json()), "--n", str(n)]) == 0
+            edges = expand(spec, n).sorted_edges()
+            lines = [f"G_{n}: {len(edges)} edges", *(f"{u} {v}" for u, v in edges)]
+            assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines), (spec, n)
 
     def test_below_stability_is_invalid_input(self, spec_file, capsys):
         assert main(["expand", spec_file(EXPANSION), "--n", "5"]) == 2

@@ -73,7 +73,8 @@ class TestHomologyProfile:
             for p in (2, 3):
                 assert euler(reduced_homology_ranks(g, p).ranks) == faces, g
 
-    @pytest.mark.parametrize("p", [2, 3, 5])
+    # 2^31 - 1 is the largest characteristic allowed.
+    @pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
     def test_random_graphs_match_independent_reference(self, p):
         rng = random.Random(7000 + p)
         nontrivial = 0
@@ -230,11 +231,6 @@ class TestAgainstReference:
             assert regularity(g, p) == reference_regularity(g, p), (spec, n)
 
 
-def support_mask(g):
-    """The vertex mask of g's supported vertices, those on an edge."""
-    return sum(1 << (v - 1) for v in range(1, g.n + 1) if g.adj[v])
-
-
 def traced_regularity(g, **kwargs):
     """``regularity(g, 2, **kwargs)`` and the traced memory peak of the call."""
     tracemalloc.start()
@@ -285,7 +281,7 @@ class TestSurvivorWalk:
         windows += [(reg3_spec, n) for n in range(6, 13)]
         for spec, n in windows:
             g = expand(spec, n)
-            assert survivors_sandwiched(g, support_mask(g)), (spec, n)
+            assert survivors_sandwiched(g, g.support), (spec, n)
 
     def test_table_g14_keeps_only_the_certificate(self, table_spec):
         # Of the 150 sets that the per-subset test keeps, every one but the
@@ -293,7 +289,7 @@ class TestSurvivorWalk:
         g = expand(table_spec, 14)
         cert = regularity(g, 2).certificate
         assert cert == {"subset": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 14], "dimension": 2}
-        assert _survivors(g, support_mask(g)) == [sum(1 << (v - 1) for v in cert["subset"])]
+        assert _survivors(g, g.support) == [sum(1 << (v - 1) for v in cert["subset"])]
 
     def test_walk_memory(self, table_spec):
         # Table G_14 has no deletion sequence, so the oracle walks its 14
@@ -337,7 +333,7 @@ class TestOwnNumbering:
             if i % 10 == 0:
                 # A set holding an isolated vertex is a cone, so walking the
                 # support mask loses nothing against all 2^16 sets.
-                assert survivors_sandwiched(g, support_mask(g)), g
+                assert survivors_sandwiched(g, g.support), g
             if reps[0].certificate is not None:
                 # The same subset in the numbering of a copy renumbered to 1..k.
                 support = [v for v in range(1, g.n + 1) if g.adj[v]]
@@ -351,7 +347,7 @@ def route(g):
     "sequence" with a hole and a deletion sequence, else "walk"."""
     if not first_hole(g):
         return "cochordal"
-    return "sequence" if _deletion_sequence(g, support_mask(g)) else "walk"
+    return "sequence" if _deletion_sequence(g, g.support) else "walk"
 
 
 class TestDimensionCap:
