@@ -121,15 +121,17 @@ def sweep_verify(
 ) -> dict:
     """Cross-validate the verdict against per-index evidence on [n_lo, n_hi].
 
-    Every index gets the polynomial cochordality check, and each row takes its
-    value by one route.  Indices n up to ``oracle_cap`` get the full homology
-    oracle, whose budget of ``oracle_cap`` supported vertices G_n cannot
-    exceed; G_n has an edge for n >= r, so the oracle always gives a value.
-    Rows with n above ``oracle_cap`` never try the oracle, even when few of
-    their vertices carry an edge: a cochordal one has reg 2 (Fröberg), any
-    other is a bound, ``reg_lower`` = 3.  Rows at or beyond the verdict
-    threshold n0 are flagged when that value (3 for a bound) differs from the
-    predicted limit.  The window below n0 is unconstrained and never flagged.
+    Each row takes its value and its cochordality by one route.  Indices n up
+    to ``oracle_cap`` get the full homology oracle, whose budget of
+    ``oracle_cap`` supported vertices G_n cannot exceed; G_n has an edge for
+    n >= r, so the oracle always gives a value, which is 2 exactly when G_n
+    is cochordal (Fröberg; an isolated vertex lies on no hole of the
+    complement).  Rows with n above ``oracle_cap`` never try the oracle, even
+    when few of their vertices carry an edge, and get the polynomial
+    cochordality check: a cochordal one has reg 2, any other is a bound,
+    ``reg_lower`` = 3.  Rows at or beyond the verdict threshold n0 are flagged
+    when that value (3 for a bound) differs from the predicted limit.  The
+    window below n0 is unconstrained and never flagged.
     The verdict is ``limit_regularity``'s, computed once per presentation,
     so single-row sweeps of one chain classify it once.
     Raises InvalidArgument, before any row is computed, unless r <= n_lo <=
@@ -149,14 +151,13 @@ def sweep_verify(
     rows = []
     for n in range(n_lo, n_hi + 1):
         g = expand(spec, n)
-        coch = is_cochordal(g)
         if n <= oracle_cap:
             rep = regularity(g, field_char=field_char, subset_budget=oracle_cap)
-            reg, method = rep.value, rep.method
-        elif coch:
-            reg, method = 2, "froeberg"
+            coch, reg, method = rep.value == 2, rep.value, rep.method
+        elif is_cochordal(g):
+            coch, reg, method = True, 2, "froeberg"
         else:
-            reg, method = None, None
+            coch, reg, method = False, None, None
         flag = n >= verdict.n0 and (3 if reg is None else reg) != verdict.limit_reg
         row = {"n": n, "cochordal": coch, "reg": reg, "method": method, "flag": flag}
         if reg is None:

@@ -217,15 +217,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _verify(args) -> int:
-    return 0 if run_suite(args.suite, seed=args.seed) else 1
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.verb == "verify":
-            return _verify(args)
+            return 0 if run_suite(args.suite, seed=args.seed) else 1
         payload, lines = args.func(load_spec(args.spec), args)
         if args.format == "json":
             sys.stdout.writelines(_json_chunks(payload))

@@ -73,6 +73,7 @@ every set's size and the numeric order of masks of equal size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 from .errors import InvalidArgument, SubsetBudgetExceeded
@@ -86,8 +87,10 @@ DEFAULT_SUBSET_BUDGET = 22
 FIELD_CHAR_LIMIT = 1 << 31
 
 
+@lru_cache(typed=True)
 def require_prime(p: int) -> None:
-    """Raise InvalidArgument unless ``p`` is a prime below ``FIELD_CHAR_LIMIT``."""
+    """Raise InvalidArgument unless ``p`` is a prime below ``FIELD_CHAR_LIMIT``.
+    A prime is divided once; the cache is typed, so 2.0 still raises TypeError."""
     if p >= FIELD_CHAR_LIMIT:
         raise InvalidArgument(f"field characteristic must be below 2^31, got {p}")
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):

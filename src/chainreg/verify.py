@@ -2,12 +2,14 @@
 
 Each check is a plain function that states its claims through ``require``,
 which ``python -O`` keeps, and returns a one-line detail string.  The CLI
-``verify`` command and the acceptance test module both run exactly these
-functions, so there is a single source of truth for what "passing" means.
+``verify`` command and the acceptance tests both run exactly the two check
+tables below, so there is a single source of truth for what "passing" means.
 All randomness is derived from fixed integer seeds.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .anticycle import construct_anticycle
 from .chain import expand, is_quasi_saturated, normalize_spec, q_invariant
@@ -197,20 +199,16 @@ def run_suite(suite: str = "all", seed: int | None = None) -> bool:
     checks, each of which draws its pool from the base plus its own offset;
     the golden checks have no randomness.
     """
-    if suite == "golden":
-        checks = GOLDEN_CHECKS
-    elif suite == "properties":
-        checks = PROPERTY_CHECKS
-    elif suite == "all":
-        checks = GOLDEN_CHECKS + PROPERTY_CHECKS
-    else:
+    props = PROPERTY_CHECKS
+    if seed is not None:
+        props = tuple((name, partial(fn, seed=seed)) for name, fn in PROPERTY_CHECKS)
+    suites = {"golden": GOLDEN_CHECKS, "properties": props, "all": GOLDEN_CHECKS + props}
+    if suite not in suites:
         raise ValueError(f"unknown suite {suite!r}")
-    property_names = {name for name, _ in PROPERTY_CHECKS}
     all_ok = True
-    for name, fn in checks:
+    for name, fn in suites[suite]:
         try:
-            detail = fn(seed=seed) if seed is not None and name in property_names else fn()
-            print(f"PASS {name}: {detail}")
+            print(f"PASS {name}: {fn()}")
         except AssertionError as exc:
             all_ok = False
             print(f"FAIL {name}: {exc}")

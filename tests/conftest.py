@@ -11,9 +11,10 @@ search it replaced, and the one-pass chordality test and row-mask anticycle
 check against copies of the two-pass search and pairwise check they replaced,
 the anticycle pivot walker against copies of the head and tail walkers it
 replaced, the one-entry anticycle construction against a copy of the
-segment-wrapper path it replaced, the window-depth index reduction against a
-copy of the triangle-point reduction it replaced, and the packed window-matrix expansion
-against a copy of the row-by-row window loop it replaced.  The chordality
+segment-wrapper path it replaced, which walks with those walker copies, the
+window-depth index reduction against a copy of the triangle-point reduction it
+replaced, and the packed window-matrix expansion against a copy of the
+row-by-row window loop it replaced.  The chordality
 test is also checked against a copy of the induced-cycle enumerator the
 package no longer ships, and ``normalize_spec`` against a copy of the version
 that checked each raw pair itself.  The homology ranks of the rank routine,
@@ -529,19 +530,16 @@ def reference_k_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
 
 # The anticycle construction that ``anticycle.construct_anticycle`` replaced,
 # copied verbatim but for the ``_ref`` prefix on its helpers, their
-# docstrings, and the local copies of its two error classes.
-
-
-def _ref_require_gap(spec: ChainSpec) -> None:
-    if spec.min_gap < 2:
-        raise HypothesisViolated(
-            f"every generator gap must be at least 2, found gap {spec.min_gap}"
-        )
+# docstrings, its gap check inlined, the local copies of its two error
+# classes, and the walker copies above, which give its walkers' traces.
 
 
 def _ref_require_hypotheses(spec: ChainSpec) -> ChainIndices:
     """Check the construction's hypotheses; return the chain indices."""
-    _ref_require_gap(spec)
+    if spec.min_gap < 2:
+        raise HypothesisViolated(
+            f"every generator gap must be at least 2, found gap {spec.min_gap}"
+        )
     idx = chain_indices(spec)
     j_q = spec.edges[idx.q - 1][1]
     if spec.max_endpoint != j_q + 1:
@@ -549,46 +547,6 @@ def _ref_require_hypotheses(spec: ChainSpec) -> ChainIndices:
             f"largest endpoint must be j_q + 1 = {j_q + 1}, found {spec.max_endpoint}"
         )
     return idx
-
-
-def _ref_rearrange(spec: ChainSpec, idx: ChainIndices, key, stop: int, what: str) -> PivotTrace:
-    edges = spec.edges
-    step = idx.J1
-    sets: list[tuple[int, ...]] = []
-    pivots: list[int] = []
-    used: set[int] = set()
-    while True:
-        pivot = max(step, key=key)
-        sets.append(step)
-        pivots.append(pivot)
-        used.update(step)
-        bound = key(pivot)
-        if bound >= stop:
-            return PivotTrace(tuple(sets), tuple(pivots))
-        cands = [t for t in range(1, spec.s + 1) if t not in used and key(t) > bound]
-        if not cands:
-            raise HypothesisViolated(f"{what} rearrangement ran out of candidates")
-        g = min(edges[t - 1][1] - edges[t - 1][0] for t in cands)
-        step = tuple(t for t in cands if edges[t - 1][1] - edges[t - 1][0] == g)
-
-
-def _ref_head_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
-    edges = spec.edges
-    i_b = edges[idx.b - 1][0]
-    i_h = edges[idx.h - 1][0]
-    if i_h < i_b:
-        raise CaseMismatch(
-            f"i_h = {i_h} < i_b = {i_b}: the closed-form head applies instead"
-        )
-    return _ref_rearrange(spec, idx, lambda t: -edges[t - 1][0], 1 - i_b, "head")
-
-
-def _ref_tail_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
-    edges = spec.edges
-    kt = _ref_rearrange(spec, idx, lambda t: edges[t - 1][1], edges[idx.B - 1][1], "tail")
-    if kt.pivots[-1] != idx.B:
-        raise HypothesisViolated("tail rearrangement did not end at position B")
-    return kt
 
 
 def _ref_head_start(i_anchor: int, gap: int, i_b: int) -> tuple[int, int]:
@@ -645,9 +603,9 @@ def reference_construct_anticycle(spec: ChainSpec, n: int) -> tuple[AnticycleWit
     edges = spec.edges
     i_b = edges[idx.b - 1][0]
     i_h, j_h = edges[idx.h - 1]
-    kt = _ref_tail_trace(spec, idx)
+    kt = reference_k_trace(spec, idx)
     if i_b <= i_h:
-        jt = _ref_head_trace(spec, idx)
+        jt = reference_j_trace(spec, idx)
         eps, head = _ref_head(spec, idx, jt)
         vertices = head[:-1] + _ref_tail(spec, n, head[-1], idx, kt)
         trace = AnticycleTrace(case="I", epsilon=eps, d=len(head) - 1, j_trace=jt, k_trace=kt)

@@ -8,6 +8,7 @@ import pytest
 from chainreg import (
     chain_indices,
     expand,
+    generate_random_spec,
     is_cochordal,
     is_quasi_saturated,
     limit_indmatch,
@@ -17,7 +18,7 @@ from chainreg import (
     stabilization_threshold,
     sweep_verify,
 )
-from chainreg import classify
+from chainreg import classify, oracle
 from chainreg.chain import MATERIALIZE_LIMIT
 from chainreg.classify import CASE_ELSE, CASE_GAP1, CASE_JQ_MAX
 from chainreg.errors import InvalidArgument
@@ -161,11 +162,35 @@ class TestSweepVerify:
         assert not row["cochordal"]
         assert not row["flag"]  # n = 17 is below the verdict threshold 27
 
-    def test_oracle_skip_beyond_cap(self, table_spec):
-        report = sweep_verify(table_spec, 30, 31, field_char=2, oracle_cap=22)
-        for row in report["rows"]:
+    def test_oracle_skip_beyond_cap(self, table_spec, monkeypatch):
+        calls = []
+        monkeypatch.setattr(classify, "is_cochordal", lambda g: calls.append(g.n) or is_cochordal(g))
+        sweep_verify(table_spec, 10, 22, oracle_cap=22)
+        report = sweep_verify(table_spec, 21, 31, field_char=2, oracle_cap=22)
+        assert calls == list(range(23, 32))
+        for row in report["rows"][2:]:
             assert row["reg"] == 2 and row["method"] == "froeberg"
             assert not row["flag"]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_oracle_rows_take_cochordality_from_the_value(self, p, table_spec):
+        # All rows inside the cap; sparse windows and the table chain give reg 3, 4, 5.
+        pool = [generate_random_spec((3, 4, 5)[k % 3], 0.2, 2401 + k) for k in range(24)]
+        strata = Counter()
+        for spec in pool + [table_spec]:
+            report = sweep_verify(spec, spec.r, min(22, 4 * spec.r), field_char=p, oracle_cap=22)
+            for row in report["rows"]:
+                assert row["cochordal"] == is_cochordal(expand(spec, row["n"])), (spec, row)
+                strata[row["reg"]] += 1
+        assert strata == {2: 284, 3: 37, 4: 3, 5: 1}
+
+    def test_field_is_checked_once(self, table_spec, monkeypatch):
+        calls = []
+        real = oracle.isqrt
+        monkeypatch.setattr(oracle, "isqrt", lambda p: calls.append(p) or real(p))
+        oracle.require_prime.cache_clear()
+        report = sweep_verify(table_spec, 10, 34, field_char=2**31 - 1, oracle_cap=34)
+        assert len(report["rows"]) == 25 and calls == [2**31 - 1]
 
     def test_range_validation(self, table_spec):
         with pytest.raises(ValueError):

@@ -557,8 +557,8 @@ class TestGoldenSnapshots:
     tests/golden/: JSON named <chain>.<command>.json and text named
     <chain>.<command>.txt, or <chain>.anticycle.<n>.json (and .txt at n = 18)
     for the anticycle construction, which applies to two of the chains; the table chain's
-    sweep with every row through the oracle as table.sweep.oracle.json, and
-    rows 10..19 over GF(3) as table.sweep.oracle.gf3.json;
+    sweep with every row through the oracle as table.sweep.oracle.json and
+    .txt, and rows 10..19 over GF(3) as table.sweep.oracle.gf3.json;
     six-edge ``reg`` at n = 38 past the default oracle cap as
     six_edge.reg.38.json; and the report of ``verify --suite all`` as
     verify.all.txt."""
@@ -598,12 +598,14 @@ class TestGoldenSnapshots:
         want = (REPO / "tests" / "golden" / f"{chain}.anticycle.18.txt").read_text()
         assert capsys.readouterr().out == want
 
-    def test_sweep_through_the_oracle_is_unchanged(self, capsys):
-        # An oracle cap of 34 sends rows 10..34 to the oracle, below and past n0 = 30.
+    @pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt")])
+    def test_sweep_through_the_oracle_is_unchanged(self, fmt, suffix, capsys):
+        # An oracle cap of 34 sends rows 10..34 to the oracle, below and past
+        # n0 = 30; the text shows the cochordal column read off their values.
         spec = REPO / "bench" / "specs" / "table.json"
         argv = ["sweep", str(spec), "--from", "10", "--to", "34", "--oracle-cap", "34"]
-        assert main([*argv, "--format", "json"]) == 0
-        want = (REPO / "tests" / "golden" / "table.sweep.oracle.json").read_text()
+        assert main([*argv, "--format", fmt]) == 0
+        want = (REPO / "tests" / "golden" / f"table.sweep.oracle.{suffix}").read_text()
         assert capsys.readouterr().out == want
 
     def test_sweep_through_the_oracle_over_gf3_is_unchanged(self, capsys):

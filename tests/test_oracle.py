@@ -99,6 +99,12 @@ class TestHomologyProfile:
         require_prime(2**31 - 1)  # prime, and the largest characteristic allowed
         with pytest.raises(InvalidArgument, match="below 2\\^31, got 2147483648$"):
             require_prime(2**31)
+        require_prime(type("Char", (int,), {})(2))  # an int subclass passes
+        with pytest.raises(TypeError):
+            require_prime(2.0)  # the cache is typed: the subclass's pass is not 2.0's
+        for _ in range(2):
+            with pytest.raises(InvalidArgument, match="must be prime, got 4$"):
+                require_prime(4)
 
 
 class TestRegularity:
