@@ -4,8 +4,8 @@ Subcommands: expand, classify, indmatch, reg, anticycle, quasisat, sweep,
 verify.  Every command but verify reads a chain-spec JSON file {"r": int,
 "edges": [[i, j], ...]} (edges may be unsorted and unoriented), prints either
 an aligned text rendering or machine JSON, and exits 0 on success, 1 on a
-computation error, 2 on invalid input.  Any other exception is a fault in
-the program and propagates with its traceback (exit 1).
+computation error or closed stdout, 2 on invalid input; any other exception
+is a fault in the program and propagates with its traceback (exit 1).
 
 The spec commands are the rows of ``COMMANDS``: a verb, its help, its
 function and its extra flags.  A command function takes the loaded spec and
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain, islice
 
@@ -221,17 +222,24 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.verb == "verify":
-            return 0 if run_suite(args.suite, seed=args.seed) else 1
-        payload, lines = args.func(load_spec(args.spec), args)
-        if args.format == "json":
-            sys.stdout.writelines(_json_chunks(payload))
-            print()
+            code = 0 if run_suite(args.suite, seed=args.seed) else 1
         else:
-            sys.stdout.writelines(_batches(lines, "\n"))
-        return 1 if payload.get("violations") else 0
+            payload, lines = args.func(load_spec(args.spec), args)
+            if args.format == "json":
+                sys.stdout.writelines(_json_chunks(payload))
+                print()
+            else:
+                sys.stdout.writelines(_batches(lines, "\n"))
+            code = 1 if payload.get("violations") else 0
+        sys.stdout.flush()  # a closed reader raises here, not at exit
+        return code
     except errors.ChainRegError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, errors.InvalidInputError) else 1
+    except BrokenPipeError:
+        # The reader left (``| head``): drop the buffer, or exit's flush raises.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -20,35 +20,40 @@ order:
   Ind(G[W - v]).  The cone case is the fold with N(u) empty.
 
 The route starts from ``graphs.first_hole``, the first hole (an induced cycle
-of length >= 4) of the complement of G in (length, mask) order:
-
-- no hole: G is cochordal (chordal means having no hole), so reg = 2
-  (Fröberg), and any single edge covers dimension 0;
-- a hole, and a greedy deletion sequence proving reg <= 3 (Dao, Huneke and
-  Schweig, J. Algebraic Combin. 38 (2013), Lemma 3.1): the hole, no walk;
-- a hole and no such sequence: the walk, started from the hole.
+of length >= 4) of the complement of G in (length, mask) order.  With none,
+G is cochordal (chordal means having no hole), so reg = 2 (Fröberg), and any
+single edge covers dimension 0.  With one, the hole covers dimension 1, and
+the walk runs over the vertices that ``_undeletable`` leaves, if any.
 
 The certificate is the first subset in scan order that attains the maximum
-dimension.  Ind(G[W]) is the clique complex of the complement on W, and the
-clique complex of a chordal graph has contractible components.  So a W with
-homology in dimension 1 holds a hole, which comes no later in scan order,
-and the hole, whose complex is a circle, with homology in dimension 1 over
-every field, is the first set of dimension 1.  The walk looks for the first set W with homology in a
-dimension d >= 2.  No prune removes W, since the smaller subset it reduces
-to would attain d earlier.  Nor is the complement-link of any vertex v of W,
-the complement on W - N[v], chordal: Ind(G[W]) is Ind(G[W - v]) glued to the
-star of v, a cone, along the link's clique complex, so by Mayer-Vietoris
-H_d(W - v) maps onto H_d(W) when the link's H_{d-1} vanishes, as it does
-for a chordal link and d >= 2; then W - v, earlier, attains d.
+dimension.  Ind(G[W]) is the clique complex of the complement on W, and that
+of a chordal graph has contractible components.  So a W with homology in
+dimension 1 holds a hole, no later in scan order, and each hole's complex is
+a circle, with homology in dimension 1 over every field; so the first hole is
+the first set of dimension 1.
+
+One argument serves the deletion and the walk's link cut.  Let W be the
+first set with homology in a dimension d >= 2.  No prune removes W, since
+the smaller subset it reduces to would attain d earlier.  Nor is the
+complement-link of any vertex v of W, the complement on W - N[v], chordal:
+Ind(G[W]) is Ind(G[W - v]) glued to the star of v, a cone, along the link's
+clique complex, so by Mayer-Vietoris H_d(W - v) maps onto H_d(W) when the
+link's H_{d-1} vanishes, as it does for a chordal link and d >= 2; then
+W - v, earlier, attains d.  As chordality is hereditary, a vertex whose
+complement-link in a set S is chordal lies in no first set inside S, and
+deleting it from S keeps every other such vertex deletable.  So the vertices
+left once none qualifies do not depend on the order of deletion and hold
+every first set.  With none left, reg = 3, and the deletions form a
+Dao-Huneke-Schweig sequence (J. Algebraic Combin. 38 (2013), Lemma 3.1).
 
 The walk is depth-first over vertex sets, each grown only by later
-candidates: on the table chain's G_14 it visits 94 sets where a scan of the
-subsets of its 14 supported vertices tests 16,369, and keeps one, the
-certificate.  After vertex t joins a set S, ``reach`` is S with its remaining
-candidates.  Every set below S lies between S and reach, so a vertex adjacent
-to all of reach dominates each of them, neighbourhoods that nest inside reach
-nest inside each of them, and t's complement-link in reach, when chordal,
-stays chordal in each of them.  The walk cuts:
+candidates: on the table chain's G_14 it runs on 11 of the 14 supported
+vertices and visits 66 sets, where a scan of their subsets tests 2,036, and
+keeps one, the certificate.  After vertex t joins a set S, ``reach`` is S
+with its remaining candidates.  Every set below S lies between S and reach,
+so a vertex adjacent to all of reach dominates each of them, neighbourhoods
+that nest inside reach nest inside each of them, and t's complement-link in
+reach, when chordal, stays chordal in each of them.  The walk cuts:
 
 - a candidate x adjacent to all of reach: x dominates every set it joins;
 - a candidate x whose neighbourhood in reach nests with t's, either way:
@@ -63,11 +68,9 @@ between the sets a scan of all subsets keeps and those of them with no
 chordal complement-link, which no cut reaches, and hold the first set of
 every dimension >= 2; sorted once, they come in scan order.
 
-The walk reads G's own rows and visits only the mask of its supported vertices
-(those on an edge), so a certificate is read straight from mask bits in G's
-numbering.  This gives the same survivors, in the same order, as a walk on a
-copy of G renumbered to 1..k: renumbering the support in vertex order keeps
-every set's size and the numeric order of masks of equal size.
+The walk reads G's own rows over a mask of supported vertices, so a
+certificate is mask bits in G's numbering; renumbering the support to 1..k in
+vertex order would keep each set's size and the order of equal-size masks.
 """
 
 from __future__ import annotations
@@ -267,8 +270,7 @@ def _survivors(G: SimpleGraph, support: int) -> list[int]:
 
     Valid only for a search from a hole for dimensions >= 2: the sets hold
     the first one in scan order with homology in each dimension >= 2, and
-    may miss any other.  Passing the supported vertices loses none, since a
-    set holding an isolated vertex is a cone.
+    may miss any other, over the supported or the undeletable vertices.
     """
     adj = G.adj
     survivors: list[int] = []
@@ -309,28 +311,20 @@ def _survivors(G: SimpleGraph, support: int) -> list[int]:
     return survivors
 
 
-def _deletion_sequence(G: SimpleGraph, support: int) -> bool:
-    """Whether a greedy Dao-Huneke-Schweig deletion sequence proves reg <= 3.
-
-    Each step deletes the smallest x of the remaining graph H (at first G on
-    its support, which has a hole) whose H - N[x] is cochordal or edgeless,
-    and success comes once H - x is cochordal; then reg <= 3 by reg I(H) <=
-    max{reg I(H - x), reg I(H - N[x]) + 1}.  False when some step finds no x.
-    """
+def _undeletable(G: SimpleGraph, support: int) -> int:
+    """The vertex mask left of ``support`` once each vertex whose
+    complement-link in the rest is chordal is deleted (module docstring),
+    swept in vertex order until a sweep deletes nothing."""
     adj = G.adj
-    rest = support
-    while True:
-        w = rest
+    rest, before = support, None
+    while rest != before:
+        before = w = rest
         while w:
             b = w & -w
             w ^= b
             if is_cochordal(G, rest & ~(adj[b.bit_length()] | b)):
-                break
-        else:
-            return False
-        rest ^= b
-        if is_cochordal(G, rest):
-            return True
+                rest ^= b
+    return rest
 
 
 def regularity(
@@ -341,14 +335,13 @@ def regularity(
     """Exact regularity of the edge ideal of G by subset enumeration.
 
     The route follows the first hole of the complement (``first_hole``): with
-    none the seeded edge; with one and a deletion sequence the hole; and
-    otherwise the hole in dimension 1, then the homology of the walk's
-    survivors in scan order, keeping the largest dimension found and the
-    first subset attaining it, in G's numbering.  Value and certificate are
-    those of a scan of every subset, over every field.  Raises
-    InvalidArgument for a non-prime field or a negative ``subset_budget``,
-    and SubsetBudgetExceeded when more than ``subset_budget`` vertices carry
-    an edge, both before any work.
+    none the seeded edge; with one the hole in dimension 1, then the homology
+    of the survivors of the walk over ``_undeletable``'s vertices in scan
+    order, keeping the largest dimension found and the first subset attaining
+    it, in G's numbering.  Value and certificate are those of a scan of every
+    subset, over every field.  Raises InvalidArgument for a non-prime field
+    or a negative ``subset_budget``, and SubsetBudgetExceeded when more than
+    ``subset_budget`` vertices carry an edge, both before any work.
     """
     require_prime(field_char)
     if subset_budget < 0:
@@ -372,11 +365,10 @@ def regularity(
         best_mask = 1 << (v - 1) | (below & -below)
     else:
         best_d, best_mask = 1, hole
-        if not _deletion_sequence(G, support):
-            for mask in _survivors(G, support):
-                d = _top_nonzero_excess(_independent_faces(adj, mask), field_char, best_d)
-                if d is not None:
-                    best_d, best_mask = d, mask
+        for mask in _survivors(G, _undeletable(G, support)):
+            d = _top_nonzero_excess(_independent_faces(adj, mask), field_char, best_d)
+            if d is not None:
+                best_d, best_mask = d, mask
 
     subset = [v for v in range(1, G.n + 1) if best_mask >> (v - 1) & 1]
     return RegularityReport(

@@ -6,7 +6,8 @@ against raw subset search, monomial counts against direct enumeration.  The
 pruned homology scan is checked against a copy of the scan without its fold
 prune, which shares only the face enumeration and rank code, and its
 subset walk against all subsets filtered through a copy of the per-subset
-prune test; the vertex-mask matching search against a copy of the edge-list
+prune test, and its vertex deletion against a copy of the greedy deletion
+sequence it replaced; the vertex-mask matching search against a copy of the edge-list
 search it replaced, and the one-pass chordality test and row-mask anticycle
 check against copies of the two-pass search and pairwise check they replaced,
 the anticycle pivot walker against copies of the head and tail walkers it
@@ -53,7 +54,14 @@ from chainreg.errors import (
     SubsetBudgetExceeded,
     VertexOutOfRange,
 )
-from chainreg.graphs import AnticycleWitness, _bit, _iter_bits, induced_subgraph, verify_anticycle
+from chainreg.graphs import (
+    AnticycleWitness,
+    _bit,
+    _iter_bits,
+    induced_subgraph,
+    is_cochordal,
+    verify_anticycle,
+)
 from chainreg.oracle import (
     DEFAULT_SUBSET_BUDGET,
     RegularityReport,
@@ -314,8 +322,8 @@ def reference_regularity(G: SimpleGraph, field_char: int = 2) -> RegularityRepor
     """The oracle's subset scan with only the cone and dominating-vertex prunes.
 
     A copy of ``oracle.regularity`` before the fold prune, with its budget
-    fixed at the default and no progress callback, kept as the reference that
-    the pruned scan must match, certificate included.  One scan serves both
+    fixed at the default, kept as the reference that the pruned scan must
+    match, certificate included.  One scan serves both
     fields of ``REFERENCE_FIELDS``, and its reports are cached by graph, so a
     graph drawn again, or asked of the other field, is not scanned again;
     callers only compare the reports.
@@ -458,6 +466,30 @@ def brute_fold_survivors(adj, nn: int) -> set[int]:
         else:
             kept.add(mask)
     return kept
+
+
+def reference_deletion_sequence(G: SimpleGraph, support: int) -> bool:
+    """Whether a greedy Dao-Huneke-Schweig deletion sequence proves reg <= 3.
+
+    Each step deletes the smallest x of the remaining graph H (at first G on
+    its support, which has a hole) whose H - N[x] is cochordal or edgeless,
+    and success comes once H - x is cochordal; then reg <= 3 by reg I(H) <=
+    max{reg I(H - x), reg I(H - N[x]) + 1}.  False when some step finds no x.
+    """
+    adj = G.adj
+    rest = support
+    while True:
+        w = rest
+        while w:
+            b = w & -w
+            w ^= b
+            if is_cochordal(G, rest & ~(adj[b.bit_length()] | b)):
+                break
+        else:
+            return False
+        rest ^= b
+        if is_cochordal(G, rest):
+            return True
 
 
 class CaseMismatch(ChainRegError):

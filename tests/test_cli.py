@@ -420,6 +420,23 @@ class TestErrors:
         assert proc.returncode == 1
         assert "ValueError: internal fault" in proc.stderr
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_closed_stdout_exits_1_without_traceback(self, fmt):
+        # G_300 lists 44,537 edges, far more than a pipe holds, so the reader
+        # closes the pipe while the command is still writing.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), *sys.path])}
+        spec = str(REPO / "bench" / "specs" / "table.json")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "chainreg", "expand", spec, "--n", "300", "--format", fmt],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
     def test_missing_flag_is_usage_error(self, spec_file):
         with pytest.raises(SystemExit) as exc:
             main(["expand", spec_file(TABLE)])
@@ -560,7 +577,8 @@ class TestGoldenSnapshots:
     sweep with every row through the oracle as table.sweep.oracle.json and
     .txt, and rows 10..19 over GF(3) as table.sweep.oracle.gf3.json;
     six-edge ``reg`` at n = 38 past the default oracle cap as
-    six_edge.reg.38.json; and the report of ``verify --suite all`` as
+    six_edge.reg.38.json; table ``reg`` at n = 13, whose walk the vertex
+    deletion shrinks, as table.reg.13.json; and the report of ``verify --suite all`` as
     verify.all.txt."""
 
     def test_every_golden_chain_is_covered(self):
@@ -623,13 +641,21 @@ class TestGoldenSnapshots:
         want = (REPO / "tests" / "golden" / "table.sweep.oracle.gf3.json").read_text()
         assert capsys.readouterr().out == want
 
+    @staticmethod
+    def _reg(chain, n, flags, capsys):
+        spec = REPO / "bench" / "specs" / f"{chain}.json"
+        assert main(["reg", str(spec), "--n", str(n), *flags, "--format", "json"]) == 0
+        want = (REPO / "tests" / "golden" / f"{chain}.reg.{n}.json").read_text()
+        assert capsys.readouterr().out == want
+
     def test_reg_past_the_default_cap_is_unchanged(self, capsys):
         # Six-edge G_38 has 38 supported vertices and reg 3.
-        spec = REPO / "bench" / "specs" / "six_edge.json"
-        argv = ["reg", str(spec), "--n", "38", "--oracle-cap", "64", "--format", "json"]
-        assert main(argv) == 0
-        want = (REPO / "tests" / "golden" / "six_edge.reg.38.json").read_text()
-        assert capsys.readouterr().out == want
+        self._reg("six_edge", 38, ["--oracle-cap", "64"], capsys)
+
+    def test_reg_with_a_shrunk_walk_is_unchanged(self, capsys):
+        # Table G_13 has reg 4; the walk runs on 6 of its 13 supported
+        # vertices, the certificate's, after the others are deleted.
+        self._reg("table", 13, [], capsys)
 
     def test_verify_report_is_unchanged(self, capsys):
         assert main(["verify", "--suite", "all"]) == 0

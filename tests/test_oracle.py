@@ -16,13 +16,14 @@ from chainreg import (
 )
 from chainreg.errors import InvalidArgument, SubsetBudgetExceeded
 from chainreg.graphs import complement, induced_subgraph
-from chainreg.oracle import _deletion_sequence, _survivors, reduced_homology_ranks, require_prime
+from chainreg.oracle import _survivors, _undeletable, reduced_homology_ranks, require_prime
 
 from conftest import (
     brute_fold_survivors,
     brute_induced_cycles,
     brute_independent_sets,
     random_graph,
+    reference_deletion_sequence,
     reference_homology_ranks,
     reference_is_chordal,
     reference_regularity,
@@ -212,6 +213,13 @@ class TestRegularity:
             assert prof.rank(cert["dimension"]) > 0, (g, cert)
             assert rep.value == 2 + cert["dimension"]
 
+    def test_strict_gap_window(self, reg3_spec):
+        g = expand(reg3_spec, 9)
+        # The matching bound gives only 1 + 1 = 2 and G_9 is not cochordal;
+        # the true value is 3, strictly above the matching bound.
+        assert induced_matching(g)[0] == 1 and not is_cochordal(g)
+        assert regularity(g, 2).value == 3
+
 
 class TestAgainstReference:
     """The fold-pruned scan against the scan with only the two older prunes."""
@@ -247,15 +255,18 @@ def traced_regularity(g, **kwargs):
         tracemalloc.stop()
 
 
+def link_chordal(g, verts, v):
+    """Whether v's complement-link in the vertex list ``verts``, the
+    complement of g on verts minus N[v], is chordal."""
+    rest = [u for u in verts if u != v and not g.has_edge(u, v)]
+    return reference_is_chordal(complement(induced_subgraph(g, rest)))
+
+
 def links_open(g, mask):
     """Whether every vertex v of the vertex mask has a non-chordal
-    complement-link inside it: the complement of g on the mask minus N[v]."""
+    complement-link inside it."""
     verts = [v for v in range(1, g.n + 1) if mask >> (v - 1) & 1]
-    for v in verts:
-        rest = [u for u in verts if u != v and not g.has_edge(u, v)]
-        if reference_is_chordal(complement(induced_subgraph(g, rest))):
-            return False
-    return True
+    return not any(link_chordal(g, verts, v) for v in verts)
 
 
 def survivors_sandwiched(g, support):
@@ -295,11 +306,14 @@ class TestSurvivorWalk:
         g = expand(table_spec, 14)
         cert = regularity(g, 2).certificate
         assert cert == {"subset": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 14], "dimension": 2}
-        assert _survivors(g, g.support) == [sum(1 << (v - 1) for v in cert["subset"])]
+        mask = sum(1 << (v - 1) for v in cert["subset"])
+        assert _survivors(g, g.support) == [mask]
+        # The deletion leaves exactly the certificate's 11 vertices to walk.
+        assert _undeletable(g, g.support) == mask
 
     def test_walk_memory(self, table_spec):
-        # Table G_14 has no deletion sequence, so the oracle walks its 14
-        # supported vertices.  The depth-first stack holds a few sets per
+        # Table G_14 has no deletion sequence, so the oracle walks 11 of its
+        # 14 supported vertices.  The depth-first stack holds a few sets per
         # size, and the walk keeps a single survivor: about 4 KB traced.
         rep, peak = traced_regularity(expand(table_spec, 14))
         assert rep.value == 4
@@ -320,7 +334,13 @@ class TestSurvivorWalk:
                 if route(g) == "walk":
                     break
             reps = [regularity(g, p) for p in (2, 3)]
-            assert reps == [reference_regularity(g, p) for p in (2, 3)], g
+            refs = [reference_regularity(g, p) for p in (2, 3)]
+            assert reps == refs, g
+            # The first set of each dimension >= 2 is never deleted.
+            rest = _undeletable(g, g.support)
+            for ref in refs:
+                if ref.certificate["dimension"] >= 2:
+                    assert all(rest >> (v - 1) & 1 for v in ref.certificate["subset"]), g
             high += reps[0].value >= 4
         assert high > 900, high
 
@@ -350,16 +370,17 @@ class TestOwnNumbering:
 
 def route(g):
     """The oracle's route for g: "cochordal" with no hole in the complement,
-    "sequence" with a hole and a deletion sequence, else "walk"."""
+    "sequence" with a hole and every vertex deletable, else "walk"."""
     if not first_hole(g):
         return "cochordal"
-    return "sequence" if _deletion_sequence(g, g.support) else "walk"
+    return "walk" if _undeletable(g, g.support) else "sequence"
 
 
-class TestDimensionCap:
+class TestRoutes:
     """The route caps the largest homological dimension: 0 with no hole in
-    the complement (Fröberg), 1 with a hole and a greedy Dao-Huneke-Schweig
-    deletion sequence; otherwise the walk finds it."""
+    the complement (Fröberg), 1 with a hole when every vertex is deletable,
+    which is when a greedy Dao-Huneke-Schweig deletion sequence exists;
+    otherwise the walk over the undeletable vertices finds it."""
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_sound_against_reference(self, p):
@@ -373,6 +394,8 @@ class TestDimensionCap:
                 continue
             way = route(g)
             routes[way] += 1
+            deleted_all = _undeletable(g, g.support) == 0
+            assert deleted_all == reference_deletion_sequence(g, g.support), g
             # Chordal means having no hole.
             assert (way == "cochordal") == is_cochordal(g), g
             assert way != "sequence" or ref.value <= 3, g
@@ -394,6 +417,24 @@ class TestDimensionCap:
             assert way == route(h), g
             routes.add(way)
         assert routes == {"cochordal", "sequence", "walk"}
+
+    def test_deletion_order_does_not_matter(self):
+        # Deleting, in a random order, any vertex whose complement-link in
+        # the rest is chordal, until none is left, leaves the same vertices.
+        rng = random.Random(151)
+        shrunk = 0
+        for i in range(400):
+            if i % 2:
+                g = random_graph(rng, rng.randint(4, 12), rng.uniform(0.2, 0.9))
+            else:
+                g = scattered_graph(rng, 16, rng.randint(4, 12))
+            rest = [v for v in range(1, g.n + 1) if g.adj[v]]
+            while qualifiers := [v for v in rest if link_chordal(g, rest, v)]:
+                rest.remove(rng.choice(qualifiers))
+            got = _undeletable(g, g.support)
+            assert got == sum(1 << (v - 1) for v in rest), g
+            shrunk += 0 < got.bit_count() < g.support.bit_count()
+        assert shrunk > 20, shrunk
 
 
 class TestFirstHole:
@@ -453,12 +494,3 @@ class TestFirstHole:
             rep = regularity(g, p, subset_budget=10**6)
             assert rep.value == 3, (spec, n)
             assert rep.certificate == {"subset": subset, "dimension": 1}, (spec, n)
-
-
-class TestRegularityBounds:
-    def test_strict_gap_window(self, reg3_spec):
-        g = expand(reg3_spec, 9)
-        # The matching bound gives only 1 + 1 = 2 and G_9 is not cochordal;
-        # the true value is 3, strictly above the matching bound.
-        assert induced_matching(g)[0] == 1 and not is_cochordal(g)
-        assert regularity(g, 2).value == 3
