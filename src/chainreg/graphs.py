@@ -250,12 +250,16 @@ def first_hole(G: SimpleGraph, longest: int | None = None) -> int:
     below it: the least length L over all h is the shortest hole, and the
     least h attaining it is the top of the least mask of length L.  Step 2
     goes down from that top, dropping each vertex whose removal still leaves
-    a hole of length L through the top.  A vertex kept lies on every such
-    hole left at its turn, so what remains is one hole R.  Let M be the least
-    such hole and v the highest vertex where M and R differ.  At v's turn the
-    set held is R above v and everything below, so it holds M; had v been in
-    R and not in M, it would have been dropped.  So v is in M, and M > R
-    unless M = R.
+    a hole of length L through the top.  It starts from the ball of radius
+    L // 2 around the top, in complement steps inside the support up to the
+    top: each vertex of such a hole is that close to the top along the hole,
+    whose edges are complement edges, so the ball holds every such hole and
+    each vertex outside it would be dropped.  A vertex kept lies on every
+    such hole left at its turn, so what remains is one hole R.  Let M be the
+    least such hole and v the highest vertex where M and R differ.  At v's
+    turn the set held is R above v and the ball below, so it holds M; had v
+    been in R and not in M, it would have been dropped.  So v is in M, and
+    M > R unless M = R.
     """
     adj = G.adj
 
@@ -302,8 +306,18 @@ def first_hole(G: SimpleGraph, longest: int | None = None) -> int:
                 best, top = found, h
     if not top:
         return 0
-    hole = support & ((1 << top) - 1)
-    below = hole & ((1 << (top - 1)) - 1)
+    # Step 2 from the ball of radius best // 2 around top.
+    hole = frontier = 1 << (top - 1)
+    inside = support & (hole - 1)
+    for _ in range(best // 2):
+        reach = 0
+        while frontier:
+            xb = frontier & -frontier
+            frontier ^= xb
+            reach |= ~adj[xb.bit_length()]
+        frontier = reach & inside & ~hole
+        hole |= frontier
+    below = hole & inside
     while below:
         vb = 1 << (below.bit_length() - 1)
         below ^= vb

@@ -45,6 +45,10 @@ deleting it from S keeps every other such vertex deletable.  So the vertices
 left once none qualifies do not depend on the order of deletion and hold
 every first set.  With none left, reg = 3, and the deletions form a
 Dao-Huneke-Schweig sequence (J. Algebraic Combin. 38 (2013), Lemma 3.1).
+Both tests ask only whether the complement on a vertex mask is chordal,
+which for a fixed G depends on the mask alone; so one memo per
+``regularity`` call serves the deletion and the walk, and a mask of fewer
+than 4 vertices, too small for a hole, is chordal without a search.
 
 The walk is depth-first over vertex sets, each grown only by later
 candidates: on the table chain's G_14 it runs on 11 of the 14 supported
@@ -264,13 +268,28 @@ def _pruned(adj, mask: int) -> bool:
     return False
 
 
-def _survivors(G: SimpleGraph, support: int) -> list[int]:
+def _link_chordal(G: SimpleGraph, mask: int, known: dict) -> bool:
+    """Whether the complement of G on the vertex mask ``mask`` is chordal.
+
+    A mask of fewer than 4 vertices holds no hole; any other answer is
+    computed once and kept in ``known``, one dict per ``regularity`` call.
+    """
+    if mask.bit_count() < 4:
+        return True
+    chordal = known.get(mask)
+    if chordal is None:
+        chordal = known[mask] = is_cochordal(G, mask)
+    return chordal
+
+
+def _survivors(G: SimpleGraph, support: int, known: dict) -> list[int]:
     """The vertex sets inside the vertex mask ``support`` that the walk of the
     module docstring keeps, sorted by cardinality, then mask.
 
     Valid only for a search from a hole for dimensions >= 2: the sets hold
     the first one in scan order with homology in each dimension >= 2, and
     may miss any other, over the supported or the undeletable vertices.
+    ``known`` is the chordality memo of ``_link_chordal``.
     """
     adj = G.adj
     survivors: list[int] = []
@@ -297,7 +316,7 @@ def _survivors(G: SimpleGraph, support: int) -> list[int]:
         # t's complement-link in reach is the complement on reach - N[t].  A
         # leaf, with no candidates left, skips the test: over random graphs
         # it saves about as much homology as it costs.
-        if cands and is_cochordal(G, reach ^ tb ^ at):
+        if cands and _link_chordal(G, reach ^ tb ^ at, known):
             continue
         if not _pruned(adj, s):
             survivors.append(s)
@@ -311,10 +330,11 @@ def _survivors(G: SimpleGraph, support: int) -> list[int]:
     return survivors
 
 
-def _undeletable(G: SimpleGraph, support: int) -> int:
+def _undeletable(G: SimpleGraph, support: int, known: dict) -> int:
     """The vertex mask left of ``support`` once each vertex whose
     complement-link in the rest is chordal is deleted (module docstring),
-    swept in vertex order until a sweep deletes nothing."""
+    swept in vertex order until a sweep deletes nothing.  ``known`` is the
+    chordality memo of ``_link_chordal``."""
     adj = G.adj
     rest, before = support, None
     while rest != before:
@@ -322,7 +342,7 @@ def _undeletable(G: SimpleGraph, support: int) -> int:
         while w:
             b = w & -w
             w ^= b
-            if is_cochordal(G, rest & ~(adj[b.bit_length()] | b)):
+            if _link_chordal(G, rest & ~(adj[b.bit_length()] | b), known):
                 rest ^= b
     return rest
 
@@ -365,7 +385,8 @@ def regularity(
         best_mask = 1 << (v - 1) | (below & -below)
     else:
         best_d, best_mask = 1, hole
-        for mask in _survivors(G, _undeletable(G, support)):
+        known: dict = {}
+        for mask in _survivors(G, _undeletable(G, support, known), known):
             d = _top_nonzero_excess(_independent_faces(adj, mask), field_char, best_d)
             if d is not None:
                 best_d, best_mask = d, mask

@@ -578,8 +578,9 @@ class TestGoldenSnapshots:
     .txt, and rows 10..19 over GF(3) as table.sweep.oracle.gf3.json;
     six-edge ``reg`` at n = 38 past the default oracle cap as
     six_edge.reg.38.json; table ``reg`` at n = 13, whose walk the vertex
-    deletion shrinks, as table.reg.13.json; and the report of ``verify --suite all`` as
-    verify.all.txt."""
+    deletion shrinks, as table.reg.13.json; table ``reg`` at n = 17, whose
+    first hole has 5 vertices, as table.reg.17.json; and the report of
+    ``verify --suite all`` as verify.all.txt."""
 
     def test_every_golden_chain_is_covered(self):
         assert [p.stem for p in GOLDEN_SPECS] == ["near_sharp", "reg3", "six_edge", "table"]
@@ -656,6 +657,11 @@ class TestGoldenSnapshots:
         # Table G_13 has reg 4; the walk runs on 6 of its 13 supported
         # vertices, the certificate's, after the others are deleted.
         self._reg("table", 13, [], capsys)
+
+    def test_reg_with_a_five_vertex_hole_is_unchanged(self, capsys):
+        # Table G_17 has reg 3, certified by its first hole, of length 5:
+        # the descent of the hole search keeps vertices two steps from its top.
+        self._reg("table", 17, [], capsys)
 
     def test_verify_report_is_unchanged(self, capsys):
         assert main(["verify", "--suite", "all"]) == 0

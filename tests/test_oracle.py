@@ -12,6 +12,7 @@ from chainreg import (
     induced_matching,
     is_cochordal,
     normalize_spec,
+    oracle,
     regularity,
 )
 from chainreg.errors import InvalidArgument, SubsetBudgetExceeded
@@ -274,7 +275,7 @@ def survivors_sandwiched(g, support):
     only sets that the per-subset test keeps, and among them every kept set
     whose vertices all have a non-chordal complement-link inside it."""
     upper = sorted(brute_fold_survivors(g.adj, g.n), key=lambda m: (m.bit_count(), m))
-    got = _survivors(g, support)
+    got = _survivors(g, support, {})
     kept = set(got)
     return [m for m in upper if m in kept] == got and not any(
         links_open(g, m) for m in upper if m not in kept
@@ -307,9 +308,29 @@ class TestSurvivorWalk:
         cert = regularity(g, 2).certificate
         assert cert == {"subset": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 14], "dimension": 2}
         mask = sum(1 << (v - 1) for v in cert["subset"])
-        assert _survivors(g, g.support) == [mask]
+        assert _survivors(g, g.support, {}) == [mask]
         # The deletion leaves exactly the certificate's 11 vertices to walk.
-        assert _undeletable(g, g.support) == mask
+        assert _undeletable(g, g.support, {}) == mask
+
+    @pytest.mark.parametrize("n, calls", [(10, 14), (11, 48), (14, 31)])
+    def test_each_link_is_tested_once(self, table_spec, monkeypatch, n, calls):
+        # The deletion and the walk share one chordality memo per call, and
+        # skip masks of fewer than 4 vertices, which hold no hole: each call,
+        # over either field, tests every link mask once.
+        masks = []
+
+        def counted(g, vertices=None):
+            masks.append(vertices)
+            return is_cochordal(g, vertices)
+
+        monkeypatch.setattr(oracle, "is_cochordal", counted)
+        g = expand(table_spec, n)
+        for p in (2, 3):
+            masks.clear()
+            regularity(g, p)
+            assert len(masks) == calls, p
+            assert len(set(masks)) == calls
+            assert min(m.bit_count() for m in masks) >= 4
 
     def test_walk_memory(self, table_spec):
         # Table G_14 has no deletion sequence, so the oracle walks 11 of its
@@ -337,7 +358,7 @@ class TestSurvivorWalk:
             refs = [reference_regularity(g, p) for p in (2, 3)]
             assert reps == refs, g
             # The first set of each dimension >= 2 is never deleted.
-            rest = _undeletable(g, g.support)
+            rest = _undeletable(g, g.support, {})
             for ref in refs:
                 if ref.certificate["dimension"] >= 2:
                     assert all(rest >> (v - 1) & 1 for v in ref.certificate["subset"]), g
@@ -373,7 +394,7 @@ def route(g):
     "sequence" with a hole and every vertex deletable, else "walk"."""
     if not first_hole(g):
         return "cochordal"
-    return "walk" if _undeletable(g, g.support) else "sequence"
+    return "walk" if _undeletable(g, g.support, {}) else "sequence"
 
 
 class TestRoutes:
@@ -394,7 +415,7 @@ class TestRoutes:
                 continue
             way = route(g)
             routes[way] += 1
-            deleted_all = _undeletable(g, g.support) == 0
+            deleted_all = _undeletable(g, g.support, {}) == 0
             assert deleted_all == reference_deletion_sequence(g, g.support), g
             # Chordal means having no hole.
             assert (way == "cochordal") == is_cochordal(g), g
@@ -431,7 +452,7 @@ class TestRoutes:
             rest = [v for v in range(1, g.n + 1) if g.adj[v]]
             while qualifiers := [v for v in rest if link_chordal(g, rest, v)]:
                 rest.remove(rng.choice(qualifiers))
-            got = _undeletable(g, g.support)
+            got = _undeletable(g, g.support, {})
             assert got == sum(1 << (v - 1) for v in rest), g
             shrunk += 0 < got.bit_count() < g.support.bit_count()
         assert shrunk > 20, shrunk
