@@ -153,9 +153,18 @@ def induced_subgraph(G: SimpleGraph, W) -> SimpleGraph:
     return SimpleGraph._from_rows(len(keep), rows)
 
 
-def _chordal_rows(adj, vertices: int) -> bool:
-    """Chordality of the complement of G, whose rows are ``adj``, on the
-    vertex mask ``vertices``: the complement's row of v is ``~adj[v]``.
+def is_chordal(G: SimpleGraph) -> bool:
+    """Whether G has no induced cycle of length four or more."""
+    return is_cochordal(complement(G))
+
+
+def is_cochordal(G: SimpleGraph, vertices: int | None = None) -> bool:
+    """Whether the complement of G, or of G induced on the vertex mask
+    ``vertices`` (bit v-1 for vertex v), is chordal.
+
+    The complement's rows are read off G's rows, so it is never built: the
+    complement's row of v is ``~adj[v]``.  A mask with a bit outside
+    [1, n] raises VertexOutOfRange.
 
     One maximum cardinality search pass (Tarjan-Yannakakis).  The search
     numbers the vertices one at a time, always taking the lowest unnumbered
@@ -174,9 +183,14 @@ def _chordal_rows(adj, vertices: int) -> bool:
     sparse complements of late windows that is usually the last vertex
     numbered.
     """
+    if vertices is None:
+        vertices = (1 << G.n) - 1
+    elif vertices < 0 or vertices >> G.n:
+        raise VertexOutOfRange(f"vertex mask {vertices:#x} leaves [1, {G.n}]")
     count = vertices.bit_count()
     if count <= 2:
         return True
+    adj = G.adj
     layers = [0] * (count + 1)
     layers[0] = unnumbered = vertices
     top = 0
@@ -211,24 +225,6 @@ def _chordal_rows(adj, vertices: int) -> bool:
         if layers[top + 1]:
             top += 1
     return True
-
-
-def is_chordal(G: SimpleGraph) -> bool:
-    """Whether G has no induced cycle of length four or more."""
-    return is_cochordal(complement(G))
-
-
-def is_cochordal(G: SimpleGraph, vertices: int | None = None) -> bool:
-    """Whether the complement of G, or of G induced on the vertex mask
-    ``vertices`` (bit v-1 for vertex v), is chordal.
-
-    The complement's rows are read off G's rows, so it is never built.
-    """
-    if vertices is None:
-        vertices = (1 << G.n) - 1
-    elif vertices < 0 or vertices >> G.n:
-        raise VertexOutOfRange(f"vertex mask {vertices:#x} leaves [1, {G.n}]")
-    return _chordal_rows(G.adj, vertices)
 
 
 def first_hole(G: SimpleGraph, longest: int | None = None) -> int:
@@ -398,17 +394,17 @@ def verify_anticycle(G: SimpleGraph, witness) -> bool:
     comparison per position.  Sequences shorter than 4 or with repeats are rejected.
     """
     verts = tuple(witness.vertices) if isinstance(witness, AnticycleWitness) else tuple(witness)
-    inside = 0
+    bits = []
     for a in verts:
         if not (1 <= a <= G.n):
             raise VertexOutOfRange(f"vertex {a} is not in [1, {G.n}]")
-        inside |= _bit(a)
+        bits.append(_bit(a))
+    inside = reduce(or_, bits, 0)
     m = len(verts)
     if m < 4 or inside.bit_count() != m:
         return False
     adj = G.adj
     for p in range(m):
-        v = verts[p]
-        if adj[v] & inside != inside & ~(_bit(v) | _bit(verts[p - 1]) | _bit(verts[(p + 1) % m])):
+        if adj[verts[p]] & inside != inside & ~(bits[p - 1] | bits[p] | bits[(p + 1) % m]):
             return False
     return True

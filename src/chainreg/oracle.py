@@ -55,17 +55,23 @@ candidates: on the table chain's G_14 it runs on 11 of the 14 supported
 vertices and visits 66 sets, where a scan of their subsets tests 2,036, and
 keeps one, the certificate.  After vertex t joins a set S, ``reach`` is S
 with its remaining candidates.  Every set below S lies between S and reach,
-so a vertex adjacent to all of reach dominates each of them, neighbourhoods
-that nest inside reach nest inside each of them, and t's complement-link in
-reach, when chordal, stays chordal in each of them.  The walk cuts:
+so neighbourhoods that nest inside reach nest inside each of them, and t's
+complement-link in reach, when chordal, stays chordal in each of them.  The
+walk has two cuts:
 
-- a candidate x adjacent to all of reach: x dominates every set it joins;
 - a candidate x whose neighbourhood in reach nests with t's, either way:
   every set holding both folds.  Nesting forces x and t apart: were they
   adjacent, each would lie in the other's neighbourhood but not in its own;
 - S and its whole subtree, when S has candidates left and t's
   complement-link in reach is chordal, as it is when t dominates reach and
   the link is empty.
+
+The link cut covers domination too.  A candidate x adjacent to all of reach
+is adjacent to t, so it is not in t's link, and it lies in both
+neighbourhoods of every nesting test, so keeping it changes no other
+decision.  In the set S + x, x is the newest vertex and its link is empty:
+that set is cut with its subtree, or, with no candidates left, pruned, as x
+dominates it.
 
 It keeps each visited set that no prune removes.  So the survivors lie
 between the sets a scan of all subsets keeps and those of them with no
@@ -284,7 +290,8 @@ def _link_chordal(G: SimpleGraph, mask: int, known: dict) -> bool:
 
 def _survivors(G: SimpleGraph, support: int, known: dict) -> list[int]:
     """The vertex sets inside the vertex mask ``support`` that the walk of the
-    module docstring keeps, sorted by cardinality, then mask.
+    module docstring keeps, sorted by cardinality, then mask.  Its two cuts
+    are nesting and the link cut, which covers a candidate that dominates.
 
     Valid only for a search from a hole for dimensions >= 2: the sets hold
     the first one in scan order with homology in each dimension >= 2, and
@@ -308,11 +315,10 @@ def _survivors(G: SimpleGraph, support: int, known: dict) -> list[int]:
             xb = c & -c
             c ^= xb
             ax = adj[xb.bit_length()] & reach
-            # x dominates reach, or N(x) and N(t) nest inside reach.
-            if ax == reach ^ xb or not ax & ~at or not at & ~ax:
+            # N(x) and N(t) nest inside reach.
+            if not ax & ~at or not at & ~ax:
                 cands ^= xb
                 reach ^= xb
-                at &= reach
         # t's complement-link in reach is the complement on reach - N[t].  A
         # leaf, with no candidates left, skips the test: over random graphs
         # it saves about as much homology as it costs.

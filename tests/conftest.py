@@ -6,9 +6,10 @@ against raw subset search, monomial counts against direct enumeration.  The
 pruned homology scan is checked against a copy of the scan without its fold
 prune, which shares only the face enumeration and rank code, and its
 subset walk against all subsets filtered through a copy of the per-subset
-prune test, and its vertex deletion against a copy of the greedy deletion
-sequence it replaced; the vertex-mask matching search against a copy of the edge-list
-search it replaced, and the one-pass chordality test and row-mask anticycle
+prune test and against a copy of the walk with the domination cut it
+dropped, and its vertex deletion against a copy of the greedy deletion
+sequence it replaced; the vertex-mask matching search against a copy of the
+edge-list search it replaced, and the one-pass chordality test and row-mask anticycle
 check against copies of the two-pass search and pairwise check they replaced,
 the anticycle pivot walker against copies of the head and tail walkers it
 replaced, the one-entry anticycle construction against a copy of the
@@ -43,6 +44,7 @@ from chainreg import (
     normalize_spec,
 )
 from chainreg.chain import chain_indices
+from chainreg.cli import load_spec
 from chainreg.errors import (
     ChainRegError,
     DegenerateEdge,
@@ -66,25 +68,33 @@ from chainreg.oracle import (
     DEFAULT_SUBSET_BUDGET,
     RegularityReport,
     _independent_faces,
+    _link_chordal,
+    _pruned,
     _top_nonzero_excess,
     require_prime,
 )
 from chainreg.randspec import spec_pool as random_specs  # the suites' pool, for the tests
+from golden_cases import GOLDEN_CHAIN_NAMES, ROOT, spec_path
+
+
+# The golden chains, by name, loaded from the benchmark's spec files as the
+# benchmark loads them.
+GOLDEN_CHAINS = {name: load_spec(str(ROOT / spec_path(name))) for name in GOLDEN_CHAIN_NAMES}
 
 
 @pytest.fixture
 def ex58_spec() -> ChainSpec:
-    return normalize_spec(9, [(1, 5), (1, 8), (2, 9), (3, 6), (4, 7), (5, 9)])
+    return GOLDEN_CHAINS["six_edge"]
 
 
 @pytest.fixture
 def table_spec() -> ChainSpec:
-    return normalize_spec(10, [(1, 10), (2, 4), (3, 5), (7, 9)])
+    return GOLDEN_CHAINS["table"]
 
 
 @pytest.fixture
 def reg3_spec() -> ChainSpec:
-    return normalize_spec(4, [(1, 3), (2, 4)])
+    return GOLDEN_CHAINS["reg3"]
 
 
 def reference_normalize_spec(r: int, raw_edges) -> ChainSpec:
@@ -490,6 +500,49 @@ def reference_deletion_sequence(G: SimpleGraph, support: int) -> bool:
         rest ^= b
         if is_cochordal(G, rest):
             return True
+
+
+def reference_survivors(G: SimpleGraph, support: int, known: dict) -> list[int]:
+    """The subset walk that ``oracle._survivors`` replaced, copied verbatim
+    but for this docstring: besides the nesting and link cuts it drops each
+    candidate adjacent to all of reach, a case the link cut covers."""
+    adj = G.adj
+    survivors: list[int] = []
+    stack = []
+    rest = support
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        stack.append((b, b, rest))
+    while stack:
+        s, tb, cands = stack.pop()
+        reach = s | cands
+        at = adj[tb.bit_length()] & reach
+        c = cands
+        while c:
+            xb = c & -c
+            c ^= xb
+            ax = adj[xb.bit_length()] & reach
+            # x dominates reach, or N(x) and N(t) nest inside reach.
+            if ax == reach ^ xb or not ax & ~at or not at & ~ax:
+                cands ^= xb
+                reach ^= xb
+                at &= reach
+        # t's complement-link in reach is the complement on reach - N[t].  A
+        # leaf, with no candidates left, skips the test: over random graphs
+        # it saves about as much homology as it costs.
+        if cands and _link_chordal(G, reach ^ tb ^ at, known):
+            continue
+        if not _pruned(adj, s):
+            survivors.append(s)
+        while cands:
+            xb = cands & -cands
+            cands ^= xb
+            stack.append((s | xb, xb, cands))
+    # By mask, then stably by size: no key tuple is built per set.
+    survivors.sort()
+    survivors.sort(key=int.bit_count)
+    return survivors
 
 
 class CaseMismatch(ChainRegError):

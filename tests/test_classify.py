@@ -23,7 +23,7 @@ from chainreg.chain import MATERIALIZE_LIMIT
 from chainreg.classify import CASE_ELSE, CASE_GAP1, CASE_JQ_MAX
 from chainreg.errors import InvalidArgument
 
-from conftest import random_specs, reference_matching_search
+from conftest import GOLDEN_CHAINS, random_specs, reference_matching_search
 
 
 class TestLimitRegularity:
@@ -235,14 +235,6 @@ class TestSweepVerify:
                 stats = {is_cochordal(expand(spec, n)) for n in range(N, N + 6)}
                 assert len(stats) == 1, (spec, stats)
                 assert stats == {v.limit_reg == 2}
-
-
-GOLDEN_CHAINS = {
-    "table": normalize_spec(10, [(1, 10), (2, 4), (3, 5), (7, 9)]),
-    "near_sharp": normalize_spec(9, [(1, 9), (6, 8)]),
-    "reg3": normalize_spec(4, [(1, 3), (2, 4)]),
-    "six_edge": normalize_spec(9, [(1, 5), (1, 8), (2, 9), (3, 6), (4, 7), (5, 9)]),
-}
 
 
 class TestVerdictCache:

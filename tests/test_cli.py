@@ -13,7 +13,8 @@ import pytest
 from chainreg import cli, expand, normalize_spec
 from chainreg.cli import load_spec, main
 
-from conftest import random_specs
+from conftest import GOLDEN_CHAINS, random_specs
+from golden_cases import GOLDEN_CASES, GOLDEN_CHAIN_NAMES, GOLDEN_COMMANDS
 
 
 @pytest.fixture
@@ -26,9 +27,9 @@ def spec_file(tmp_path):
     return write
 
 
-TABLE = {"r": 10, "edges": [[1, 10], [2, 4], [3, 5], [7, 9]]}
+TABLE = GOLDEN_CHAINS["table"].to_json()
 EXPANSION = {"r": 7, "edges": [[3, 4], [2, 7]]}
-SIX_EDGE = {"r": 9, "edges": [[1, 5], [1, 8], [2, 9], [3, 6], [4, 7], [5, 9]]}
+SIX_EDGE = GOLDEN_CHAINS["six_edge"].to_json()
 
 
 class TestLoadSpec:
@@ -543,6 +544,14 @@ class TestVerifyCommand:
         assert lines[2].startswith("FAIL golden-regularity-table: GF(2) table mismatch"), lines
         assert lines[-1] == "False", lines
 
+    def test_golden_chains_are_the_spec_files(self):
+        from chainreg import verify as verify_mod
+
+        assert verify_mod.TABLE_CHAIN == GOLDEN_CHAINS["table"]
+        assert verify_mod.NEAR_SHARP_CHAIN == GOLDEN_CHAINS["near_sharp"]
+        assert verify_mod.REG3_CHAIN == GOLDEN_CHAINS["reg3"]
+        assert verify_mod.SIX_EDGE_CHAIN == GOLDEN_CHAINS["six_edge"]
+
     def test_runs_as_a_module(self):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), *sys.path])}
         proc = subprocess.run(
@@ -558,15 +567,7 @@ class TestVerifyCommand:
 
 
 REPO = Path(__file__).resolve().parent.parent
-GOLDEN_SPECS = sorted((REPO / "bench" / "specs").glob("*.json"))
-GOLDEN_COMMANDS = {
-    "expand": ["--n", "30"],
-    "indmatch": ["--n", "12"],
-    "classify": [],
-    "reg": ["--n", "14"],
-    "quasisat": [],
-    "sweep": ["--from", "30", "--to", "33"],
-}
+GOLDEN_DIR = REPO / "tests" / "golden"
 
 
 class TestGoldenSnapshots:
@@ -580,10 +581,25 @@ class TestGoldenSnapshots:
     six_edge.reg.38.json; table ``reg`` at n = 13, whose walk the vertex
     deletion shrinks, as table.reg.13.json; table ``reg`` at n = 17, whose
     first hole has 5 vertices, as table.reg.17.json; and the report of
-    ``verify --suite all`` as verify.all.txt."""
+    ``verify --suite all`` as verify.all.txt.  Each snapshot's argv is its
+    entry in ``golden_cases.GOLDEN_CASES``, whose spec paths are relative
+    to the repository root."""
+
+    @pytest.fixture(autouse=True)
+    def _from_the_root(self, monkeypatch):
+        monkeypatch.chdir(REPO)
+
+    @staticmethod
+    def _check(name, capsys):
+        assert main(GOLDEN_CASES[name]) == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / name).read_text()
 
     def test_every_golden_chain_is_covered(self):
-        assert [p.stem for p in GOLDEN_SPECS] == ["near_sharp", "reg3", "six_edge", "table"]
+        assert GOLDEN_CHAIN_NAMES == ["near_sharp", "reg3", "six_edge", "table"]
+
+    def test_every_snapshot_has_a_case(self):
+        # A snapshot missing from the list, or an entry with no snapshot.
+        assert sorted(GOLDEN_CASES) == sorted(p.name for p in GOLDEN_DIR.iterdir())
 
     # Case ids: <chain>-<verb> for JSON, <chain>-<verb>-text for text.
     @pytest.mark.parametrize(
@@ -594,76 +610,46 @@ class TestGoldenSnapshots:
             for fmt in ("json", "text")
         ],
     )
-    @pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda p: p.stem)
-    def test_json_output_is_unchanged(self, spec, verb, fmt, capsys):
-        argv = [verb, str(spec), *GOLDEN_COMMANDS[verb], "--format", fmt]
-        assert main(argv) == 0
+    @pytest.mark.parametrize("chain", GOLDEN_CHAIN_NAMES)
+    def test_json_output_is_unchanged(self, chain, verb, fmt, capsys):
         suffix = "json" if fmt == "json" else "txt"
-        want = (REPO / "tests" / "golden" / f"{spec.stem}.{verb}.{suffix}").read_text()
-        assert capsys.readouterr().out == want
+        self._check(f"{chain}.{verb}.{suffix}", capsys)
 
     @pytest.mark.parametrize("n", [18, 19, 20])
     @pytest.mark.parametrize("chain", ["reg3", "six_edge"])
     def test_anticycle_json_is_unchanged(self, chain, n, capsys):
-        spec = REPO / "bench" / "specs" / f"{chain}.json"
-        assert main(["anticycle", str(spec), "--n", str(n), "--format", "json"]) == 0
-        want = (REPO / "tests" / "golden" / f"{chain}.anticycle.{n}.json").read_text()
-        assert capsys.readouterr().out == want
+        self._check(f"{chain}.anticycle.{n}.json", capsys)
 
     @pytest.mark.parametrize("chain", ["reg3", "six_edge"])
     def test_anticycle_text_is_unchanged(self, chain, capsys):
-        spec = REPO / "bench" / "specs" / f"{chain}.json"
-        assert main(["anticycle", str(spec), "--n", "18"]) == 0
-        want = (REPO / "tests" / "golden" / f"{chain}.anticycle.18.txt").read_text()
-        assert capsys.readouterr().out == want
+        self._check(f"{chain}.anticycle.18.txt", capsys)
 
-    @staticmethod
-    def _sweep_through_the_oracle(fmt, suffix, capsys):
-        # An oracle cap of 34 sends rows 10..34 to the oracle, below and past
-        # n0 = 30; the text shows the cochordal column read off their values.
-        spec = REPO / "bench" / "specs" / "table.json"
-        argv = ["sweep", str(spec), "--from", "10", "--to", "34", "--oracle-cap", "34"]
-        assert main([*argv, "--format", fmt]) == 0
-        want = (REPO / "tests" / "golden" / f"table.sweep.oracle.{suffix}").read_text()
-        assert capsys.readouterr().out == want
-
+    # An oracle cap of 34 sends rows 10..34 to the oracle, below and past
+    # n0 = 30; the text shows the cochordal column read off their values.
     def test_sweep_through_the_oracle_is_unchanged(self, capsys):
-        self._sweep_through_the_oracle("json", "json", capsys)
+        self._check("table.sweep.oracle.json", capsys)
 
     def test_sweep_through_the_oracle_text_is_unchanged(self, capsys):
-        self._sweep_through_the_oracle("text", "txt", capsys)
+        self._check("table.sweep.oracle.txt", capsys)
 
     def test_sweep_through_the_oracle_over_gf3_is_unchanged(self, capsys):
         # Rows 10, 11, 13 and 14 take the walk, with reg 5, 4, 4 and 4: an
         # odd field's signed boundary ranks on certificates of dimension >= 2.
-        spec = REPO / "bench" / "specs" / "table.json"
-        argv = ["sweep", str(spec), "--from", "10", "--to", "19", "--field", "3"]
-        assert main([*argv, "--format", "json"]) == 0
-        want = (REPO / "tests" / "golden" / "table.sweep.oracle.gf3.json").read_text()
-        assert capsys.readouterr().out == want
-
-    @staticmethod
-    def _reg(chain, n, flags, capsys):
-        spec = REPO / "bench" / "specs" / f"{chain}.json"
-        assert main(["reg", str(spec), "--n", str(n), *flags, "--format", "json"]) == 0
-        want = (REPO / "tests" / "golden" / f"{chain}.reg.{n}.json").read_text()
-        assert capsys.readouterr().out == want
+        self._check("table.sweep.oracle.gf3.json", capsys)
 
     def test_reg_past_the_default_cap_is_unchanged(self, capsys):
         # Six-edge G_38 has 38 supported vertices and reg 3.
-        self._reg("six_edge", 38, ["--oracle-cap", "64"], capsys)
+        self._check("six_edge.reg.38.json", capsys)
 
     def test_reg_with_a_shrunk_walk_is_unchanged(self, capsys):
         # Table G_13 has reg 4; the walk runs on 6 of its 13 supported
         # vertices, the certificate's, after the others are deleted.
-        self._reg("table", 13, [], capsys)
+        self._check("table.reg.13.json", capsys)
 
     def test_reg_with_a_five_vertex_hole_is_unchanged(self, capsys):
         # Table G_17 has reg 3, certified by its first hole, of length 5:
         # the descent of the hole search keeps vertices two steps from its top.
-        self._reg("table", 17, [], capsys)
+        self._check("table.reg.17.json", capsys)
 
     def test_verify_report_is_unchanged(self, capsys):
-        assert main(["verify", "--suite", "all"]) == 0
-        want = (REPO / "tests" / "golden" / "verify.all.txt").read_text()
-        assert capsys.readouterr().out == want
+        self._check("verify.all.txt", capsys)

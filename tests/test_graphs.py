@@ -19,6 +19,7 @@ from chainreg.errors import InvalidArgument, VertexOutOfRange
 from chainreg.graphs import complement, find_induced_kK2, induced_subgraph, is_chordal
 
 from conftest import (
+    GOLDEN_CHAINS,
     brute_expand,
     brute_indmatch,
     brute_induced_cycles,
@@ -30,13 +31,6 @@ from conftest import (
     reference_verify_anticycle,
     scattered_graph,
 )
-
-GOLDEN_CHAINS = {
-    "table": normalize_spec(10, [(1, 10), (2, 4), (3, 5), (7, 9)]),
-    "near_sharp": normalize_spec(9, [(1, 9), (6, 8)]),
-    "reg3": normalize_spec(4, [(1, 3), (2, 4)]),
-    "six_edge": normalize_spec(9, [(1, 5), (1, 8), (2, 9), (3, 6), (4, 7), (5, 9)]),
-}
 
 
 def cycle_graph(n):

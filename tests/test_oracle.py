@@ -28,6 +28,7 @@ from conftest import (
     reference_homology_ranks,
     reference_is_chordal,
     reference_regularity,
+    reference_survivors,
     scattered_graph,
 )
 
@@ -282,6 +283,33 @@ def survivors_sandwiched(g, support):
     )
 
 
+def walk_route_graphs(count):
+    """The first ``count`` graphs of a seeded pool with no deletion sequence,
+    where the walk runs, a quarter with isolated vertices in between."""
+    rng = random.Random(141)
+    for i in range(count):
+        while True:
+            if i % 4:
+                g = random_graph(rng, rng.randint(7, 10), rng.uniform(0.1, 0.9))
+            else:
+                g = scattered_graph(rng, 13, rng.randint(7, 10))
+            if route(g) == "walk":
+                break
+        yield g
+
+
+def walked_graphs(n, count):
+    """The first ``count`` seeded random graphs on n vertices where the walk
+    runs: a hole in the complement and a vertex left undeleted."""
+    rng = random.Random(99)
+    found = []
+    while len(found) < count:
+        g = random_graph(rng, n, rng.uniform(0.2, 0.8))
+        if route(g) == "walk":
+            found.append(g)
+    return found
+
+
 class TestSurvivorWalk:
     """The walk keeps only subsets the per-subset test keeps, and all of them
     whose vertices all have a non-chordal complement-link: the others cannot
@@ -332,6 +360,23 @@ class TestSurvivorWalk:
             assert len(set(masks)) == calls
             assert min(m.bit_count() for m in masks) >= 4
 
+    def test_walk_drops_only_sets_with_a_chordal_link(self):
+        # The link cut covers the domination cut the walk dropped: a
+        # candidate adjacent to all of reach joins as the newest vertex with
+        # an empty link.  So the walk keeps a subsequence of the sets the
+        # walk with both cuts kept, and on one n = 17 graph strictly fewer.
+        graphs = [*walk_route_graphs(300), *walked_graphs(17, 12)]
+        fewer = 0
+        for g in graphs:
+            known = {}
+            rest = _undeletable(g, g.support, known)
+            got = _survivors(g, rest, known)
+            want = reference_survivors(g, rest, known)
+            kept = iter(want)
+            assert all(mask in kept for mask in got), g
+            fewer += len(got) < len(want)
+        assert fewer >= 1
+
     def test_walk_memory(self, table_spec):
         # Table G_14 has no deletion sequence, so the oracle walks 11 of its
         # 14 supported vertices.  The depth-first stack holds a few sets per
@@ -341,19 +386,10 @@ class TestSurvivorWalk:
         assert peak < 20_000, peak
 
     def test_walk_route_against_reference(self):
-        # Graphs with no deletion sequence, where the walk runs, a quarter
-        # with isolated vertices in between; nearly all have reg >= 4, so the
-        # walk's first sets of dimension >= 2 must survive the link cut.
-        rng = random.Random(141)
+        # Nearly all of these graphs have reg >= 4, so the walk's first sets
+        # of dimension >= 2 must survive the link cut.
         high = 0
-        for i in range(1000):
-            while True:
-                if i % 4:
-                    g = random_graph(rng, rng.randint(7, 10), rng.uniform(0.1, 0.9))
-                else:
-                    g = scattered_graph(rng, 13, rng.randint(7, 10))
-                if route(g) == "walk":
-                    break
+        for g in walk_route_graphs(1000):
             reps = [regularity(g, p) for p in (2, 3)]
             refs = [reference_regularity(g, p) for p in (2, 3)]
             assert reps == refs, g
