@@ -244,20 +244,37 @@ def first_hole(G: SimpleGraph, longest: int | None = None) -> int:
     long.  Step 1 takes, for each h, the shortest hole whose top (largest)
     vertex is h, skipping an h with fewer than two complement neighbours
     below it: the least length L over all h is the shortest hole, and the
-    least h attaining it is the top of the least mask of length L.  Step 2
-    goes down from that top, dropping each vertex whose removal still leaves
-    a hole of length L through the top.  It starts from the ball of radius
-    L // 2 around the top, in complement steps inside the support up to the
-    top: each vertex of such a hole is that close to the top along the hole,
-    whose edges are complement edges, so the ball holds every such hole and
-    each vertex outside it would be dropped.  A vertex kept lies on every
-    such hole left at its turn, so what remains is one hole R.  Let M be the
-    least such hole and v the highest vertex where M and R differ.  At v's
-    turn the set held is R above v and the ball below, so it holds M; had v
-    been in R and not in M, it would have been dropped.  So v is in M, and
-    M > R unless M = R.
+    least h attaining it is the top of the least mask of length L.
+
+    Step 2 finds that least mask in one pass.  Below h, the ends are h's
+    complement neighbours and the inner vertices the rest.  A hole of length
+    L with top h is h, two ends a < b adjacent in G, and a path of L - 3
+    inner vertices from a to b; as no hole is shorter, that path is a
+    shortest a-b path through the inner vertices, so its k-th vertex lies in
+    layer k of a breadth-first search from a.  Conversely each such path
+    closes a hole: a chord would give a shorter path, no inner vertex is a
+    complement neighbour of h, and a, b are not.  Masks compare by the
+    highest vertex where they differ, two shortest paths from a to the same
+    x run through the same layers, and any continuation uses later layers,
+    so the two compare as their prefixes do.  So for each x of layer k the
+    least mask of a shortest a-x path is the least over x's complement
+    neighbours y in layer k - 1, plus x, and the answer is the least of
+    those masks at the last layer's complement neighbours of b, plus b and
+    h, over all a and b.  The layers are first cut back to the vertices on
+    a shortest path from a to some b.  Once a hole is found, every vertex
+    above its highest below h leaves the ends and the inner vertices: a hole
+    through such a vertex is larger.
     """
     adj = G.adj
+
+    def reach_of(mask: int) -> int:
+        # The union of the complement rows of mask's vertices.
+        out = 0
+        while mask:
+            xb = mask & -mask
+            mask ^= xb
+            out |= ~adj[xb.bit_length()]
+        return out
 
     def shortest(h: int, A: int, limit: int) -> int:
         # Length of a shortest hole through h, the top vertex of A, inside
@@ -274,11 +291,7 @@ def first_hole(G: SimpleGraph, longest: int | None = None) -> int:
             seen = frontier = ab
             length = 3
             while targets and frontier and length <= limit:
-                reach = 0
-                while frontier:
-                    xb = frontier & -frontier
-                    frontier ^= xb
-                    reach |= ~adj[xb.bit_length()]
+                reach = reach_of(frontier)
                 if reach & targets:
                     found, limit = length, length - 1
                     break
@@ -302,24 +315,43 @@ def first_hole(G: SimpleGraph, longest: int | None = None) -> int:
                 best, top = found, h
     if not top:
         return 0
-    # Step 2 from the ball of radius best // 2 around top.
-    hole = frontier = 1 << (top - 1)
-    inside = support & (hole - 1)
-    for _ in range(best // 2):
-        reach = 0
-        while frontier:
-            xb = frontier & -frontier
-            frontier ^= xb
-            reach |= ~adj[xb.bit_length()]
-        frontier = reach & inside & ~hole
-        hole |= frontier
-    below = hole & inside
-    while below:
-        vb = 1 << (below.bit_length() - 1)
-        below ^= vb
-        if shortest(top, hole ^ vb, best):
-            hole ^= vb
-    return hole
+    # Step 2: the least hole of length best with top ``top``.
+    tb = 1 << (top - 1)
+    below = support & (tb - 1)
+    ends = below & ~adj[top]
+    inner = below ^ ends
+    prefix = [0] * (G.n + 1)  # by vertex: the least mask of a shortest path from a
+    least = 0
+    while ends:
+        ab = ends & -ends
+        ends ^= ab
+        targets = ends & adj[ab.bit_length()]
+        if not targets:
+            continue
+        # Layers 0..best-2 of the search from a; no target is nearer than the
+        # last, which keeps only the targets.
+        layers = [ab]
+        seen = ab
+        while layers[-1] and len(layers) < best - 1:
+            layers.append(reach_of(layers[-1]) & (inner | targets) & ~seen)
+            seen |= layers[-1]
+        layers[-1] &= targets
+        if not layers[-1]:
+            continue
+        for k in range(best - 3, 0, -1):
+            layers[k] &= reach_of(layers[k + 1])
+        prefix[ab.bit_length()] = ab
+        for k in range(1, best - 1):
+            for x in _iter_bits(layers[k]):
+                prefix[x] = min(prefix[y] for y in _iter_bits(layers[k - 1] & ~adj[x])) | 1 << (x - 1)
+        mask = min(prefix[b] for b in _iter_bits(layers[-1]))
+        if not least or mask < least:
+            # A hole through a vertex above the highest of least is larger.
+            least = mask
+            cut = (1 << least.bit_length()) - 1
+            ends &= cut
+            inner &= cut
+    return least | tb
 
 
 def induced_matching(G: SimpleGraph):

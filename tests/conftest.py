@@ -15,8 +15,9 @@ the anticycle pivot walker against copies of the head and tail walkers it
 replaced, the one-entry anticycle construction against a copy of the
 segment-wrapper path it replaced, which walks with those walker copies, the
 window-depth index reduction against a copy of the triangle-point reduction it
-replaced, and the packed window-matrix expansion against a copy of the
-row-by-row window loop it replaced.  The chordality
+replaced, the packed window-matrix expansion against a copy of the
+row-by-row window loop it replaced, and the hole search's one-pass
+least-mask step against a copy of the descent it replaced.  The chordality
 test is also checked against a copy of the induced-cycle enumerator the
 package no longer ships, and ``normalize_spec`` against a copy of the version
 that checked each raw pair itself.  The homology ranks of the rank routine,
@@ -300,6 +301,78 @@ def reference_is_chordal(G: SimpleGraph) -> bool:
             if later & ~(adj[w] | _bit(w)):
                 return False
     return True
+
+
+def reference_first_hole(G: SimpleGraph, longest: int | None = None) -> int:
+    """The hole search that ``graphs.first_hole`` replaced, copied verbatim
+    but for its name and this docstring.  Step 1 finds the least hole length
+    L and the least top h with a breadth-first search from each complement
+    neighbour of each top; step 2 starts from the ball of radius L // 2
+    around h and goes down from h, dropping each vertex whose removal still
+    leaves a hole of length L through h."""
+    adj = G.adj
+
+    def shortest(h: int, A: int, limit: int) -> int:
+        # Length of a shortest hole through h, the top vertex of A, inside
+        # A, or 0 if none is at most ``limit`` long.  ``ends`` holds h and its
+        # complement neighbours; only pairs a < b are tried, as a path is
+        # symmetric, so h, on top, never pairs.
+        ends = A & ~adj[h]
+        inner = A ^ ends
+        found = 0
+        while ends:
+            ab = ends & -ends
+            ends ^= ab
+            targets = ends & adj[ab.bit_length()]
+            seen = frontier = ab
+            length = 3
+            while targets and frontier and length <= limit:
+                reach = 0
+                while frontier:
+                    xb = frontier & -frontier
+                    frontier ^= xb
+                    reach |= ~adj[xb.bit_length()]
+                if reach & targets:
+                    found, limit = length, length - 1
+                    break
+                frontier = reach & inner & ~seen
+                seen |= frontier
+                length += 1
+        return found
+
+    support = G.support
+    best = (support.bit_count() if longest is None else longest) + 1
+    top = 0
+    rest = support
+    while rest and best > 4:
+        hb = rest & -rest
+        rest ^= hb
+        h = hb.bit_length()
+        low = support & (hb - 1) & ~adj[h]
+        if low & (low - 1):  # a top has two complement neighbours below it
+            found = shortest(h, support & ((hb << 1) - 1), best - 1)
+            if found:
+                best, top = found, h
+    if not top:
+        return 0
+    # Step 2 from the ball of radius best // 2 around top.
+    hole = frontier = 1 << (top - 1)
+    inside = support & (hole - 1)
+    for _ in range(best // 2):
+        reach = 0
+        while frontier:
+            xb = frontier & -frontier
+            frontier ^= xb
+            reach |= ~adj[xb.bit_length()]
+        frontier = reach & inside & ~hole
+        hole |= frontier
+    below = hole & inside
+    while below:
+        vb = 1 << (below.bit_length() - 1)
+        below ^= vb
+        if shortest(top, hole ^ vb, best):
+            hole ^= vb
+    return hole
 
 
 def reference_verify_anticycle(G: SimpleGraph, witness) -> bool:
@@ -779,3 +852,32 @@ def scattered_graph(rng: random.Random, n: int, k: int) -> SimpleGraph:
     pos = sorted(rng.sample(range(1, n + 1), k))
     h = random_graph(rng, k, rng.uniform(0.2, 0.8))
     return SimpleGraph(n, [(pos[u - 1], pos[v - 1]) for u, v in h.sorted_edges()])
+
+
+def thick_cycle_graph(rng: random.Random, length: int, n: int) -> SimpleGraph:
+    """A graph on 1..n whose complement is a cycle of ``length`` cliques.
+
+    The n vertices, numbered at random, fill ``length`` bags of at least one
+    vertex each; each bag is a clique of the complement, and the complement
+    joins each bag to the next by nested neighbourhoods: the bag's vertices
+    see shrinking prefixes of the next bag, the first one all of it.  Nested
+    joins leave no 4-hole between two bags, so the complement's holes go
+    round the cycle, and its shortest hole is ``length`` long, with many
+    choices of vertex in each bag.
+    """
+    sizes = [1] * length
+    for _ in range(n - length):
+        sizes[rng.randrange(length)] += 1
+    labels = rng.sample(range(1, n + 1), n)
+    bags = []
+    for size in sizes:
+        bags.append(labels[:size])
+        labels = labels[size:]
+    co_edges = set()
+    for k, bag in enumerate(bags):
+        co_edges.update(combinations(sorted(bag), 2))
+        seen = bags[(k + 1) % length]
+        for u in bag:
+            co_edges.update((min(u, v), max(u, v)) for v in seen)
+            seen = seen[: rng.randint(0, len(seen))]
+    return SimpleGraph(n, [e for e in combinations(range(1, n + 1), 2) if e not in co_edges])

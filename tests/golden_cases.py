@@ -51,6 +51,12 @@ GOLDEN_CASES.update({
     "six_edge.reg.38.json": [
         "reg", spec_path("six_edge"), "--n", "38", "--oracle-cap", "64", "--format", "json"
     ],
+    "six_edge.reg.400.json": [
+        "reg", spec_path("six_edge"), "--n", "400", "--oracle-cap", "400", "--format", "json"
+    ],
+    "reg3.reg.400.json": [
+        "reg", spec_path("reg3"), "--n", "400", "--oracle-cap", "400", "--format", "json"
+    ],
     "table.reg.13.json": ["reg", spec_path("table"), "--n", "13", "--format", "json"],
     "table.reg.17.json": ["reg", spec_path("table"), "--n", "17", "--format", "json"],
     "verify.all.txt": ["verify", "--suite", "all"],

@@ -580,7 +580,9 @@ class TestGoldenSnapshots:
     six-edge ``reg`` at n = 38 past the default oracle cap as
     six_edge.reg.38.json; table ``reg`` at n = 13, whose walk the vertex
     deletion shrinks, as table.reg.13.json; table ``reg`` at n = 17, whose
-    first hole has 5 vertices, as table.reg.17.json; and the report of
+    first hole has 5 vertices, as table.reg.17.json; reg3 and six-edge
+    ``reg`` at n = 400 with an oracle cap of 400, whose first holes have 400
+    and 200 vertices, as <chain>.reg.400.json; and the report of
     ``verify --suite all`` as verify.all.txt.  Each snapshot's argv is its
     entry in ``golden_cases.GOLDEN_CASES``, whose spec paths are relative
     to the repository root."""
@@ -648,8 +650,14 @@ class TestGoldenSnapshots:
 
     def test_reg_with_a_five_vertex_hole_is_unchanged(self, capsys):
         # Table G_17 has reg 3, certified by its first hole, of length 5:
-        # the descent of the hole search keeps vertices two steps from its top.
+        # its least mask is picked from two-vertex paths between the ends.
         self._check("table.reg.17.json", capsys)
+
+    @pytest.mark.parametrize("chain", ["reg3", "six_edge"])
+    def test_late_reg_row_is_unchanged(self, chain, capsys):
+        # G_400 has reg 3, certified by a hole of 400 (reg3) or 200
+        # (six-edge) vertices, the least of its length.
+        self._check(f"{chain}.reg.400.json", capsys)
 
     def test_verify_report_is_unchanged(self, capsys):
         self._check("verify.all.txt", capsys)

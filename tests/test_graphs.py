@@ -25,11 +25,13 @@ from conftest import (
     brute_induced_cycles,
     random_graph,
     random_specs,
+    reference_first_hole,
     reference_induced_cycles,
     reference_is_chordal,
     reference_matching_search,
     reference_verify_anticycle,
     scattered_graph,
+    thick_cycle_graph,
 )
 
 
@@ -452,6 +454,52 @@ class TestFirstHole:
             assert (first_hole(g) == 0) == is_cochordal(g), g
             lengths.add(holes[0][0] if holes else 0)
         assert lengths == {0, 4, 5}, lengths
+
+    def test_matches_reference(self):
+        # The one-pass least-mask step against a copy of the descent it
+        # replaced: random graphs, thick cycles, every golden row up to 120
+        # and two late rows.
+        rng = random.Random(2929)
+        for i in range(400):
+            n = rng.randint(4, 22)
+            if i % 2:
+                g = scattered_graph(rng, n, rng.randint(4, n))
+            else:
+                g = random_graph(rng, n, rng.uniform(0.05, 0.95))
+            for longest in (None, 4, 5, 6):
+                assert first_hole(g, longest) == reference_first_hole(g, longest), (g, longest)
+        # Long least holes with many shortest paths, where taking the first
+        # path into a vertex in place of the least one shows.
+        for _ in range(200):
+            length = rng.randint(6, 8)
+            g = thick_cycle_graph(rng, length, rng.randint(2 * length, 22))
+            hole = first_hole(g)
+            assert hole == reference_first_hole(g) and hole.bit_count() == length, g
+        for spec in GOLDEN_CHAINS.values():
+            for n in range(spec.r, 121):
+                g = expand(spec, n)
+                assert first_hole(g) == reference_first_hole(g), (spec, n)
+        for name in ("six_edge", "reg3"):
+            g = expand(GOLDEN_CHAINS[name], 400)
+            assert first_hole(g) == reference_first_hole(g), name
+
+    @pytest.mark.parametrize("name, length", [("six_edge", 1000), ("reg3", 2000)])
+    def test_late_rows_are_holes(self, name, length):
+        # At n = 2,000 the hole is checked directly, not against the copy.
+        g = expand(GOLDEN_CHAINS[name], 2000)
+        hole = first_hole(g)
+        assert hole.bit_count() == length
+        for v in range(1, g.n + 1):
+            if hole >> (v - 1) & 1:
+                assert (hole & ~g.adj[v] & ~(1 << (v - 1))).bit_count() == 2, v
+        seen = frontier = hole & -hole
+        while frontier:
+            v = frontier.bit_length()
+            frontier ^= 1 << (v - 1)
+            step = hole & ~g.adj[v] & ~seen
+            seen |= step
+            frontier |= step
+        assert seen == hole
 
     def check(self, g, outcomes):
         hole = first_hole(g, 4)
