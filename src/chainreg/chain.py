@@ -24,6 +24,12 @@ Edge = tuple[int, int]
 #: expand() and reduce_index() refuse any index past this vertex count.
 MATERIALIZE_LIMIT = 10_000
 
+#: Bits that _window_matrix's triangle cache may hold: the pairs of at most
+#: 64 (stride, m) shapes, each pair of at most a 64th of this many bits.
+_TRIANGLE_CACHE_BITS = 1 << 22
+_TRIANGLE_SHAPES = 64
+_triangles: dict[tuple[int, int], tuple[int, int]] = {}
+
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -56,14 +62,24 @@ class ChainSpec:
     def s(self) -> int:
         return len(self.edges)
 
+    # The next two are computed once and kept in the instance's __dict__,
+    # which a frozen dataclass still has; equality and hashing read the
+    # fields only.  (functools.cached_property takes a lock on every first
+    # read before Python 3.12, which costs as much as the scan.)
     @property
     def max_endpoint(self) -> int:
         """Largest vertex used by a generator (the support peak p)."""
-        return max(j for _, j in self.edges)
+        p = self.__dict__.get("_max_endpoint")
+        if p is None:
+            p = self.__dict__["_max_endpoint"] = max(j for _, j in self.edges)
+        return p
 
     @property
     def min_gap(self) -> int:
-        return min(j - i for i, j in self.edges)
+        g = self.__dict__.get("_min_gap")
+        if g is None:
+            g = self.__dict__["_min_gap"] = min(j - i for i, j in self.edges)
+        return g
 
     def to_json(self) -> dict:
         return {"r": self.r, "edges": [list(e) for e in self.edges]}
@@ -101,19 +117,14 @@ def _require_materializable(n: int) -> None:
         )
 
 
-def _window_matrix(edges, n: int, m: int) -> int:
-    """Adjacency rows 0..n of the union of the size-m windows of ``edges``,
-    packed into one int with row v at bit v * stride.
+def _window_triangles(stride: int, m: int) -> tuple[int, int]:
+    """The size-m triangles ``up`` (row a holds bits a..m) and ``down`` (row a
+    holds bits 0..a), packed with row a at bit a * stride.
 
-    The stride is 8 * ceil(n / 8) bits, so rows are whole bytes.  Every
-    generator's window is the same pair of triangles moved to its corner:
-    ``up`` (row a holds bits a..m) placed at row i, column j - 1, and
-    ``down`` (row a holds bits 0..a) placed at row j, column i - 1.  Both
-    come from the repunit ``rep`` (bit 0 of rows 0..m) and the diagonal
+    Both come from the repunit ``rep`` (bit 0 of rows 0..m) and the diagonal
     ``diag`` (bit a of row a), each grown from one row by doubling: once k
     rows are built, the first min(k, m + 1 - k) of them are copied below.
     """
-    stride = 8 * -(-n // 8)
     rep = diag = 1
     k = 1
     while k <= m:
@@ -122,8 +133,30 @@ def _window_matrix(edges, n: int, m: int) -> int:
         rep |= (rep & first) << (k * stride)
         diag |= (diag & first) << (k * (stride + 1))
         k += t
-    up, down = (rep << (m + 1)) - diag, 2 * diag - rep
-    del rep, diag  # near n = MATERIALIZE_LIMIT each is megabytes the loop does not need
+    return (rep << (m + 1)) - diag, 2 * diag - rep
+
+
+def _window_matrix(edges, n: int, m: int) -> int:
+    """Adjacency rows 0..n of the union of the size-m windows of ``edges``,
+    packed into one int with row v at bit v * stride.
+
+    The stride is 8 * ceil(n / 8) bits, so rows are whole bytes.  Every
+    generator's window is the same pair of triangles moved to its corner:
+    ``up`` placed at row i, column j - 1, and ``down`` placed at row j,
+    column i - 1 (see ``_window_triangles``).  The pair depends on the shape
+    (stride, m) alone, so ``_triangles`` keeps the pairs of the
+    ``_TRIANGLE_SHAPES`` most recently used shapes whose pair fits in
+    ``_TRIANGLE_CACHE_BITS / _TRIANGLE_SHAPES`` bits (8 KB, a shape up to n
+    of about 180).  A larger pair is built for the call and dropped with
+    it: one pair of G_10000 is about 25 MB.
+    """
+    stride = 8 * -(-n // 8)
+    key = (stride, m)
+    up, down = _triangles.pop(key, None) or _window_triangles(stride, m)
+    if 2 * (m + 1) * stride <= _TRIANGLE_CACHE_BITS // _TRIANGLE_SHAPES:
+        _triangles[key] = up, down  # the dict's order is least recently used first
+        if len(_triangles) > _TRIANGLE_SHAPES:
+            del _triangles[next(iter(_triangles))]
     M = 0
     for i, j in edges:
         M |= up << (i * stride + j - 1)
@@ -136,12 +169,13 @@ def expand(spec: ChainSpec, n: int) -> SimpleGraph:
 
     {u, v} is an edge exactly when (min, max) lies in some generator's
     triangular window of size n - r.  The rows are packed into one int by
-    ``_window_matrix``, a few shifts and ORs per generator, and sliced back
-    out of its bytes.  That int has about n^2 bits, so near
+    ``_window_matrix``, a few shifts and ORs per generator on a pair of
+    window triangles kept per (stride, n - r) shape up to n of about 180,
+    and sliced back out of its bytes.  That int has about n^2 bits, so near
     ``MATERIALIZE_LIMIT`` each shift and OR moves megabytes: a six-generator
-    G_10000 takes about 0.4 s and 95-120 MB at peak, against 0.13 s and
+    G_10000 takes 0.3-0.4 s and 85-95 MB at peak, against 0.08-0.15 s and
     28 MB for the row-by-row window loop kept as the tests' reference, which
-    is the faster of the two past n of about 1,100.
+    is the faster of the two past n of about 1,500.
     """
     if n < spec.r:
         raise IndexBelowStability(f"n={n} is below the presentation index r={spec.r}")
@@ -202,33 +236,41 @@ def reduce_index(spec: ChainSpec) -> ChainSpec:
     G_r exactly; otherwise the presentation is already minimal.
 
     Each generator's window depth, the largest m whose window of (i, j) lies
-    inside G_r, is computed once from the lower rows of G_r (the neighbours
-    below each vertex): the window of size m + 1 adds the column j + m + 1
-    meeting i .. i + m + 1, one mask test.  The candidates for r' are then
-    the generators with j <= r' and depth at least r - r', which must
-    include the first generator, and a candidate set is compared with G_r as
-    a packed window matrix, so only the returned candidate becomes a
-    ChainSpec.  An r past ``MATERIALIZE_LIMIT`` is refused before any of
-    this, as ``expand`` refuses G_r.
+    inside G_r, is computed from the lower rows of G_r (the neighbours below
+    each vertex): the window of size m + 1 adds the column j + m + 1 meeting
+    i .. i + m + 1, one mask test.  The candidates for r' are the generators
+    with j <= r' and depth at least r - r', which must include the first
+    generator, so r' starts at max(2, j_1, r - d_1) from the first
+    generator's depth d_1 alone; when that is r already, the spec is
+    returned with no other depth and no matrix computed.  Otherwise each
+    candidate set is compared with G_r as a packed window matrix, so only
+    the returned candidate becomes a ChainSpec.  An r past
+    ``MATERIALIZE_LIMIT`` is refused before any of this, as ``expand``
+    refuses G_r.
     """
     r = spec.r
     _require_materializable(r)
     below = [0] * (r + 1)
     for i, j in spec.edges:
         below[j] |= 1 << (i - 1)
-    depths = []
-    for i, j in spec.edges:
+
+    def depth(i, j):
         d, need = 0, 1 << (i - 1)
         while j + d < r:
             need |= need << 1
             if below[j + d + 1] & need != need:
                 break
             d += 1
-        depths.append(d)
-    target = _window_matrix(spec.edges, r, 0)
+        return d
+
     # The window of (i, j) only holds pairs (u, v) with u >= i and v >= j, so
     # the first edge lies in its own window only: candidates without it fail.
-    for rp in range(max(2, spec.edges[0][1], r - depths[0]), r):
+    first = max(2, spec.edges[0][1], r - depth(*spec.edges[0]))
+    if first >= r:
+        return spec
+    depths = [depth(i, j) for i, j in spec.edges]
+    target = _window_matrix(spec.edges, r, 0)
+    for rp in range(first, r):
         m = r - rp
         cand = tuple(e for e, d in zip(spec.edges, depths) if e[1] <= rp and d >= m)
         if _window_matrix(cand, r, m) == target:

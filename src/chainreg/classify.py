@@ -12,6 +12,7 @@ constancy threshold N, and its coarse bound in terms of r alone.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,11 +88,13 @@ def limit_regularity(spec: ChainSpec) -> ClassifierVerdict:
 @lru_cache(maxsize=128)
 def _verdict(spec: ChainSpec) -> ClassifierVerdict:
     # ChainSpec and ClassifierVerdict are frozen, and to_json returns a copy,
-    # so callers can share one verdict.
+    # so callers can share one verdict.  The reduced spec caches its largest
+    # endpoint and least gap, which stabilization_threshold and q_invariant
+    # read too, so the edge list is scanned once for each.
     spec = reduce_index(spec)
     r = spec.r
-    i1 = spec.edges[0][0]
-    j_q = max(j for i, j in spec.edges if i == i1)
+    # The edges are sorted, so j_q ends the run of the smallest left endpoint.
+    j_q = spec.edges[bisect_left(spec.edges, (spec.edges[0][0] + 1,)) - 1][1]
     N, coarse = stabilization_threshold(spec)
     im = limit_indmatch(spec)
     if j_q == spec.max_endpoint:

@@ -16,8 +16,10 @@ replaced, the one-entry anticycle construction against a copy of the
 segment-wrapper path it replaced, which walks with those walker copies, the
 window-depth index reduction against a copy of the triangle-point reduction it
 replaced, the packed window-matrix expansion against a copy of the
-row-by-row window loop it replaced, and the hole search's one-pass
-least-mask step against a copy of the descent it replaced.  The chordality
+row-by-row window loop it replaced, the hole search's one-pass
+least-mask step against a copy of the descent it replaced, and the verdict
+against a copy of its body that read each edge-list quantity where it
+needed it.  The chordality
 test is also checked against a copy of the induced-cycle enumerator the
 package no longer ships, and ``normalize_spec`` against a copy of the version
 that checked each raw pair itself.  The homology ranks of the rank routine,
@@ -44,7 +46,15 @@ from chainreg import (
     expand,
     normalize_spec,
 )
-from chainreg.chain import chain_indices
+from chainreg.chain import chain_indices, q_invariant, reduce_index
+from chainreg.classify import (
+    CASE_ELSE,
+    CASE_GAP1,
+    CASE_JQ_MAX,
+    ClassifierVerdict,
+    limit_indmatch,
+    stabilization_threshold,
+)
 from chainreg.cli import load_spec
 from chainreg.errors import (
     ChainRegError,
@@ -823,6 +833,35 @@ def reference_reduce_index(spec: ChainSpec) -> ChainSpec:
         if expand(ChainSpec(rp, cand), spec.r) == target:
             return ChainSpec(rp, cand)
     return spec
+
+
+def reference_limit_regularity(spec: ChainSpec) -> ClassifierVerdict:
+    """The body of ``classify._verdict`` before it read each edge-list
+    quantity once, copied verbatim: it scans the edges for j_q and reads
+    ``max_endpoint``, ``min_gap``, ``q_invariant`` and
+    ``stabilization_threshold`` where it needs them."""
+    spec = reduce_index(spec)
+    r = spec.r
+    i1 = spec.edges[0][0]
+    j_q = max(j for i, j in spec.edges if i == i1)
+    N, coarse = stabilization_threshold(spec)
+    im = limit_indmatch(spec)
+    if j_q == spec.max_endpoint:
+        limit, case, n0 = 2, CASE_JQ_MAX, 3 * r
+    elif spec.min_gap == 1 and im == 1:
+        limit, case, n0 = 2, CASE_GAP1, max(5 * r, 2 * r * (r - 2))
+    else:
+        limit, case = 3, CASE_ELSE
+        n0 = 4 * r if im == 2 else 4 * (r + q_invariant(spec))
+    return ClassifierVerdict(
+        limit_reg=limit,
+        case=case,
+        n0=n0,
+        N=N,
+        coarse=coarse,
+        limit_indmatch=im,
+        reduced_r=r,
+    )
 
 
 def brute_low_degree_survivors(p: int, edges) -> int:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,10 +16,12 @@ from chainreg import (
     derived_chain,
     expand,
     is_quasi_saturated,
+    limit_regularity,
     normalize_spec,
     q_invariant,
     reduce_index,
 )
+from chainreg import chain
 from chainreg.chain import MATERIALIZE_LIMIT
 from chainreg.errors import (
     ChainRegError,
@@ -186,15 +189,45 @@ class TestExpand:
 
     def test_matches_reference_window_loop(self):
         # Windows at r..4r, plus n on both sides of the 8-bit row strides.
+        # Each shape is expanded twice, so the second call takes its
+        # triangles from the cache.
         boundaries = (7, 8, 9, 15, 16, 17, 63, 64, 65, 141)
         checked = 0
         for spec in random_specs(150, tuple(range(2, 12)), seed=1111):
             r = spec.r
             for n in sorted({r, r + 1, 2 * r, 3 * r, 4 * r, *boundaries}):
                 if n >= r:
-                    assert expand(spec, n).adj == reference_expand(spec, n).adj, (spec, n)
+                    want = reference_expand(spec, n).adj
+                    assert expand(spec, n).adj == want, (spec, n)
+                    assert (8 * -(-n // 8), n - r) in chain._triangles
+                    assert expand(spec, n).adj == want, (spec, n)
                     checked += 1
         assert checked > 1500
+
+    def test_matches_reference_past_the_cache_bound(self):
+        pair_bits = chain._TRIANGLE_CACHE_BITS // chain._TRIANGLE_SHAPES
+        checked = 0
+        for spec in random_specs(12, tuple(range(2, 12)), seed=1112):
+            for n in (190, 257, 400):
+                stride, m = 8 * -(-n // 8), n - spec.r
+                assert 2 * (m + 1) * stride > pair_bits
+                want = reference_expand(spec, n).adj
+                for _ in range(2):
+                    assert expand(spec, n).adj == want, (spec, n)
+                    assert (stride, m) not in chain._triangles
+                checked += 1
+        assert checked == 36
+
+    def test_triangle_cache_stays_within_its_bounds(self, ex58_spec):
+        # A classified pool, then one large six-edge graph.
+        for spec in random_specs(1000, tuple(range(2, 13)), seed=1113):
+            limit_regularity(spec)
+        expand(ex58_spec, 2000)
+        assert 0 < len(chain._triangles) <= chain._TRIANGLE_SHAPES
+        pair_bits = chain._TRIANGLE_CACHE_BITS // chain._TRIANGLE_SHAPES
+        for up, down in chain._triangles.values():
+            assert up.bit_length() + down.bit_length() <= pair_bits
+        assert (2000, 2000 - ex58_spec.r) not in chain._triangles
 
     def test_largest_window_cost_in_fresh_process(self):
         # The packed matrix has about n^2 bits; pin its time and memory at
@@ -328,17 +361,31 @@ class TestReduceIndex:
 
 
 class TestReduceIndexAgainstReference:
-    def test_random_and_inflated_presentations(self):
+    def test_random_and_inflated_presentations(self, monkeypatch):
         specs = random_specs(400, tuple(range(2, 10)), seed=709)
         inflated = []
         for k, spec in enumerate(specs):
             n = spec.r + 1 + k % 3
             inflated.append(ChainSpec(n, tuple(sorted(expand(spec, n).edges))))
+        # A call that builds no window matrix took the first generator's
+        # exit; any other reached the candidate loop.
+        matrices = []
+
+        def counted(edges, n, m):
+            matrices.append(m)
+            return window_matrix(edges, n, m)
+
+        window_matrix = chain._window_matrix
+        monkeypatch.setattr(chain, "_window_matrix", counted)
+        routes = Counter()
         # Every inflated presentation reduces; of the random ones, 53 do.
         for group, min_reduced in ((specs, 50), (inflated, len(inflated))):
             reduced = 0
             for spec in group:
+                matrices.clear()
                 red = reduce_index(spec)
+                routes["loop" if matrices else "first-exit"] += 1
                 assert red == reference_reduce_index(spec), spec
                 reduced += red.r < spec.r
             assert reduced >= min_reduced
+        assert routes["loop"] > 0 and routes["first-exit"] > 0, routes

@@ -23,7 +23,12 @@ from chainreg.chain import MATERIALIZE_LIMIT
 from chainreg.classify import CASE_ELSE, CASE_GAP1, CASE_JQ_MAX
 from chainreg.errors import InvalidArgument
 
-from conftest import GOLDEN_CHAINS, random_specs, reference_matching_search
+from conftest import (
+    GOLDEN_CHAINS,
+    random_specs,
+    reference_limit_regularity,
+    reference_matching_search,
+)
 
 
 class TestLimitRegularity:
@@ -89,6 +94,14 @@ class TestLimitRegularity:
             assert (v.case == CASE_JQ_MAX) == (j_q == red.max_endpoint), spec
             cases[v.case] += 1
         assert cases[CASE_JQ_MAX] > 50 and sum(cases.values()) - cases[CASE_JQ_MAX] > 50
+
+    def test_matches_reference_verdict(self):
+        cases = Counter()
+        for spec in random_specs(2200, tuple(range(2, 13)), seed=816):
+            v = limit_regularity(spec)
+            assert v == reference_limit_regularity(spec), spec
+            cases[v.case] += 1
+        assert min(cases[c] for c in (CASE_JQ_MAX, CASE_GAP1, CASE_ELSE)) > 50, cases
 
     def test_quasi_saturated_forces_two(self):
         pool = random_specs(80, (2, 3, 4), seed=814)
