@@ -8,7 +8,10 @@ here reduces to exact integer bookkeeping on the edge list.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from operator import lt
 
 from .errors import (
     DegenerateEdge,
@@ -16,6 +19,7 @@ from .errors import (
     EmptyEdgeSet,
     IndexBelowStability,
     InvalidArgument,
+    VertexOutOfRange,
 )
 from .graphs import SimpleGraph
 
@@ -26,9 +30,11 @@ MATERIALIZE_LIMIT = 10_000
 
 #: Bits that _window_matrix's triangle cache may hold: the pairs of at most
 #: 64 (stride, m) shapes, each pair of at most a 64th of this many bits.
+#: expand's cache of row-fault masks, one per n, has the same two bounds.
 _TRIANGLE_CACHE_BITS = 1 << 22
 _TRIANGLE_SHAPES = 64
 _triangles: dict[tuple[int, int], tuple[int, int]] = {}
+_faults: dict[int, int] = {}
 
 
 @dataclass(frozen=True)
@@ -45,17 +51,19 @@ class ChainSpec:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        edges = tuple(map(tuple, self.edges))
+        object.__setattr__(self, "edges", edges)
         if self.r < 1:
             raise InvalidArgument(f"index r must be positive, got {self.r}")
-        if not self.edges:
+        if not edges:
             raise EmptyEdgeSet("a chain needs at least one generator edge")
-        for i, j in self.edges:
+        for i, j in edges:
             if i == j:
                 raise DegenerateEdge(f"edge ({i}, {j}) has equal endpoints")
             if not (1 <= i < j <= self.r):
                 raise EdgeOutOfRange(f"edge ({i}, {j}) leaves [1, {self.r}]")
-        if list(self.edges) != sorted(set(self.edges)):
+        # Strictly increasing is sorted and duplicate-free.
+        if not all(map(lt, edges, edges[1:])):
             raise InvalidArgument("edges must be sorted and duplicate-free; use normalize_spec")
 
     @property
@@ -117,6 +125,26 @@ def _require_materializable(n: int) -> None:
         )
 
 
+def _row_stride(n: int) -> int:
+    """Bits per row of G_n's packed window matrix: one 64-bit machine word up
+    to n = 64, so ``expand`` unpacks every row in one array call, and the
+    fewest whole bytes past that, where rows are sliced out one by one and a
+    multiple of 64 bits only makes the int larger (six-edge G_140: 37 us
+    against 41 us)."""
+    return 64 if n <= 64 else 8 * -(-n // 8)
+
+
+def _keep(cache: dict, key, value, bits: int) -> None:
+    """Store ``value`` as the most recently used entry of ``cache`` when its
+    ``bits`` fit in ``_TRIANGLE_CACHE_BITS / _TRIANGLE_SHAPES``, and drop the
+    least recently used entry past ``_TRIANGLE_SHAPES``.  The caller pops a
+    hit first, so the dict's order is least recently used first."""
+    if bits <= _TRIANGLE_CACHE_BITS // _TRIANGLE_SHAPES:
+        cache[key] = value
+        if len(cache) > _TRIANGLE_SHAPES:
+            del cache[next(iter(cache))]
+
+
 def _window_triangles(stride: int, m: int) -> tuple[int, int]:
     """The size-m triangles ``up`` (row a holds bits a..m) and ``down`` (row a
     holds bits 0..a), packed with row a at bit a * stride.
@@ -140,28 +168,47 @@ def _window_matrix(edges, n: int, m: int) -> int:
     """Adjacency rows 0..n of the union of the size-m windows of ``edges``,
     packed into one int with row v at bit v * stride.
 
-    The stride is 8 * ceil(n / 8) bits, so rows are whole bytes.  Every
-    generator's window is the same pair of triangles moved to its corner:
-    ``up`` placed at row i, column j - 1, and ``down`` placed at row j,
-    column i - 1 (see ``_window_triangles``).  The pair depends on the shape
-    (stride, m) alone, so ``_triangles`` keeps the pairs of the
-    ``_TRIANGLE_SHAPES`` most recently used shapes whose pair fits in
+    The stride is ``_row_stride(n)`` bits: a 64-bit word up to n = 64, whole
+    bytes past it.  Every generator's window is the same pair of triangles
+    moved to its corner: ``up`` placed at row i, column j - 1, and ``down``
+    placed at row j, column i - 1 (see ``_window_triangles``).  The pair
+    depends on the shape (stride, m) alone, so ``_triangles`` keeps the pairs
+    of the ``_TRIANGLE_SHAPES`` most recently used shapes whose pair fits in
     ``_TRIANGLE_CACHE_BITS / _TRIANGLE_SHAPES`` bits (8 KB, a shape up to n
     of about 180).  A larger pair is built for the call and dropped with
     it: one pair of G_10000 is about 25 MB.
     """
-    stride = 8 * -(-n // 8)
+    stride = _row_stride(n)
     key = (stride, m)
-    up, down = _triangles.pop(key, None) or _window_triangles(stride, m)
-    if 2 * (m + 1) * stride <= _TRIANGLE_CACHE_BITS // _TRIANGLE_SHAPES:
-        _triangles[key] = up, down  # the dict's order is least recently used first
-        if len(_triangles) > _TRIANGLE_SHAPES:
-            del _triangles[next(iter(_triangles))]
+    up, down = pair = _triangles.pop(key, None) or _window_triangles(stride, m)
+    _keep(_triangles, key, pair, 2 * (m + 1) * stride)
     M = 0
     for i, j in edges:
         M |= up << (i * stride + j - 1)
         M |= down << (j * stride + i - 1)
     return M
+
+
+def _row_faults(n: int, stride: int) -> int | None:
+    """The bits that no adjacency row of G_n may hold, packed as
+    ``_window_matrix`` packs rows 0..n: all of row 0, and in row v its loop
+    bit v - 1 and the bits n .. stride - 1 past vertex n.
+
+    It is the complement of the allowed bits: row v of them is the bits
+    0..n - 1 but v - 1, row v - 1 of ``up ^ down`` for the size-(n - 1)
+    window triangles.  Kept per n in ``_faults`` under the triangle cache's
+    two bounds (8 KB each, n up to 255); past that, None, and nothing is
+    built.
+    """
+    bits = (n + 1) * stride
+    if bits > _TRIANGLE_CACHE_BITS // _TRIANGLE_SHAPES:
+        return None
+    mask = _faults.pop(n, None)
+    if mask is None:
+        up, down = _window_triangles(stride, n - 1)
+        mask = ((1 << bits) - 1) ^ (up ^ down) << stride
+    _keep(_faults, n, mask, bits)
+    return mask
 
 
 def expand(spec: ChainSpec, n: int) -> SimpleGraph:
@@ -170,21 +217,42 @@ def expand(spec: ChainSpec, n: int) -> SimpleGraph:
     {u, v} is an edge exactly when (min, max) lies in some generator's
     triangular window of size n - r.  The rows are packed into one int by
     ``_window_matrix``, a few shifts and ORs per generator on a pair of
-    window triangles kept per (stride, n - r) shape up to n of about 180,
-    and sliced back out of its bytes.  That int has about n^2 bits, so near
-    ``MATERIALIZE_LIMIT`` each shift and OR moves megabytes: a six-generator
-    G_10000 takes 0.3-0.4 s and 85-95 MB at peak, against 0.08-0.15 s and
-    28 MB for the row-by-row window loop kept as the tests' reference, which
-    is the faster of the two past n of about 1,500.
+    window triangles kept per (stride, n - r) shape up to n of about 180.
+    Up to n = 64 each row is one 64-bit word and all of them come out of
+    the int in one ``array`` call; past that they are sliced out of its
+    bytes one by one.
+
+    The rows are checked on the packed int before they become a graph: no
+    bit past row n, and no bit of ``_row_faults`` (row 0, a loop, a
+    neighbour past n), one AND with a mask kept per n up to 255.  Past that
+    bound, or when a check fails, ``SimpleGraph._from_rows`` checks the rows
+    one by one and names the first faulty one.  The packed int has about n^2
+    bits, so near ``MATERIALIZE_LIMIT`` each shift and OR moves megabytes: a
+    six-generator G_10000 takes about 0.25-0.35 s and 85-105 MB at peak
+    (the peak moves with the allocator's layout of the large ints), against
+    0.08-0.15 s and 28 MB for the row-by-row window loop kept as the tests'
+    reference, which is the faster of the two past n of about 1,500.
     """
     if n < spec.r:
         raise IndexBelowStability(f"n={n} is below the presentation index r={spec.r}")
     _require_materializable(n)
-    sb = -(-n // 8)
-    buf = _window_matrix(spec.edges, n, n - spec.r).to_bytes((n + 1) * sb, "little")
-    from_bytes = int.from_bytes
-    rows = [from_bytes(buf[k : k + sb], "little") for k in range(0, (n + 1) * sb, sb)]
-    return SimpleGraph._from_rows(n, rows)
+    stride = _row_stride(n)
+    M = _window_matrix(spec.edges, n, n - spec.r)
+    if M >> (n + 1) * stride:  # also true for a negative M
+        raise VertexOutOfRange(f"row {n} has a neighbour outside [1, {n}]")
+    if stride == 64:
+        rows = array("Q", M.to_bytes(8 * (n + 1), sys.byteorder)).tolist()
+    else:
+        sb = stride // 8
+        buf = M.to_bytes((n + 1) * sb, "little")
+        from_bytes = int.from_bytes
+        rows = [from_bytes(buf[k : k + sb], "little") for k in range(0, (n + 1) * sb, sb)]
+    faults = _row_faults(n, stride)
+    if faults is None or M & faults:
+        return SimpleGraph._from_rows(n, rows)
+    G = SimpleGraph.__new__(SimpleGraph)
+    G.n, G.adj = n, tuple(rows)
+    return G
 
 
 def q_invariant(spec: ChainSpec) -> int:

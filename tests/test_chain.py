@@ -30,6 +30,7 @@ from chainreg.errors import (
     EmptyEdgeSet,
     IndexBelowStability,
     InvalidArgument,
+    VertexOutOfRange,
 )
 
 from conftest import (
@@ -77,6 +78,35 @@ class TestNormalizeSpec:
     def test_constructor_errors_are_package_errors(self, r, edges):
         with pytest.raises(InvalidArgument):
             ChainSpec(r, edges)
+
+    @pytest.mark.parametrize(
+        "r, edges, want",
+        [
+            (5, [[1, 3], [2, 5]], ((1, 3), (2, 5))),
+            (5, [[1, 3], [1, 3]], InvalidArgument),
+            (5, [[2, 5], [1, 3]], InvalidArgument),
+            (5, [[1, 3], [1, 2]], InvalidArgument),
+            (5, [[1, 3], [4, 4]], DegenerateEdge),
+            (5, [[1, 3], [0, 2]], EdgeOutOfRange),
+            (5, [[1, 3], [3, 2]], EdgeOutOfRange),
+            (5, [[1, 3], [2, 6]], EdgeOutOfRange),
+            # Edge by edge, equal endpoints before the range; the order of
+            # the list last.
+            (5, [[6, 6]], DegenerateEdge),
+            (5, [[2, 6], [1, 1]], EdgeOutOfRange),
+            (5, [[3, 4], [2, 6], [1, 3]], EdgeOutOfRange),
+        ],
+        ids=["lists", "duplicate", "unsorted", "unsorted-right", "degenerate", "zero",
+             "reversed", "past-r", "degenerate-before-range", "first-bad-edge",
+             "range-before-order"],
+    )
+    def test_constructor_checks(self, r, edges, want):
+        if isinstance(want, type):
+            with pytest.raises(want):
+                ChainSpec(r, edges)
+        else:
+            spec = ChainSpec(r, edges)
+            assert spec.edges == want and spec == ChainSpec(r, want)
 
     def test_matches_reference_on_random_raw_edges(self):
         # One kind of raw input per case: with two kinds of bad edge in one
@@ -188,9 +218,10 @@ class TestExpand:
                 assert top == n - spec.r + spec.max_endpoint, (spec, n)
 
     def test_matches_reference_window_loop(self):
-        # Windows at r..4r, plus n on both sides of the 8-bit row strides.
-        # Each shape is expanded twice, so the second call takes its
-        # triangles from the cache.
+        # Windows at r..4r, plus n on both sides of the 8-bit row strides
+        # and of the switch from 64-bit words to bytes at n = 64.  Each shape
+        # is expanded twice, so the second call takes its triangles and its
+        # row-fault mask from the caches.
         boundaries = (7, 8, 9, 15, 16, 17, 63, 64, 65, 141)
         checked = 0
         for spec in random_specs(150, tuple(range(2, 12)), seed=1111):
@@ -199,7 +230,7 @@ class TestExpand:
                 if n >= r:
                     want = reference_expand(spec, n).adj
                     assert expand(spec, n).adj == want, (spec, n)
-                    assert (8 * -(-n // 8), n - r) in chain._triangles
+                    assert (chain._row_stride(n), n - r) in chain._triangles
                     assert expand(spec, n).adj == want, (spec, n)
                     checked += 1
         assert checked > 1500
@@ -209,7 +240,7 @@ class TestExpand:
         checked = 0
         for spec in random_specs(12, tuple(range(2, 12)), seed=1112):
             for n in (190, 257, 400):
-                stride, m = 8 * -(-n // 8), n - spec.r
+                stride, m = chain._row_stride(n), n - spec.r
                 assert 2 * (m + 1) * stride > pair_bits
                 want = reference_expand(spec, n).adj
                 for _ in range(2):
@@ -228,6 +259,40 @@ class TestExpand:
         for up, down in chain._triangles.values():
             assert up.bit_length() + down.bit_length() <= pair_bits
         assert (2000, 2000 - ex58_spec.r) not in chain._triangles
+        assert 0 < len(chain._faults) <= chain._TRIANGLE_SHAPES
+        for mask in chain._faults.values():
+            assert mask.bit_length() <= pair_bits
+        assert 2000 not in chain._faults
+
+    def test_row_fault_mask_matches_its_rows(self):
+        for n in (*range(1, 70), 71, 72, 73, 140, 248, 249, 255, 256, 300):
+            stride = chain._row_stride(n)
+            past_n = (1 << stride) - (1 << n)
+            want = (1 << stride) - 1
+            for v in range(1, n + 1):
+                want |= (past_n | 1 << (v - 1)) << (v * stride)
+            assert chain._row_faults(n, stride) == (want if n <= 255 else None), n
+
+    @pytest.mark.parametrize("n", [27, 64, 100, 300])
+    @pytest.mark.parametrize("fault", ["loop", "column-n", "row-0"])
+    def test_stray_bit_in_the_matrix_is_refused(self, monkeypatch, ex58_spec, n, fault):
+        # n = 27 and 64 take the word path, 100 the byte path with a cached
+        # mask, 300 the byte path past the mask cache; at n = 64 a bit at
+        # column n of row n lies past the matrix.
+        stride = chain._row_stride(n)
+        v = n // 2
+        stray = {"loop": v * stride + v - 1, "column-n": n * stride + n, "row-0": n - 1}[fault]
+        window_matrix = chain._window_matrix
+
+        def faulty(edges, n, m):
+            M = window_matrix(edges, n, m)
+            assert not M >> stray & 1
+            return M | 1 << stray
+
+        expand(ex58_spec, n)  # the mask of n, if any, is cached
+        monkeypatch.setattr(chain, "_window_matrix", faulty)
+        with pytest.raises(VertexOutOfRange):
+            expand(ex58_spec, n)
 
     def test_largest_window_cost_in_fresh_process(self):
         # The packed matrix has about n^2 bits; pin its time and memory at
