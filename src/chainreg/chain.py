@@ -11,6 +11,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import lt
 
 from .errors import (
@@ -28,13 +29,13 @@ Edge = tuple[int, int]
 #: expand() and reduce_index() refuse any index past this vertex count.
 MATERIALIZE_LIMIT = 10_000
 
-#: Bits that _window_matrix's triangle cache may hold: the pairs of at most
-#: 64 (stride, m) shapes, each pair of at most a 64th of this many bits.
-#: expand's cache of row-fault masks, one per n, has the same two bounds.
-_TRIANGLE_CACHE_BITS = 1 << 22
-_TRIANGLE_SHAPES = 64
-_triangles: dict[tuple[int, int], tuple[int, int]] = {}
-_faults: dict[int, int] = {}
+# The shape cache, _cached_triangles, keeps the window-triangle pairs of the
+# 128 most recently used (stride, m) shapes.  Only a pair of at most
+# _PAIR_BITS (8 KB) goes there, so it holds at most 1 MB; a larger pair is
+# built for the call and dropped (one pair of G_10000 is about 25 MB).
+# _window_matrix reads it, and so does _row_faults through the size-(n - 1)
+# pair, which is small enough up to n = 178.
+_PAIR_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -134,17 +135,6 @@ def _row_stride(n: int) -> int:
     return 64 if n <= 64 else 8 * -(-n // 8)
 
 
-def _keep(cache: dict, key, value, bits: int) -> None:
-    """Store ``value`` as the most recently used entry of ``cache`` when its
-    ``bits`` fit in ``_TRIANGLE_CACHE_BITS / _TRIANGLE_SHAPES``, and drop the
-    least recently used entry past ``_TRIANGLE_SHAPES``.  The caller pops a
-    hit first, so the dict's order is least recently used first."""
-    if bits <= _TRIANGLE_CACHE_BITS // _TRIANGLE_SHAPES:
-        cache[key] = value
-        if len(cache) > _TRIANGLE_SHAPES:
-            del cache[next(iter(cache))]
-
-
 def _window_triangles(stride: int, m: int) -> tuple[int, int]:
     """The size-m triangles ``up`` (row a holds bits a..m) and ``down`` (row a
     holds bits 0..a), packed with row a at bit a * stride.
@@ -164,6 +154,9 @@ def _window_triangles(stride: int, m: int) -> tuple[int, int]:
     return (rep << (m + 1)) - diag, 2 * diag - rep
 
 
+_cached_triangles = lru_cache(maxsize=128)(_window_triangles)
+
+
 def _window_matrix(edges, n: int, m: int) -> int:
     """Adjacency rows 0..n of the union of the size-m windows of ``edges``,
     packed into one int with row v at bit v * stride.
@@ -172,16 +165,12 @@ def _window_matrix(edges, n: int, m: int) -> int:
     bytes past it.  Every generator's window is the same pair of triangles
     moved to its corner: ``up`` placed at row i, column j - 1, and ``down``
     placed at row j, column i - 1 (see ``_window_triangles``).  The pair
-    depends on the shape (stride, m) alone, so ``_triangles`` keeps the pairs
-    of the ``_TRIANGLE_SHAPES`` most recently used shapes whose pair fits in
-    ``_TRIANGLE_CACHE_BITS / _TRIANGLE_SHAPES`` bits (8 KB, a shape up to n
-    of about 180).  A larger pair is built for the call and dropped with
-    it: one pair of G_10000 is about 25 MB.
+    depends on the shape (stride, m) alone, so a pair small enough comes
+    from the shape cache.
     """
     stride = _row_stride(n)
-    key = (stride, m)
-    up, down = pair = _triangles.pop(key, None) or _window_triangles(stride, m)
-    _keep(_triangles, key, pair, 2 * (m + 1) * stride)
+    small = 2 * (m + 1) * stride <= _PAIR_BITS
+    up, down = (_cached_triangles if small else _window_triangles)(stride, m)
     M = 0
     for i, j in edges:
         M |= up << (i * stride + j - 1)
@@ -196,19 +185,13 @@ def _row_faults(n: int, stride: int) -> int | None:
 
     It is the complement of the allowed bits: row v of them is the bits
     0..n - 1 but v - 1, row v - 1 of ``up ^ down`` for the size-(n - 1)
-    window triangles.  Kept per n in ``_faults`` under the triangle cache's
-    two bounds (8 KB each, n up to 255); past that, None, and nothing is
-    built.
+    window triangles.  None when that pair is too large for the shape cache,
+    and then nothing is built.
     """
-    bits = (n + 1) * stride
-    if bits > _TRIANGLE_CACHE_BITS // _TRIANGLE_SHAPES:
+    if 2 * n * stride > _PAIR_BITS:
         return None
-    mask = _faults.pop(n, None)
-    if mask is None:
-        up, down = _window_triangles(stride, n - 1)
-        mask = ((1 << bits) - 1) ^ (up ^ down) << stride
-    _keep(_faults, n, mask, bits)
-    return mask
+    up, down = _cached_triangles(stride, n - 1)
+    return ((1 << (n + 1) * stride) - 1) ^ (up ^ down) << stride
 
 
 def expand(spec: ChainSpec, n: int) -> SimpleGraph:
@@ -217,17 +200,16 @@ def expand(spec: ChainSpec, n: int) -> SimpleGraph:
     {u, v} is an edge exactly when (min, max) lies in some generator's
     triangular window of size n - r.  The rows are packed into one int by
     ``_window_matrix``, a few shifts and ORs per generator on a pair of
-    window triangles kept per (stride, n - r) shape up to n of about 180.
-    Up to n = 64 each row is one 64-bit word and all of them come out of
-    the int in one ``array`` call; past that they are sliced out of its
-    bytes one by one.
+    window triangles from the shape cache.  Up to n = 64 each row is one
+    64-bit word and all of them come out of the int in one ``array`` call;
+    past that they are sliced out of its bytes one by one.
 
     The rows are checked on the packed int before they become a graph: no
     bit past row n, and no bit of ``_row_faults`` (row 0, a loop, a
-    neighbour past n), one AND with a mask kept per n up to 255.  Past that
-    bound, or when a check fails, ``SimpleGraph._from_rows`` checks the rows
-    one by one and names the first faulty one.  The packed int has about n^2
-    bits, so near ``MATERIALIZE_LIMIT`` each shift and OR moves megabytes: a
+    neighbour past n), one AND.  Past the shape cache's bound, where there
+    is no mask, or when a check fails, ``SimpleGraph._from_rows`` checks the
+    rows one by one and names the first faulty one.  The packed int has
+    about n^2 bits, so near ``MATERIALIZE_LIMIT`` each shift and OR moves megabytes: a
     six-generator G_10000 takes about 0.25-0.35 s and 85-105 MB at peak
     (the peak moves with the allocator's layout of the large ints), against
     0.08-0.15 s and 28 MB for the row-by-row window loop kept as the tests'
@@ -281,7 +263,7 @@ def derived_chain(spec: ChainSpec) -> ChainSpec:
 
 def is_quasi_saturated(spec: ChainSpec) -> bool:
     """True when restricting the next window to the support gives nothing new."""
-    return set(derived_chain(spec).edges) == set(spec.edges)
+    return derived_chain(spec).edges == spec.edges
 
 
 def chain_indices(spec: ChainSpec) -> ChainIndices:

@@ -34,6 +34,7 @@ from chainreg.errors import (
 )
 
 from conftest import (
+    GOLDEN_CHAINS,
     Triangle,
     brute_expand,
     brute_low_degree_survivors,
@@ -220,9 +221,10 @@ class TestExpand:
     def test_matches_reference_window_loop(self):
         # Windows at r..4r, plus n on both sides of the 8-bit row strides
         # and of the switch from 64-bit words to bytes at n = 64.  Each shape
-        # is expanded twice, so the second call takes its triangles and its
-        # row-fault mask from the caches.
+        # is expanded twice, so the second call takes both its triangle pair
+        # and the pair behind its row-fault mask from the shape cache.
         boundaries = (7, 8, 9, 15, 16, 17, 63, 64, 65, 141)
+        cache_info = chain._cached_triangles.cache_info
         checked = 0
         for spec in random_specs(150, tuple(range(2, 12)), seed=1111):
             r = spec.r
@@ -230,55 +232,69 @@ class TestExpand:
                 if n >= r:
                     want = reference_expand(spec, n).adj
                     assert expand(spec, n).adj == want, (spec, n)
-                    assert (chain._row_stride(n), n - r) in chain._triangles
+                    before = cache_info()
                     assert expand(spec, n).adj == want, (spec, n)
+                    after = cache_info()
+                    assert after.hits == before.hits + 2, (spec, n)
+                    assert after.misses == before.misses, (spec, n)
                     checked += 1
         assert checked > 1500
 
     def test_matches_reference_past_the_cache_bound(self):
-        pair_bits = chain._TRIANGLE_CACHE_BITS // chain._TRIANGLE_SHAPES
+        cache_info = chain._cached_triangles.cache_info
         checked = 0
         for spec in random_specs(12, tuple(range(2, 12)), seed=1112):
             for n in (190, 257, 400):
                 stride, m = chain._row_stride(n), n - spec.r
-                assert 2 * (m + 1) * stride > pair_bits
+                assert 2 * (m + 1) * stride > chain._PAIR_BITS
                 want = reference_expand(spec, n).adj
                 for _ in range(2):
+                    before = cache_info()
                     assert expand(spec, n).adj == want, (spec, n)
-                    assert (stride, m) not in chain._triangles
+                    assert cache_info() == before, (spec, n)
                 checked += 1
         assert checked == 36
 
-    def test_triangle_cache_stays_within_its_bounds(self, ex58_spec):
-        # A classified pool, then one large six-edge graph.
+    def test_triangle_cache_stays_within_its_bounds(self, monkeypatch, ex58_spec):
+        # A classified pool, the sweep-late rows of the four golden chains,
+        # then one large six-edge graph.  Every shape that reaches the cache
+        # is recorded, so no large pair can be stored unseen.
+        cached = chain._cached_triangles
+        shapes = set()
+
+        def recorded(stride, m):
+            shapes.add((stride, m))
+            return cached(stride, m)
+
+        monkeypatch.setattr(chain, "_cached_triangles", recorded)
         for spec in random_specs(1000, tuple(range(2, 13)), seed=1113):
             limit_regularity(spec)
+        for spec in GOLDEN_CHAINS.values():
+            for n in range(30, 150):
+                expand(spec, n)
+        assert shapes
+        assert all(2 * (m + 1) * stride <= chain._PAIR_BITS for stride, m in shapes)
+        assert 0 < cached.cache_info().currsize <= cached.cache_info().maxsize == 128
+        before = cached.cache_info()
         expand(ex58_spec, 2000)
-        assert 0 < len(chain._triangles) <= chain._TRIANGLE_SHAPES
-        pair_bits = chain._TRIANGLE_CACHE_BITS // chain._TRIANGLE_SHAPES
-        for up, down in chain._triangles.values():
-            assert up.bit_length() + down.bit_length() <= pair_bits
-        assert (2000, 2000 - ex58_spec.r) not in chain._triangles
-        assert 0 < len(chain._faults) <= chain._TRIANGLE_SHAPES
-        for mask in chain._faults.values():
-            assert mask.bit_length() <= pair_bits
-        assert 2000 not in chain._faults
+        assert cached.cache_info() == before
+        assert not any(stride == chain._row_stride(2000) for stride, _ in shapes)
 
     def test_row_fault_mask_matches_its_rows(self):
-        for n in (*range(1, 70), 71, 72, 73, 140, 248, 249, 255, 256, 300):
+        for n in (*range(1, 70), 71, 72, 73, 140, 177, 178, 179, 180, 248, 249, 255, 256, 300):
             stride = chain._row_stride(n)
             past_n = (1 << stride) - (1 << n)
             want = (1 << stride) - 1
             for v in range(1, n + 1):
                 want |= (past_n | 1 << (v - 1)) << (v * stride)
-            assert chain._row_faults(n, stride) == (want if n <= 255 else None), n
+            assert chain._row_faults(n, stride) == (want if n <= 178 else None), n
 
-    @pytest.mark.parametrize("n", [27, 64, 100, 300])
+    @pytest.mark.parametrize("n", [27, 64, 100, 178, 179, 300])
     @pytest.mark.parametrize("fault", ["loop", "column-n", "row-0"])
     def test_stray_bit_in_the_matrix_is_refused(self, monkeypatch, ex58_spec, n, fault):
-        # n = 27 and 64 take the word path, 100 the byte path with a cached
-        # mask, 300 the byte path past the mask cache; at n = 64 a bit at
-        # column n of row n lies past the matrix.
+        # n = 27 and 64 take the word path, 100 and 178 the byte path with a
+        # row-fault mask, 179 and 300 the byte path past the mask's bound; at
+        # n = 64 a bit at column n of row n lies past the matrix.
         stride = chain._row_stride(n)
         v = n // 2
         stray = {"loop": v * stride + v - 1, "column-n": n * stride + n, "row-0": n - 1}[fault]
@@ -289,7 +305,7 @@ class TestExpand:
             assert not M >> stray & 1
             return M | 1 << stray
 
-        expand(ex58_spec, n)  # the mask of n, if any, is cached
+        expand(ex58_spec, n)  # the pair behind the mask of n, if any, is cached
         monkeypatch.setattr(chain, "_window_matrix", faulty)
         with pytest.raises(VertexOutOfRange):
             expand(ex58_spec, n)
