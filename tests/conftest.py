@@ -1,52 +1,33 @@
-"""Shared fixtures and independent brute-force oracles for the test suite.
+"""Shared fixtures, seeded graph generators and one reference per contract.
 
-The oracles here deliberately avoid the library's own algorithms: expansion is
-checked against explicit enumeration of increasing maps, cycles and matchings
-against raw subset search, monomial counts against direct enumeration.  The
-pruned homology scan is checked against a copy of the scan without its fold
-prune, which shares only the face enumeration and rank code, and its
-subset walk against all subsets filtered through a copy of the per-subset
-prune test and against a copy of the walk with the domination cut it
-dropped, and its vertex deletion against a copy of the greedy deletion
-sequence it replaced; the vertex-mask matching search against a copy of the
-edge-list search it replaced, and the one-pass chordality test and row-mask anticycle
-check against copies of the two-pass search and pairwise check they replaced,
-the anticycle pivot walker against copies of the head and tail walkers it
-replaced, the one-entry anticycle construction against a copy of the
-segment-wrapper path it replaced, which walks with those walker copies, the
-window-depth index reduction against a copy of the triangle-point reduction it
-replaced, the packed window-matrix expansion against a copy of the
-row-by-row window loop it replaced, the hole search's one-pass
-least-mask step against a copy of the descent it replaced, and the verdict
-against a copy of its body that read each edge-list quantity where it
-needed it.  The chordality
-test is also checked against a copy of the induced-cycle enumerator the
-package no longer ships, and ``normalize_spec`` against a copy of the version
-that checked each raw pair itself.  The homology ranks of the rank routine,
-over GF(2) and odd p, are checked against a reference that shares no oracle
-code: independent sets from a scan of every vertex subset and dense boundary
-matrices ranked by Gaussian elimination over GF(p).
+A brute reference enumerates maps or subsets and serves the small inputs it
+reaches; a simple reference is a plain algorithm, kept where brute force
+cannot reach a test's inputs, for the reason given:
+
+- expand: brute_expand (brute); reference_expand (simple: n = 400 has C(n, r) maps).
+- reduce_index: brute_reduce_index (brute: generator orbits by brute_expand).
+- chordality: brute_induced_cycles (brute, n <= 8); elimination_is_chordal (simple: n = 140).
+- verify_anticycle: brute_induced_cycles on the complement (brute).
+- induced_matching: brute_indmatch (brute, n <= 10); reference_matching_search (simple: G_{4r}).
+- first_hole: brute_induced_cycles (brute, n <= 10); reference_first_hole (simple: n = 120, 400).
+- homology ranks: reference_homology_ranks (brute: every subset, dense elimination over GF(p)).
+- regularity: reference_regularity (simple: 2^16 subsets to rank at n = 16; no fold prune).
+- the per-subset prune: brute_fold_survivors (brute: every vertex set).
+- anticycle walkers: reference_j_trace, reference_k_trace (simple: no enumeration gives J, K).
+- the verdict: reference_limit_regularity (simple: a limit over all n has no brute form).
+- low-degree monomials: brute_low_degree_survivors (brute).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from chainreg import (
-    AnticycleTrace,
-    ChainIndices,
-    ChainSpec,
-    PivotTrace,
-    SimpleGraph,
-    expand,
-    normalize_spec,
-)
-from chainreg.chain import chain_indices, q_invariant, reduce_index
+from chainreg import ChainIndices, ChainSpec, PivotTrace, SimpleGraph
+from chainreg.chain import q_invariant, reduce_index
 from chainreg.classify import (
     CASE_ELSE,
     CASE_GAP1,
@@ -56,31 +37,12 @@ from chainreg.classify import (
     stabilization_threshold,
 )
 from chainreg.cli import load_spec
-from chainreg.errors import (
-    ChainRegError,
-    DegenerateEdge,
-    EdgeOutOfRange,
-    EmptyEdgeSet,
-    HypothesisViolated,
-    InvalidArgument,
-    IndexTooSmall,
-    SubsetBudgetExceeded,
-    VertexOutOfRange,
-)
-from chainreg.graphs import (
-    AnticycleWitness,
-    _bit,
-    _iter_bits,
-    induced_subgraph,
-    is_cochordal,
-    verify_anticycle,
-)
+from chainreg.errors import HypothesisViolated, SubsetBudgetExceeded
+from chainreg.graphs import _bit, _iter_bits, induced_subgraph
 from chainreg.oracle import (
     DEFAULT_SUBSET_BUDGET,
     RegularityReport,
     _independent_faces,
-    _link_chordal,
-    _pruned,
     _top_nonzero_excess,
     require_prime,
 )
@@ -108,25 +70,6 @@ def reg3_spec() -> ChainSpec:
     return GOLDEN_CHAINS["reg3"]
 
 
-def reference_normalize_spec(r: int, raw_edges) -> ChainSpec:
-    """A verbatim copy of ``chain.normalize_spec`` when it checked each raw
-    pair itself before handing the sorted pairs to ChainSpec."""
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise InvalidArgument(f"index r must be a positive integer, got {r!r}")
-    raw = list(raw_edges)
-    if not raw:
-        raise EmptyEdgeSet("edge list is empty")
-    seen = set()
-    for pair in raw:
-        u, v = pair
-        if u == v:
-            raise DegenerateEdge(f"edge ({u}, {v}) has equal endpoints")
-        if not (1 <= u <= r and 1 <= v <= r):
-            raise EdgeOutOfRange(f"edge ({u}, {v}) leaves [1, {r}]")
-        seen.add((u, v) if u < v else (v, u))
-    return ChainSpec(r, tuple(sorted(seen)))
-
-
 def brute_expand(spec: ChainSpec, n: int) -> set[tuple[int, int]]:
     """Edges of G_n by applying every strictly increasing map [r] -> [n]."""
     out = set()
@@ -149,40 +92,25 @@ def reference_expand(spec: ChainSpec, n: int) -> SimpleGraph:
     return SimpleGraph._from_rows(n, rows)
 
 
-def reference_induced_cycles(G: SimpleGraph, lmin: int, lmax: int) -> list[tuple[int, ...]]:
-    """All induced cycles with length in [lmin, lmax], one canonical tuple
-    each: a copy of the enumerator the package shipped, without its output
-    cap.
+def brute_reduce_index(spec: ChainSpec) -> ChainSpec:
+    """``reduce_index`` by orbits under increasing maps: (r', E') for the
+    least r' < r whose generators, those (i, j) in G_r with j <= r' and
+    orbit at index r inside G_r, have orbit G_r; else spec itself."""
+    target = set(spec.edges)
+    for rp in range(2, spec.r):
+        cand = tuple(
+            e
+            for e in spec.edges
+            if e[1] <= rp and brute_expand(ChainSpec(rp, (e,)), spec.r) <= target
+        )
+        if cand and brute_expand(ChainSpec(rp, cand), spec.r) == target:
+            return ChainSpec(rp, cand)
+    return spec
 
-    A cycle is reported starting at its smallest vertex and oriented toward
-    the smaller of that vertex's two cycle neighbours.
-    """
-    if not (3 <= lmin <= lmax):
-        raise ValueError(f"need 3 <= lmin <= lmax, got ({lmin}, {lmax})")
-    n = G.n
-    adj = G.adj
-    full = (1 << n) - 1
-    out: list[tuple[int, ...]] = []
 
-    def grow(path: list[int], path_bits: int, interior_adj: int, v1: int, above: int):
-        last = path[-1]
-        if len(path) + 1 >= lmin:
-            close = adj[last] & adj[v1] & above & ~(path_bits | interior_adj)
-            for w in _iter_bits(close):
-                if path[1] < w:
-                    out.append(tuple(path) + (w,))
-        if len(path) <= lmax - 2:
-            ext = adj[last] & above & ~(path_bits | interior_adj | adj[v1])
-            for w in _iter_bits(ext):
-                path.append(w)
-                grow(path, path_bits | _bit(w), interior_adj | adj[last], v1, above)
-                path.pop()
-
-    for v1 in range(1, n + 1):
-        above = full & ~((1 << v1) - 1)
-        for x in _iter_bits(adj[v1] & above):
-            grow([v1, x], _bit(v1) | _bit(x), 0, v1, above)
-    return out
+def cycle_graph(n: int) -> SimpleGraph:
+    """The cycle 1, 2, ..., n, 1."""
+    return SimpleGraph(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
 
 
 def brute_induced_cycles(G: SimpleGraph, lmin: int, lmax: int) -> set[tuple[int, ...]]:
@@ -216,27 +144,21 @@ def brute_induced_cycles(G: SimpleGraph, lmin: int, lmax: int) -> set[tuple[int,
     return found
 
 
-def brute_indmatch(G: SimpleGraph) -> int:
-    """Largest induced union of disjoint edges, by raw subset search."""
+def brute_indmatch(G: SimpleGraph) -> tuple[int, list[tuple[int, int]]]:
+    """Largest induced union of disjoint edges, by raw subset search, with
+    its lexicographically first witness among the sorted edges."""
+    best: list[tuple[int, int]] = []
     edges = sorted(G.edges)
-    best = 0
     for k in range(1, len(edges) + 1):
-        hit = False
         for combo in combinations(edges, k):
-            verts = [v for e in combo for v in e]
-            if len(set(verts)) != 2 * k:
-                continue
-            inside = sum(
-                1 for u, v in combinations(sorted(set(verts)), 2) if G.has_edge(u, v)
-            )
-            if inside == k:
-                hit = True
+            verts = {v for e in combo for v in e}
+            inside = sum(G.has_edge(u, v) for u, v in combinations(verts, 2))
+            if len(verts) == 2 * k and inside == k:
+                best = list(combo)
                 break
-        if hit:
-            best = k
         else:
             break
-    return best
+    return len(best), best
 
 
 def reference_matching_search(G: SimpleGraph):
@@ -272,44 +194,20 @@ def reference_matching_search(G: SimpleGraph):
     return best, best_w
 
 
-def reference_is_chordal(G: SimpleGraph) -> bool:
-    """The two-pass chordality test that ``graphs.is_chordal`` replaced.
-
-    A verbatim copy: a maximum cardinality search that rescans every
-    unnumbered vertex at each step, then a separate elimination-order pass.
-    """
-    n = G.n
-    if n <= 2:
-        return True
+def elimination_is_chordal(G: SimpleGraph) -> bool:
+    """Whether G is chordal, by deleting simplicial vertices, those whose
+    remaining neighbours are pairwise adjacent: a graph is chordal exactly
+    when this empties it (Fulkerson-Gross)."""
     adj = G.adj
-    weight = [0] * (n + 1)
-    alpha = [0] * (n + 1)
-    order = [0] * (n + 1)
-    unnumbered = (1 << n) - 1
-    for k in range(n, 0, -1):
-        best_v, best_w = 0, -1
-        for v in _iter_bits(unnumbered):
-            if weight[v] > best_w:
-                best_w, best_v = weight[v], v
-        v = best_v
-        alpha[v] = k
-        order[k] = v
-        unnumbered ^= _bit(v)
-        for u in _iter_bits(adj[v] & unnumbered):
-            weight[u] += 1
-
-    remaining = (1 << n) - 1
-    for k in range(1, n + 1):
-        v = order[k]
-        remaining ^= _bit(v)
-        later = adj[v] & remaining
-        if later:
-            w, a_best = 0, n + 1
-            for u in _iter_bits(later):
-                if alpha[u] < a_best:
-                    a_best, w = alpha[u], u
-            if later & ~(adj[w] | _bit(w)):
-                return False
+    rest = set(range(1, G.n + 1))
+    while rest:
+        for v in rest:
+            nbrs = [u for u in rest if adj[v] >> (u - 1) & 1]
+            if all(adj[a] >> (b - 1) & 1 for a, b in combinations(nbrs, 2)):
+                rest.remove(v)
+                break
+        else:
+            return False
     return True
 
 
@@ -383,28 +281,6 @@ def reference_first_hole(G: SimpleGraph, longest: int | None = None) -> int:
         if shortest(top, hole ^ vb, best):
             hole ^= vb
     return hole
-
-
-def reference_verify_anticycle(G: SimpleGraph, witness) -> bool:
-    """The pairwise ``has_edge`` anticycle check that ``graphs.verify_anticycle``
-    replaced, copied verbatim."""
-    verts = tuple(witness.vertices) if isinstance(witness, AnticycleWitness) else tuple(witness)
-    for a in verts:
-        if not (1 <= a <= G.n):
-            raise VertexOutOfRange(f"vertex {a} is not in [1, {G.n}]")
-    m = len(verts)
-    if m < 4 or len(set(verts)) != m:
-        return False
-    for p in range(m):
-        if G.has_edge(verts[p], verts[(p + 1) % m]):
-            return False
-    for p in range(m):
-        for z in range(p + 2, m):
-            if (p, z) == (0, m - 1):
-                continue
-            if not G.has_edge(verts[p], verts[z]):
-                return False
-    return True
 
 
 # The fields that the oracle tests compare over, scanned together.
@@ -561,94 +437,12 @@ def brute_fold_survivors(adj, nn: int) -> set[int]:
     return kept
 
 
-def reference_deletion_sequence(G: SimpleGraph, support: int) -> bool:
-    """Whether a greedy Dao-Huneke-Schweig deletion sequence proves reg <= 3.
-
-    Each step deletes the smallest x of the remaining graph H (at first G on
-    its support, which has a hole) whose H - N[x] is cochordal or edgeless,
-    and success comes once H - x is cochordal; then reg <= 3 by reg I(H) <=
-    max{reg I(H - x), reg I(H - N[x]) + 1}.  False when some step finds no x.
-    """
-    adj = G.adj
-    rest = support
-    while True:
-        w = rest
-        while w:
-            b = w & -w
-            w ^= b
-            if is_cochordal(G, rest & ~(adj[b.bit_length()] | b)):
-                break
-        else:
-            return False
-        rest ^= b
-        if is_cochordal(G, rest):
-            return True
-
-
-def reference_survivors(G: SimpleGraph, support: int, known: dict) -> list[int]:
-    """The subset walk that ``oracle._survivors`` replaced, copied verbatim
-    but for this docstring: besides the nesting and link cuts it drops each
-    candidate adjacent to all of reach, a case the link cut covers."""
-    adj = G.adj
-    survivors: list[int] = []
-    stack = []
-    rest = support
-    while rest:
-        b = rest & -rest
-        rest ^= b
-        stack.append((b, b, rest))
-    while stack:
-        s, tb, cands = stack.pop()
-        reach = s | cands
-        at = adj[tb.bit_length()] & reach
-        c = cands
-        while c:
-            xb = c & -c
-            c ^= xb
-            ax = adj[xb.bit_length()] & reach
-            # x dominates reach, or N(x) and N(t) nest inside reach.
-            if ax == reach ^ xb or not ax & ~at or not at & ~ax:
-                cands ^= xb
-                reach ^= xb
-                at &= reach
-        # t's complement-link in reach is the complement on reach - N[t].  A
-        # leaf, with no candidates left, skips the test: over random graphs
-        # it saves about as much homology as it costs.
-        if cands and _link_chordal(G, reach ^ tb ^ at, known):
-            continue
-        if not _pruned(adj, s):
-            survivors.append(s)
-        while cands:
-            xb = cands & -cands
-            cands ^= xb
-            stack.append((s | xb, xb, cands))
-    # By mask, then stably by size: no key tuple is built per set.
-    survivors.sort()
-    survivors.sort(key=int.bit_count)
-    return survivors
-
-
-class CaseMismatch(ChainRegError):
-    """The other construction case applies to this chain: a copy of the error
-    class the package shipped, raised only by the reference walkers."""
-
-
-class StartOutOfRange(ChainRegError):
-    """The starting vertex handed to the tail construction is out of range: a
-    copy of the error class the package shipped, raised only by
-    ``reference_construct_anticycle``."""
-
-
 def reference_j_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
     """The head walker that ``anticycle._rearrange`` replaced, copied verbatim
-    but for the trace type it returns."""
+    but for the trace type it returns and its case check: callers ask it only
+    of case-I chains, where i_b <= i_h."""
     edges = spec.edges
     i_b = edges[idx.b - 1][0]
-    i_h = edges[idx.h - 1][0]
-    if i_h < i_b:
-        raise CaseMismatch(
-            f"i_h = {i_h} < i_b = {i_b}: the closed-form head applies instead"
-        )
     sets = [tuple(idx.J1)]
     pivots = [idx.h]
     used = set(idx.J1)
@@ -694,145 +488,6 @@ def reference_k_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
     if pivots[-1] != idx.B:
         raise HypothesisViolated("tail rearrangement did not end at position B")
     return PivotTrace(tuple(sets), tuple(pivots))
-
-
-# The anticycle construction that ``anticycle.construct_anticycle`` replaced,
-# copied verbatim but for the ``_ref`` prefix on its helpers, their
-# docstrings, its gap check inlined, the local copies of its two error
-# classes, and the walker copies above, which give its walkers' traces.
-
-
-def _ref_require_hypotheses(spec: ChainSpec) -> ChainIndices:
-    """Check the construction's hypotheses; return the chain indices."""
-    if spec.min_gap < 2:
-        raise HypothesisViolated(
-            f"every generator gap must be at least 2, found gap {spec.min_gap}"
-        )
-    idx = chain_indices(spec)
-    j_q = spec.edges[idx.q - 1][1]
-    if spec.max_endpoint != j_q + 1:
-        raise HypothesisViolated(
-            f"largest endpoint must be j_q + 1 = {j_q + 1}, found {spec.max_endpoint}"
-        )
-    return idx
-
-
-def _ref_head_start(i_anchor: int, gap: int, i_b: int) -> tuple[int, int]:
-    step = gap - 1
-    eps = (i_b - i_anchor - 1) // step
-    return eps, eps * step + i_anchor
-
-
-def _ref_require_index(spec: ChainSpec, n: int) -> None:
-    if n < 2 * spec.r:
-        raise IndexTooSmall(f"need n >= 2r = {2 * spec.r}, got {n}")
-
-
-def _ref_ladder(spec: ChainSpec, pivots: tuple[int, ...], start: int, reach, stop: int) -> list[int]:
-    edges = spec.edges
-    seq = [start]
-    x = start
-    while x < stop:
-        i_t, j_t = edges[next(t for t in pivots if reach(edges[t - 1][0], x)) - 1]
-        x += j_t - i_t - 1
-        seq.append(x)
-    return seq
-
-
-def _ref_head(spec: ChainSpec, idx: ChainIndices, jt: PivotTrace) -> tuple[int, list[int]]:
-    edges = spec.edges
-    i_b = edges[idx.b - 1][0]
-    i_h = edges[idx.h - 1][0]
-    u_beta = jt.pivots[-1]
-    i_u, j_u = edges[u_beta - 1]
-    eps, a = _ref_head_start(i_u, j_u - i_u, i_b)
-    return eps, _ref_ladder(spec, jt.pivots, a, lambda i, x: i <= x, i_h)
-
-
-def _ref_tail(spec: ChainSpec, n: int, a_index: int, idx: ChainIndices, kt: PivotTrace) -> list[int]:
-    edges = spec.edges
-    i_h = edges[idx.h - 1][0]
-    i_B, j_B = edges[idx.B - 1]
-    if not (i_h <= a_index <= n + i_B):
-        raise StartOutOfRange(
-            f"start {a_index} must lie in [i_h, n + i_B] = [{i_h}, {n + i_B}]"
-        )
-    seq = _ref_ladder(spec, kt.pivots, a_index, lambda i, x: x <= n + i, n + i_B + 1)
-    seq.append(n + j_B)
-    return seq
-
-
-def reference_construct_anticycle(spec: ChainSpec, n: int) -> tuple[AnticycleWitness, AnticycleTrace]:
-    """The construction path ``anticycle.construct_anticycle`` replaced: it
-    walks both segments before expanding G_{n+r}, and keeps the raises that
-    the hypotheses make unreachable."""
-    idx = _ref_require_hypotheses(spec)
-    _ref_require_index(spec, n)
-    edges = spec.edges
-    i_b = edges[idx.b - 1][0]
-    i_h, j_h = edges[idx.h - 1]
-    kt = reference_k_trace(spec, idx)
-    if i_b <= i_h:
-        jt = reference_j_trace(spec, idx)
-        eps, head = _ref_head(spec, idx, jt)
-        vertices = head[:-1] + _ref_tail(spec, n, head[-1], idx, kt)
-        trace = AnticycleTrace(case="I", epsilon=eps, d=len(head) - 1, j_trace=jt, k_trace=kt)
-    else:
-        eps, a1 = _ref_head_start(i_h, j_h - i_h, i_b)
-        a2 = a1 + j_h - i_h - 1
-        vertices = [a1] + _ref_tail(spec, n, a2, idx, kt)
-        trace = AnticycleTrace(case="II", epsilon=eps, d=1, j_trace=None, k_trace=kt)
-    witness = AnticycleWitness(vertices)
-    if not verify_anticycle(expand(spec, n + spec.r), witness):
-        raise RuntimeError("constructed vertex sequence failed anticycle verification")
-    return witness, trace
-
-
-@dataclass(frozen=True)
-class Triangle:
-    """Lattice region {(u, v) : 0 <= u - i <= v - j <= size} with corner (i, j):
-    a copy of the class the package shipped, for ``reference_reduce_index``."""
-
-    corner: tuple[int, int]
-    size: int
-
-    def __post_init__(self):
-        i, j = self.corner
-        if i >= j:
-            raise ValueError(f"triangle corner must satisfy i < j, got {self.corner}")
-        if self.size < 0:
-            raise ValueError(f"triangle size must be non-negative, got {self.size}")
-
-    def contains(self, point: tuple[int, int]) -> bool:
-        u, v = point
-        i, j = self.corner
-        return 0 <= u - i <= v - j <= self.size
-
-    def points(self):
-        """All lattice points of the region, bottom row first."""
-        i, j = self.corner
-        for b in range(self.size + 1):
-            for a in range(b + 1):
-                yield (i + a, j + b)
-
-
-def reference_reduce_index(spec: ChainSpec) -> ChainSpec:
-    """The triangle-point index reduction that ``chain.reduce_index``
-    replaced, copied verbatim."""
-    full = set(spec.edges)
-    target = SimpleGraph(spec.r, spec.edges)
-    for rp in range(2, spec.r):
-        m = spec.r - rp
-        cand = tuple(
-            e
-            for e in spec.edges
-            if e[1] <= rp and all(p in full for p in Triangle(e, m).points())
-        )
-        if not cand:
-            continue
-        if expand(ChainSpec(rp, cand), spec.r) == target:
-            return ChainSpec(rp, cand)
-    return spec
 
 
 def reference_limit_regularity(spec: ChainSpec) -> ClassifierVerdict:

@@ -13,11 +13,12 @@ from chainreg import (
     verify_anticycle,
 )
 from chainreg.anticycle import _require_hypotheses
-from chainreg.errors import ChainRegError, HypothesisViolated, IndexTooSmall
+from chainreg.chain import MATERIALIZE_LIMIT
+from chainreg.errors import ChainRegError, HypothesisViolated, IndexTooSmall, InvalidArgument
 
 from conftest import (
     random_specs,
-    reference_construct_anticycle,
+    reference_expand,
     reference_j_trace,
     reference_k_trace,
 )
@@ -180,9 +181,40 @@ class TestRearrangeAgainstReference:
         assert seen == {"error", True, False}
 
 
+def expected_error(spec, n):
+    """The error class that construct_anticycle(spec, n) must raise, read off
+    the hypotheses (every gap at least 2, largest endpoint j_q + 1, with j_q
+    the largest j of a generator (i_1, j)) and off n; None when it must
+    build a witness."""
+    i1 = spec.edges[0][0]
+    j_q = max(j for i, j in spec.edges if i == i1)
+    if min(j - i for i, j in spec.edges) < 2 or max(j for _, j in spec.edges) != j_q + 1:
+        return HypothesisViolated
+    if n < 2 * spec.r:
+        return IndexTooSmall
+    if n + spec.r > MATERIALIZE_LIMIT:
+        return InvalidArgument
+    return None
+
+
+def check_anticycle(spec, n, vertices):
+    """Check pair by pair, on rows of G_{n+r} from ``reference_expand``, that
+    ``vertices`` is an induced anticycle: at least four distinct vertices,
+    each pair apart exactly when it is consecutive on the cycle."""
+    rows = reference_expand(spec, n + spec.r).adj
+    m = len(vertices)
+    assert m >= 4 and len(set(vertices)) == m, vertices
+    for p, a in enumerate(vertices):
+        assert 1 <= a <= n + spec.r, vertices
+        for z in range(p + 1, m):
+            apart = z == p + 1 or (p, z) == (0, m - 1)
+            assert (rows[a] >> (vertices[z] - 1) & 1) != apart, (vertices, p, z)
+
+
 class TestConstructAgainstReference:
-    """``construct_anticycle`` reproduces the segment-wrapper path it
-    replaced: witnesses, traces, error types and messages."""
+    """``construct_anticycle`` on a seeded pool: the error class that the
+    hypotheses and n call for, else a witness that ``check_anticycle``
+    accepts."""
 
     POOL = random_specs(4800, tuple(range(3, 10)), seed=7070)
     SPECS = POOL + hypothesis_specs(200, seed=7171)
@@ -192,25 +224,16 @@ class TestConstructAgainstReference:
         for k, spec in enumerate(self.SPECS):
             r = spec.r
             for n in (2 * r - 1, 2 * r, 2 * r + 1 + k % 11, 5 * r, 10_001):
-                got = outcome(construct_anticycle, spec, n)
-                assert got == outcome(reference_construct_anticycle, spec, n), (spec, n)
-                seen.add(got[0].__name__ if isinstance(got[0], type) else got[1].case)
+                want = expected_error(spec, n)
+                if want is not None:
+                    with pytest.raises(want):
+                        construct_anticycle(spec, n)
+                    seen.add(want.__name__)
+                    continue
+                witness, trace = construct_anticycle(spec, n)
+                check_anticycle(spec, n, witness.vertices)
+                seen.add(trace.case)
         assert seen == {"HypothesisViolated", "IndexTooSmall", "InvalidArgument", "I", "II"}
-
-    def test_reference_walkers_never_raise_past_hypotheses(self):
-        # The raises the rewrite dropped (a walker running out of candidates,
-        # a tail ending off position B, a tail start out of range, the head
-        # walker on a case-II chain) cannot fire once the hypotheses hold.
-        passed = 0
-        for spec in self.POOL + hypothesis_specs(1500, seed=7272):
-            try:
-                _require_hypotheses(spec)
-            except HypothesisViolated:
-                continue
-            passed += 1
-            reference_construct_anticycle(spec, 2 * spec.r)
-            reference_construct_anticycle(spec, 5 * spec.r + 1)
-        assert passed >= 1500
 
 
 class TestInitialVertices:

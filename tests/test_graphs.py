@@ -23,20 +23,15 @@ from conftest import (
     brute_expand,
     brute_indmatch,
     brute_induced_cycles,
+    cycle_graph,
+    elimination_is_chordal,
     random_graph,
     random_specs,
     reference_first_hole,
-    reference_induced_cycles,
-    reference_is_chordal,
     reference_matching_search,
-    reference_verify_anticycle,
     scattered_graph,
     thick_cycle_graph,
 )
-
-
-def cycle_graph(n):
-    return SimpleGraph(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
 
 
 def complete_graph(n):
@@ -197,7 +192,7 @@ class TestChordality:
             n = rng.randint(1, 8)
             g = random_graph(rng, n, rng.uniform(0.1, 0.9))
             if n >= 4:
-                assert is_chordal(g) == (not reference_induced_cycles(g, 4, n)), g
+                assert is_chordal(g) == (not brute_induced_cycles(g, 4, n)), g
 
     def test_cochordal_cases(self, reg3_spec):
         # complete windows stay cochordal at every index
@@ -208,14 +203,14 @@ class TestChordality:
 
 
 class TestChordalityAgainstReference:
-    """The one-pass layered search gives the two-pass search's verdict."""
+    """The one-pass layered search gives the simplicial elimination's verdict."""
 
     def test_random_graphs(self):
         rng = random.Random(1984)
         verdicts = []
         for _ in range(2400):
             g = random_graph(rng, rng.randint(0, 14), rng.uniform(0.05, 0.95))
-            want = reference_is_chordal(g)
+            want = elimination_is_chordal(g)
             assert is_chordal(g) == want, g
             verdicts.append(want)
         assert 600 < sum(verdicts) < 1800
@@ -227,7 +222,7 @@ class TestChordalityAgainstReference:
         for n in [*range(30, 81), *range(90, 141, 10)]:
             g = expand(GOLDEN_CHAINS[name], n)
             h = complement(g)
-            want = reference_is_chordal(h)
+            want = elimination_is_chordal(h)
             assert is_chordal(h) == want, n
             assert is_cochordal(g) == want, n
 
@@ -236,7 +231,7 @@ class TestChordalityAgainstReference:
         for spec in random_specs(40, (3, 4, 5, 6), seed=4242):
             for n in range(30, 81):
                 h = complement(expand(spec, n))
-                want = reference_is_chordal(h)
+                want = elimination_is_chordal(h)
                 assert is_chordal(h) == want, (spec, n)
                 verdicts.add(want)
         assert verdicts == {False, True}
@@ -255,7 +250,7 @@ class TestMaskedCochordality:
             W = [v for v in range(1, n + 1) if rng.random() < 0.6]
             mask = sum(1 << (v - 1) for v in W)
             want = is_cochordal(induced_subgraph(g, W))
-            assert want == reference_is_chordal(complement(induced_subgraph(g, W))), (g, W)
+            assert want == elimination_is_chordal(complement(induced_subgraph(g, W))), (g, W)
             assert is_cochordal(g, mask) == want, (g, W)
             verdicts.append(want)
         assert 300 < sum(verdicts) < 1300
@@ -285,11 +280,16 @@ class TestInducedMatching:
         assert induced_matching(g17)[0] == 2
 
     def test_agrees_with_subset_oracle(self):
+        # The size and the witness: the first maximum matching among the
+        # sorted edges, in lexicographic order.
         rng = random.Random(99)
-        for _ in range(150):
-            n = rng.randint(2, 7)
-            g = random_graph(rng, n, rng.uniform(0.15, 0.85))
-            assert induced_matching(g)[0] == brute_indmatch(g), g
+        sizes = set()
+        for _ in range(1500):
+            g = random_graph(rng, rng.randint(2, 10), rng.random())
+            want = brute_indmatch(g)
+            assert induced_matching(g) == want, g
+            sizes.add(want[0])
+        assert sizes == {0, 1, 2, 3, 4}, sizes
 
     def test_cochordal_graphs_have_value_one(self):
         rng = random.Random(100)
@@ -368,7 +368,7 @@ class TestFindInducedKK2:
         sizes = set()
         for _ in range(300):
             g = random_graph(rng, rng.randint(0, 12), rng.random())
-            top = brute_indmatch(g)
+            top = brute_indmatch(g)[0]
             sizes.add(top)
             for k in range(1, top + 1):
                 got = find_induced_kK2(g, k)
@@ -531,36 +531,26 @@ class TestFirstHole:
 
 
 class TestEnumerateInducedCycles:
-    """The induced-cycle enumerator that the chordality tests rely on."""
+    """The subset-search cycle reference that the chordality, hole and
+    anticycle tests rely on, on cycles known by hand, and the short
+    anticycles it rules out in late windows."""
 
     def test_single_cycle(self):
-        assert reference_induced_cycles(cycle_graph(5), 5, 5) == [(1, 2, 3, 4, 5)]
+        assert brute_induced_cycles(cycle_graph(5), 5, 5) == {(1, 2, 3, 4, 5)}
 
     def test_chordal_graph_has_none(self):
         g = SimpleGraph(6, [(1, 2), (2, 3), (3, 4), (1, 3), (2, 4), (5, 6)])
-        assert reference_induced_cycles(g, 4, 6) == []
+        assert brute_induced_cycles(g, 4, 6) == set()
 
     def test_complement_window_cycle(self, reg3_spec):
-        cyc = reference_induced_cycles(complement(expand(reg3_spec, 7)), 7, 7)
-        assert (1, 2, 3, 4, 5, 6, 7) in set(cyc)
-
-    def test_agrees_with_subset_oracle(self):
-        rng = random.Random(808)
-        for _ in range(120):
-            n = rng.randint(3, 8)
-            g = random_graph(rng, n, rng.uniform(0.2, 0.8))
-            got = set(reference_induced_cycles(g, 3, n))
-            assert got == brute_induced_cycles(g, 3, n), g
+        cyc = brute_induced_cycles(complement(expand(reg3_spec, 7)), 7, 7)
+        assert (1, 2, 3, 4, 5, 6, 7) in cyc
 
     def test_no_short_anticycles_in_late_windows(self):
         for spec in random_specs(20, (2, 3), seed=616):
             n = 5 * spec.r
             gc = complement(expand(spec, n))
-            assert reference_induced_cycles(gc, 5, n // spec.r) == [], spec
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            reference_induced_cycles(SimpleGraph(3), 2, 5)
+            assert brute_induced_cycles(gc, 5, n // spec.r) == set(), spec
 
 
 class TestVerifyAnticycle:
@@ -605,8 +595,32 @@ class TestVerifyAnticycle:
                     assert is_cochordal(rest), (spec, sorted(W), v1)
 
 
+def canonical_cycle(seq):
+    """The cyclic sequence ``seq`` in ``brute_induced_cycles``' orientation:
+    its smallest vertex first, then the smaller of that vertex's two
+    neighbours on it."""
+    k = seq.index(min(seq))
+    seq = list(seq[k:]) + list(seq[:k])
+    return tuple(seq if seq[1] < seq[-1] else [seq[0]] + seq[:0:-1])
+
+
+def brute_anticycle(g, seq):
+    """Whether ``seq`` is an induced anticycle of g: four or more distinct
+    vertices whose complement, induced on them and renumbered 1..m in
+    order, has ``seq`` as one of its induced cycles by subset search.  A
+    vertex outside 1..n raises VertexOutOfRange."""
+    verts = sorted(set(seq))
+    hole = complement(induced_subgraph(g, verts))
+    if len(seq) < 4 or len(verts) != len(seq):
+        return False
+    label = {v: k for k, v in enumerate(verts, 1)}
+    m = len(seq)
+    return canonical_cycle([label[v] for v in seq]) in brute_induced_cycles(hole, m, m)
+
+
 class TestVerifyAnticycleAgainstReference:
-    """The row-mask check gives the pairwise check's answer."""
+    """The row-mask check gives the subset-search cycle test's answer on the
+    complement."""
 
     def test_random_sequences(self):
         rng = random.Random(3141)
@@ -630,7 +644,7 @@ class TestVerifyAnticycleAgainstReference:
                     g = SimpleGraph(n, flipped)
             if seq and rng.random() < 0.2:
                 seq.insert(rng.randrange(len(seq) + 1), rng.choice(seq))
-            want = reference_verify_anticycle(g, seq)
+            want = brute_anticycle(g, seq)
             assert verify_anticycle(g, seq) == want, (g, seq)
             answers.append(want)
         assert 100 < sum(answers) < 1400
@@ -645,24 +659,20 @@ class TestVerifyAnticycleAgainstReference:
         for _ in range(300):
             n = rng.randint(4, 8)
             g = random_graph(rng, n, rng.uniform(0.3, 0.95))
-            cycles = set(reference_induced_cycles(complement(g), 4, n))
+            cycles = brute_induced_cycles(complement(g), 4, n)
             for cyc in cycles:
                 assert verify_anticycle(g, cyc), (g, cyc)
             found += len(cycles)
             for _ in range(10):
-                seq = rng.sample(range(1, n + 1), rng.randint(4, n))
-                k = seq.index(min(seq))
-                seq = seq[k:] + seq[:k]
-                if seq[1] > seq[-1]:
-                    seq = [seq[0]] + seq[:0:-1]
-                assert verify_anticycle(g, seq) == (tuple(seq) in cycles), (g, seq)
+                seq = canonical_cycle(rng.sample(range(1, n + 1), rng.randint(4, n)))
+                assert verify_anticycle(g, seq) == (seq in cycles), (g, seq)
         assert found > 100
 
     def test_out_of_range_raises_in_both(self):
         g = complement(cycle_graph(6))
         for seq in ([1, 2, 3, 7], [0, 2, 4, 6], [1, 3, 5, 8, 8]):
             with pytest.raises(VertexOutOfRange):
-                reference_verify_anticycle(g, seq)
+                brute_anticycle(g, seq)
             with pytest.raises(VertexOutOfRange):
                 verify_anticycle(g, seq)
 
@@ -672,8 +682,8 @@ class TestVerifyAnticycleAgainstReference:
         for n in range(18, 41):
             witness, _ = construct_anticycle(spec, n)
             g = expand(spec, n + spec.r)
-            assert verify_anticycle(g, witness) and reference_verify_anticycle(g, witness)
+            assert verify_anticycle(g, witness) and brute_anticycle(g, witness.vertices)
             swapped = list(witness.vertices)
             p, q = rng.sample(range(len(swapped)), 2)
             swapped[p], swapped[q] = swapped[q], swapped[p]
-            assert verify_anticycle(g, swapped) == reference_verify_anticycle(g, swapped)
+            assert verify_anticycle(g, swapped) == brute_anticycle(g, swapped)

@@ -23,22 +23,17 @@ from conftest import (
     brute_fold_survivors,
     brute_induced_cycles,
     brute_independent_sets,
+    cycle_graph,
+    elimination_is_chordal,
     random_graph,
-    reference_deletion_sequence,
     reference_homology_ranks,
-    reference_is_chordal,
     reference_regularity,
-    reference_survivors,
     scattered_graph,
 )
 
 
 def disjoint_edges(k):
     return SimpleGraph(2 * k, [(2 * i + 1, 2 * i + 2) for i in range(k)])
-
-
-def cycle_graph(n):
-    return SimpleGraph(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
 
 
 class TestHomologyProfile:
@@ -261,7 +256,17 @@ def link_chordal(g, verts, v):
     """Whether v's complement-link in the vertex list ``verts``, the
     complement of g on verts minus N[v], is chordal."""
     rest = [u for u in verts if u != v and not g.has_edge(u, v)]
-    return reference_is_chordal(complement(induced_subgraph(g, rest)))
+    return elimination_is_chordal(complement(induced_subgraph(g, rest)))
+
+
+def random_order_deletion(g, rng):
+    """The mask of g's supported vertices left after deleting, in an order
+    that ``rng`` draws, any vertex whose complement-link in the rest is
+    chordal, until none is."""
+    rest = [v for v in range(1, g.n + 1) if g.adj[v]]
+    while qualifiers := [v for v in rest if link_chordal(g, rest, v)]:
+        rest.remove(rng.choice(qualifiers))
+    return sum(1 << (v - 1) for v in rest)
 
 
 def links_open(g, mask):
@@ -285,29 +290,21 @@ def survivors_sandwiched(g, support):
 
 def walk_route_graphs(count):
     """The first ``count`` graphs of a seeded pool with no deletion sequence,
-    where the walk runs, a quarter with isolated vertices in between."""
+    where the walk runs, a quarter with isolated vertices in between.  Each
+    of the first 1,000 takes at most 91 draws, so 1,000 draws without a
+    walk mean a broken route test, which fails here instead of looping."""
     rng = random.Random(141)
     for i in range(count):
-        while True:
+        for _ in range(1000):
             if i % 4:
                 g = random_graph(rng, rng.randint(7, 10), rng.uniform(0.1, 0.9))
             else:
                 g = scattered_graph(rng, 13, rng.randint(7, 10))
             if route(g) == "walk":
                 break
+        else:
+            raise AssertionError("no walk-route graph in 1,000 draws")
         yield g
-
-
-def walked_graphs(n, count):
-    """The first ``count`` seeded random graphs on n vertices where the walk
-    runs: a hole in the complement and a vertex left undeleted."""
-    rng = random.Random(99)
-    found = []
-    while len(found) < count:
-        g = random_graph(rng, n, rng.uniform(0.2, 0.8))
-        if route(g) == "walk":
-            found.append(g)
-    return found
 
 
 class TestSurvivorWalk:
@@ -361,21 +358,10 @@ class TestSurvivorWalk:
             assert min(m.bit_count() for m in masks) >= 4
 
     def test_walk_drops_only_sets_with_a_chordal_link(self):
-        # The link cut covers the domination cut the walk dropped: a
-        # candidate adjacent to all of reach joins as the newest vertex with
-        # an empty link.  So the walk keeps a subsequence of the sets the
-        # walk with both cuts kept, and on one n = 17 graph strictly fewer.
-        graphs = [*walk_route_graphs(300), *walked_graphs(17, 12)]
-        fewer = 0
-        for g in graphs:
-            known = {}
-            rest = _undeletable(g, g.support, known)
-            got = _survivors(g, rest, known)
-            want = reference_survivors(g, rest, known)
-            kept = iter(want)
-            assert all(mask in kept for mask in got), g
-            fewer += len(got) < len(want)
-        assert fewer >= 1
+        # On graphs where the oracle walks, each set that the per-subset
+        # test keeps and the walk drops has a vertex with a chordal link.
+        for g in walk_route_graphs(300):
+            assert survivors_sandwiched(g, g.support), g
 
     def test_walk_memory(self, table_spec):
         # Table G_14 has no deletion sequence, so the oracle walks 11 of its
@@ -441,7 +427,7 @@ class TestRoutes:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_sound_against_reference(self, p):
-        rng = random.Random(111)
+        rng, order = random.Random(111), random.Random(112)
         routes = {"cochordal": 0, "sequence": 0, "walk": 0}
         for _ in range(3000):
             g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.1, 0.9))
@@ -451,8 +437,8 @@ class TestRoutes:
                 continue
             way = route(g)
             routes[way] += 1
-            deleted_all = _undeletable(g, g.support, {}) == 0
-            assert deleted_all == reference_deletion_sequence(g, g.support), g
+            if p == 2:  # the deletion does not depend on the field
+                assert _undeletable(g, g.support, {}) == random_order_deletion(g, order), g
             # Chordal means having no hole.
             assert (way == "cochordal") == is_cochordal(g), g
             assert way != "sequence" or ref.value <= 3, g
@@ -485,11 +471,8 @@ class TestRoutes:
                 g = random_graph(rng, rng.randint(4, 12), rng.uniform(0.2, 0.9))
             else:
                 g = scattered_graph(rng, 16, rng.randint(4, 12))
-            rest = [v for v in range(1, g.n + 1) if g.adj[v]]
-            while qualifiers := [v for v in rest if link_chordal(g, rest, v)]:
-                rest.remove(rng.choice(qualifiers))
             got = _undeletable(g, g.support, {})
-            assert got == sum(1 << (v - 1) for v in rest), g
+            assert got == random_order_deletion(g, rng), g
             shrunk += 0 < got.bit_count() < g.support.bit_count()
         assert shrunk > 20, shrunk
 
