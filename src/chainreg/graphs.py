@@ -237,33 +237,35 @@ def first_hole(G: SimpleGraph, longest: int | None = None) -> int:
     G's, on G's supported vertices: an isolated vertex of G is adjacent to
     all others in the complement, so it lies on no hole.
 
-    A hole through h inside a mask A leaves h by a complement neighbour a and
-    comes back by a complement neighbour b of h that is not one of a; a
-    shortest a-b path through A minus h and its complement neighbours has no
-    chord, and none to h, so the shortest such hole is that distance plus 2
-    long.  Step 1 takes, for each h, the shortest hole whose top (largest)
-    vertex is h, skipping an h with fewer than two complement neighbours
-    below it: the least length L over all h is the shortest hole, and the
-    least h attaining it is the top of the least mask of length L.
+    Masks compare by the highest vertex where they differ, so the first hole
+    has the least top (highest vertex) among the shortest holes.  Below a top
+    h, the ends are h's complement neighbours and the inner vertices the
+    rest.  A hole with top h is h, two ends a < b adjacent in G, and a path
+    of inner vertices from a to b.  Conversely a shortest such path closes a
+    hole: a chord would give a shorter path, no inner vertex is a complement
+    neighbour of h, and a, b are not.  So a breadth-first search from a
+    through the inner vertices, stopped at the first layer with a
+    complement neighbour among the later ends adjacent to a in G, finds the
+    shortest hole with top h and end a, its length being that layer's index
+    plus 3.  The search runs from each end of each top, tops and ends
+    in ascending order, up to the least length found so far: a later top
+    must be shorter, and a later end of the top that found it may tie.  The
+    layers of each search that reaches the least length are kept, and
+    dropped when a shorter hole appears.  At the end they are the searches
+    from every end of the least top h that reach a hole of the least length
+    L, so the first hole is the least mask among those searches' holes.
 
-    Step 2 finds that least mask in one pass.  Below h, the ends are h's
-    complement neighbours and the inner vertices the rest.  A hole of length
-    L with top h is h, two ends a < b adjacent in G, and a path of L - 3
-    inner vertices from a to b; as no hole is shorter, that path is a
-    shortest a-b path through the inner vertices, so its k-th vertex lies in
-    layer k of a breadth-first search from a.  Conversely each such path
-    closes a hole: a chord would give a shorter path, no inner vertex is a
-    complement neighbour of h, and a, b are not.  Masks compare by the
-    highest vertex where they differ, two shortest paths from a to the same
-    x run through the same layers, and any continuation uses later layers,
-    so the two compare as their prefixes do.  So for each x of layer k the
-    least mask of a shortest a-x path is the least over x's complement
-    neighbours y in layer k - 1, plus x, and the answer is the least of
-    those masks at the last layer's complement neighbours of b, plus b and
-    h, over all a and b.  The layers are first cut back to the vertices on
-    a shortest path from a to some b.  Once a hole is found, every vertex
-    above its highest below h leaves the ends and the inner vertices: a hole
-    through such a vertex is larger.
+    As no hole is shorter, each hole of length L with top h and ends a < b
+    has a shortest a-b path, whose k-th vertex lies in layer k of the search
+    from a.  Two shortest paths from a to the same x run through the same
+    layers, and any continuation uses later layers, so the two compare as
+    their prefixes do.  So for each x of layer k the least mask of a
+    shortest a-x path is the least over x's complement neighbours y in layer
+    k - 1, plus x, and the least hole from a is that least at the last
+    layer, which holds the b's, plus h.  The layers are first cut back to
+    the vertices on a shortest path from a to some b.  Once a hole is found,
+    a search from an end above its highest vertex below h gives a larger
+    one, and the ends come in ascending order, so the pass stops there.
     """
     adj = G.adj
 
@@ -276,81 +278,55 @@ def first_hole(G: SimpleGraph, longest: int | None = None) -> int:
             out |= ~adj[xb.bit_length()]
         return out
 
-    def shortest(h: int, A: int, limit: int) -> int:
-        # Length of a shortest hole through h, the top vertex of A, inside
-        # A, or 0 if none is at most ``limit`` long.  ``ends`` holds h and its
-        # complement neighbours; only pairs a < b are tried, as a path is
-        # symmetric, so h, on top, never pairs.
-        ends = A & ~adj[h]
-        inner = A ^ ends
-        found = 0
-        while ends:
-            ab = ends & -ends
-            ends ^= ab
-            targets = ends & adj[ab.bit_length()]
-            seen = frontier = ab
-            length = 3
-            while targets and frontier and length <= limit:
-                reach = reach_of(frontier)
-                if reach & targets:
-                    found, limit = length, length - 1
-                    break
-                frontier = reach & inner & ~seen
-                seen |= frontier
-                length += 1
-        return found
-
     support = G.support
     best = (support.bit_count() if longest is None else longest) + 1
     top = 0
+    searches = []  # the layers of each search from an end of top that reaches length best
     rest = support
     while rest and best > 4:
         hb = rest & -rest
         rest ^= hb
         h = hb.bit_length()
-        low = support & (hb - 1) & ~adj[h]
-        if low & (low - 1):  # a top has two complement neighbours below it
-            found = shortest(h, support & ((hb << 1) - 1), best - 1)
-            if found:
-                best, top = found, h
+        ends = support & (hb - 1) & ~adj[h]
+        if not ends & (ends - 1):  # a top has two complement neighbours below it
+            continue
+        inner = support & (hb - 1) & adj[h]
+        limit = best - 1
+        while ends:
+            ab = ends & -ends
+            ends ^= ab
+            targets = ends & adj[ab.bit_length()]
+            seen = frontier = ab
+            layers = [ab]
+            length = 3
+            while targets and frontier and length <= limit:
+                reach = reach_of(frontier)
+                if reach & targets:
+                    layers.append(reach & targets)
+                    if length < best:
+                        best, top, searches = length, h, []
+                    searches.append(layers)
+                    limit = length
+                    break
+                frontier = reach & inner & ~seen
+                seen |= frontier
+                layers.append(frontier)
+                length += 1
     if not top:
         return 0
-    # Step 2: the least hole of length best with top ``top``.
     tb = 1 << (top - 1)
-    below = support & (tb - 1)
-    ends = below & ~adj[top]
-    inner = below ^ ends
+    least = tb  # above every mask below the top
     prefix = [0] * (G.n + 1)  # by vertex: the least mask of a shortest path from a
-    least = 0
-    while ends:
-        ab = ends & -ends
-        ends ^= ab
-        targets = ends & adj[ab.bit_length()]
-        if not targets:
-            continue
-        # Layers 0..best-2 of the search from a; no target is nearer than the
-        # last, which keeps only the targets.
-        layers = [ab]
-        seen = ab
-        while layers[-1] and len(layers) < best - 1:
-            layers.append(reach_of(layers[-1]) & (inner | targets) & ~seen)
-            seen |= layers[-1]
-        layers[-1] &= targets
-        if not layers[-1]:
-            continue
+    for layers in searches:
+        if layers[0] > least:
+            break
         for k in range(best - 3, 0, -1):
             layers[k] &= reach_of(layers[k + 1])
-        prefix[ab.bit_length()] = ab
+        prefix[layers[0].bit_length()] = layers[0]
         for k in range(1, best - 1):
             for x in _iter_bits(layers[k]):
                 prefix[x] = min(prefix[y] for y in _iter_bits(layers[k - 1] & ~adj[x])) | 1 << (x - 1)
-        mask = min(prefix[b] for b in _iter_bits(layers[-1]))
-        if not least or mask < least:
-            # A hole through a vertex above the highest of least is larger.
-            least = mask
-            cut = (1 << least.bit_length()) - 1
-            ends &= cut
-            inner &= cut
+        least = min(least, *(prefix[b] for b in _iter_bits(layers[-1])))
     return least | tb
 
 

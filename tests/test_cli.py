@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from chainreg import cli, expand, normalize_spec
+from chainreg import cli, construct_anticycle, expand, normalize_spec
 from chainreg.cli import load_spec, main
 
 from conftest import GOLDEN_CHAINS, random_specs
@@ -52,6 +52,11 @@ class TestLoadSpec:
         path.write_bytes(b'\xff{"r": 2}')
         assert main(["classify", str(path)]) == 2
         assert "ParseError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing-file", "directory"])
+    def test_unreadable_path_exit_2(self, tmp_path, capsys, name):
+        assert main(["classify", str(tmp_path / name)]) == 2
+        assert "ParseError: cannot read spec file" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "payload",
@@ -192,6 +197,16 @@ class TestAnticycleCommand:
         path = spec_file({"r": 9, "edges": [[1, 9], [6, 8]]})
         assert main(["anticycle", path, "--n", "20"]) == 1
         assert "HypothesisViolated" in capsys.readouterr().err
+
+    def test_failed_self_check_is_a_program_fault(self, spec_file, ex58_spec, monkeypatch):
+        # construct_anticycle verifies its own witness and fails closed.  The
+        # RuntimeError is no input error, so main lets it through and the
+        # process exits 1, not 2.
+        monkeypatch.setattr("chainreg.anticycle.verify_anticycle", lambda g, w: False)
+        with pytest.raises(RuntimeError, match="failed anticycle verification"):
+            construct_anticycle(ex58_spec, 18)
+        with pytest.raises(RuntimeError, match="failed anticycle verification"):
+            main(["anticycle", spec_file(SIX_EDGE), "--n", "18"])
 
 
 class TestQuasisatCommand:
