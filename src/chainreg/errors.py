@@ -34,7 +34,9 @@ class InvalidArgument(InvalidInputError, ValueError):
     is not a prime below 2^31, an index range starting below r, an index past
     the materialization limit, a non-positive r, a ChainSpec whose edges are
     unsorted or repeated, a negative oracle budget, a matching size k below
-    1, or an edge list too long to print.  Also a ValueError, so callers
+    1, an edge list too long to print, a negative vertex count or a loop
+    given to SimpleGraph, a random spec's r_max below 2 or density outside
+    (0, 1], or an unknown verify suite.  Also a ValueError, so callers
     catching that still work."""
 
 

@@ -42,11 +42,11 @@ class SimpleGraph:
 
     def __init__(self, n: int, edges=()):
         if n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {n}")
+            raise InvalidArgument(f"vertex count must be non-negative, got {n}")
         adj = [0] * (n + 1)
         for u, v in edges:
             if u == v:
-                raise ValueError(f"loop at vertex {u} is not allowed")
+                raise InvalidArgument(f"loop at vertex {u} is not allowed")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise VertexOutOfRange(f"edge ({u}, {v}) leaves the vertex set [1, {n}]")
             adj[u] |= _bit(v)

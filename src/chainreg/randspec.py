@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from .chain import ChainSpec, normalize_spec
+from .errors import InvalidArgument
 
 
 def generate_random_spec(r_max: int, density: float, seed: int) -> ChainSpec:
@@ -14,9 +15,9 @@ def generate_random_spec(r_max: int, density: float, seed: int) -> ChainSpec:
     uniformly chosen edge so the result always has a generator.
     """
     if r_max < 2:
-        raise ValueError(f"r_max must be at least 2, got {r_max}")
+        raise InvalidArgument(f"r_max must be at least 2, got {r_max}")
     if not 0 < density <= 1:
-        raise ValueError(f"density must be in (0, 1], got {density}")
+        raise InvalidArgument(f"density must be in (0, 1], got {density}")
     rng = random.Random(seed)
     pairs = [(i, j) for i in range(1, r_max + 1) for j in range(i + 1, r_max + 1)]
     edges = [e for e in pairs if rng.random() < density]

@@ -14,6 +14,7 @@ from functools import partial
 from .anticycle import construct_anticycle
 from .chain import expand, is_quasi_saturated, normalize_spec, q_invariant
 from .classify import limit_regularity
+from .errors import InvalidArgument
 from .graphs import induced_matching, is_cochordal, verify_anticycle
 from .oracle import regularity
 from .randspec import spec_pool
@@ -204,7 +205,7 @@ def run_suite(suite: str = "all", seed: int | None = None) -> bool:
         props = tuple((name, partial(fn, seed=seed)) for name, fn in PROPERTY_CHECKS)
     suites = {"golden": GOLDEN_CHECKS, "properties": props, "all": GOLDEN_CHECKS + props}
     if suite not in suites:
-        raise ValueError(f"unknown suite {suite!r}")
+        raise InvalidArgument(f"unknown suite {suite!r}")
     all_ok = True
     for name, fn in suites[suite]:
         try:

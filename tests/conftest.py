@@ -11,11 +11,21 @@ cannot reach a test's inputs, for the reason given:
 - induced_matching: brute_indmatch (brute, n <= 10); reference_matching_search (simple: G_{4r}).
 - first_hole: brute_induced_cycles (brute, n <= 10); reference_first_hole (simple: n = 120, 400).
 - homology ranks: reference_homology_ranks (brute: every subset, dense elimination over GF(p)).
-- regularity: reference_regularity (simple: 2^16 subsets to rank at n = 16; no fold prune).
+- regularity: reference_regularity (simple: 2^14 subsets to rank at table G_14; no fold prune).
 - the per-subset prune: brute_fold_survivors (brute: every vertex set).
-- anticycle walkers: reference_j_trace, reference_k_trace (simple: no enumeration gives J, K).
-- the verdict: reference_limit_regularity (simple: a limit over all n has no brute form).
-- low-degree monomials: brute_low_degree_survivors (brute).
+- anticycle walkers: reference_j_trace, reference_k_trace (simple: each is the
+  paper's greedy rule written out step by step, since no enumeration gives the
+  J-sets or the K-sets: they are defined by the walk itself).
+- the verdict: reference_limit_regularity (simple: the paper's theorem written
+  out, with q counted by brute_low_degree_survivors; a limit over all n has no
+  brute form).
+- low-degree monomials, the q-invariant: brute_low_degree_survivors (brute).
+
+Each golden fact has one home: the golden checks of ``chainreg verify``
+(run by test_acceptance.py, their report pinned by golden/verify.all.txt),
+the CLI snapshots in golden/ (one case each in test_cli.py's
+TestGoldenSnapshots), or the pinned certificates of test_oracle.py's
+TestFirstHole.  The unit tests do not restate them.
 """
 
 from __future__ import annotations
@@ -27,15 +37,8 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from chainreg import ChainIndices, ChainSpec, PivotTrace, SimpleGraph
-from chainreg.chain import q_invariant, reduce_index
-from chainreg.classify import (
-    CASE_ELSE,
-    CASE_GAP1,
-    CASE_JQ_MAX,
-    ClassifierVerdict,
-    limit_indmatch,
-    stabilization_threshold,
-)
+from chainreg.chain import reduce_index
+from chainreg.classify import CASE_ELSE, CASE_GAP1, CASE_JQ_MAX, ClassifierVerdict, limit_indmatch
 from chainreg.cli import load_spec
 from chainreg.errors import HypothesisViolated, SubsetBudgetExceeded
 from chainreg.graphs import _bit, _iter_bits, induced_subgraph
@@ -438,9 +441,11 @@ def brute_fold_survivors(adj, nn: int) -> set[int]:
 
 
 def reference_j_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
-    """The head walker that ``anticycle._rearrange`` replaced, copied verbatim
-    but for the trace type it returns and its case check: callers ask it only
-    of case-I chains, where i_b <= i_h."""
+    """The head's J-sets by the paper's greedy rule, one step per set: from
+    J_1, the minimum-gap positions, each next set holds the unused positions
+    of least gap among those whose left endpoint is below the pivot's, and
+    its pivot is its first position, until a pivot's left endpoint drops
+    below i_b.  Callers ask it only of case-I chains, where i_b <= i_h."""
     edges = spec.edges
     i_b = edges[idx.b - 1][0]
     sets = [tuple(idx.J1)]
@@ -464,8 +469,10 @@ def reference_j_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
 
 
 def reference_k_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
-    """The tail walker that ``anticycle._rearrange`` replaced, copied verbatim
-    but for the trace type it returns."""
+    """The tail's K-sets by the paper's greedy rule, one step per set: from
+    J_1, each next set holds the unused positions of least gap among those
+    whose right endpoint is above the pivot's, and its pivot is its last
+    position, until a pivot's right endpoint reaches j_B, at position B."""
     edges = spec.edges
     j_B = edges[idx.B - 1][1]
     sets = [tuple(idx.J1)]
@@ -491,29 +498,39 @@ def reference_k_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
 
 
 def reference_limit_regularity(spec: ChainSpec) -> ClassifierVerdict:
-    """The body of ``classify._verdict`` before it read each edge-list
-    quantity once, copied verbatim: it scans the edges for j_q and reads
-    ``max_endpoint``, ``min_gap``, ``q_invariant`` and
-    ``stabilization_threshold`` where it needs them."""
+    """The verdict as the paper's theorem states it, on the index-reduced
+    presentation (i_1 the least left endpoint, j_q the largest right endpoint
+    of the generators at i_1, p the largest endpoint, q the number of
+    monomials of degree at most 2 in p variables outside the ideal):
+
+    - limit 2 from 3r on when j_q = p;
+    - else limit 2 from max(5r, 2r(r - 2)) on when some generator has gap 1
+      and the limit induced matching number is 1;
+    - else limit 3, from 4r on when that number is 2 and from 4(r + q) on
+      otherwise;
+
+    with N = max(5r, 2r(r - 2), 4(r + q)) and its coarse bound 2(r^2 + 5r).
+    q is counted by ``brute_low_degree_survivors``; the matching number is
+    ``limit_indmatch``'s, tested against ``reference_matching_search``."""
     spec = reduce_index(spec)
-    r = spec.r
-    i1 = spec.edges[0][0]
-    j_q = max(j for i, j in spec.edges if i == i1)
-    N, coarse = stabilization_threshold(spec)
+    r, edges = spec.r, spec.edges
+    i_1 = min(i for i, _ in edges)
+    j_q = max(j for i, j in edges if i == i_1)
+    p = max(j for _, j in edges)
+    q = brute_low_degree_survivors(p, edges)
     im = limit_indmatch(spec)
-    if j_q == spec.max_endpoint:
+    if j_q == p:
         limit, case, n0 = 2, CASE_JQ_MAX, 3 * r
-    elif spec.min_gap == 1 and im == 1:
+    elif min(j - i for i, j in edges) == 1 and im == 1:
         limit, case, n0 = 2, CASE_GAP1, max(5 * r, 2 * r * (r - 2))
     else:
-        limit, case = 3, CASE_ELSE
-        n0 = 4 * r if im == 2 else 4 * (r + q_invariant(spec))
+        limit, case, n0 = 3, CASE_ELSE, 4 * r if im == 2 else 4 * (r + q)
     return ClassifierVerdict(
         limit_reg=limit,
         case=case,
         n0=n0,
-        N=N,
-        coarse=coarse,
+        N=max(5 * r, 2 * r * (r - 2), 4 * (r + q)),
+        coarse=2 * (r * r + 5 * r),
         limit_indmatch=im,
         reduced_r=r,
     )

