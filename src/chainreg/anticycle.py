@@ -118,20 +118,33 @@ def _head_start(i_anchor: int, gap: int, i_b: int) -> tuple[int, int]:
     return eps, eps * step + i_anchor
 
 
-def _ladder(spec: ChainSpec, pivots: tuple[int, ...], start: int, reach, stop: int) -> list[int]:
+def _ladder(
+    spec: ChainSpec, pivots: tuple[int, ...], start: int, stop: int, tail: int | None = None
+) -> list[int]:
     """The ladder walk shared by the head and the tail.
 
     From ``start``, while the running vertex x is below ``stop``, step by
-    gap - 1 of the first pivot t whose window reaches x, that is with
-    ``reach(left(t), x)``.  Returns every vertex visited, ``start`` first.
+    gap - 1 of the first pivot t whose window reaches x: left(t) <= x for the
+    head (``tail`` None), x <= tail + left(t) for the tail (``tail`` = n).
+    Returns every vertex visited, ``start`` first.  The first reaching pivot
+    stays first for a run of steps, until x reaches the least left end of an
+    earlier pivot (head) or passes tail + left(t) (tail), so each run is one
+    range.
     """
     edges = spec.edges
+    lefts = [edges[t - 1][0] for t in pivots]
     seq = [start]
     x = start
     while x < stop:
-        i_t, j_t = edges[next(t for t in pivots if reach(edges[t - 1][0], x)) - 1]
-        x += j_t - i_t - 1
-        seq.append(x)
+        k = next((k for k, i in enumerate(lefts) if (i <= x if tail is None else x <= tail + i)), None)
+        if k is None:
+            raise RuntimeError(f"no pivot window reaches vertex {x}")
+        bound = min(lefts[:k], default=stop) if tail is None else tail + lefts[k] + 1
+        i_t, j_t = edges[pivots[k] - 1]
+        g = j_t - i_t - 1
+        run = range(x + g, min(bound, stop) + g, g)
+        seq += run
+        x = run[-1]
     return seq
 
 
@@ -162,12 +175,12 @@ def construct_anticycle(spec: ChainSpec, n: int) -> tuple[AnticycleWitness, Anti
         jt = _rearrange(spec, idx, lambda t: -edges[t - 1][0], 1 - i_b)
         i_u, j_u = edges[jt.pivots[-1] - 1]
         eps, a1 = _head_start(i_u, j_u - i_u, i_b)
-        head = _ladder(spec, jt.pivots, a1, lambda i, x: i <= x, i_h)
+        head = _ladder(spec, jt.pivots, a1, i_h)
     else:
         case, jt = "II", None
         eps, a1 = _head_start(i_h, j_h - i_h, i_b)
         head = [a1, a1 + j_h - i_h - 1]
-    tail = _ladder(spec, kt.pivots, head[-1], lambda i, x: x <= n + i, n + i_B + 1)
+    tail = _ladder(spec, kt.pivots, head[-1], n + i_B + 1, tail=n)
     witness = AnticycleWitness(head[:-1] + tail + [n + j_B])
     trace = AnticycleTrace(case=case, epsilon=eps, d=len(head) - 1, j_trace=jt, k_trace=kt)
     if not verify_anticycle(g, witness):

@@ -182,6 +182,14 @@ def is_cochordal(G: SimpleGraph, vertices: int | None = None) -> bool:
     vertex of the new vertex's row met walking that list backwards; on the
     sparse complements of late windows that is usually the last vertex
     numbered.
+
+    A refutation pass runs first, at most one mask test per vertex: v can be
+    simplicial in the complement only if its complement neighbours N inside
+    the mask, but for the lowest one u, are complement neighbours of u, that
+    is ``not N & adj[u]``.  The pass stops at the first vertex that passes;
+    if none does, no vertex is simplicial, and as every chordal graph has
+    one (Dirac 1961), the complement is not chordal.  On the golden chains it
+    refutes every late window whose complement has a hole.
     """
     if vertices is None:
         vertices = (1 << G.n) - 1
@@ -191,6 +199,15 @@ def is_cochordal(G: SimpleGraph, vertices: int | None = None) -> bool:
     if count <= 2:
         return True
     adj = G.adj
+    rest = vertices
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        nb = vertices & ~adj[b.bit_length()] ^ b  # adj[0] is 0, so an empty N passes
+        if not nb & adj[(nb & -nb).bit_length()]:
+            break
+    else:
+        return False
     layers = [0] * (count + 1)
     layers[0] = unnumbered = vertices
     top = 0

@@ -16,6 +16,8 @@ cannot reach a test's inputs, for the reason given:
 - anticycle walkers: reference_j_trace, reference_k_trace (simple: each is the
   paper's greedy rule written out step by step, since no enumeration gives the
   J-sets or the K-sets: they are defined by the walk itself).
+- the ladder walk: reference_ladder (simple: ``_ladder``'s rule taken one
+  step at a time, where ``_ladder`` takes a run of steps under one pivot).
 - the verdict: reference_limit_regularity (simple: the paper's theorem written
   out, with q counted by brute_low_degree_survivors; a limit over all n has no
   brute form).
@@ -495,6 +497,24 @@ def reference_k_trace(spec: ChainSpec, idx: ChainIndices) -> PivotTrace:
     if pivots[-1] != idx.B:
         raise HypothesisViolated("tail rearrangement did not end at position B")
     return PivotTrace(tuple(sets), tuple(pivots))
+
+
+def reference_ladder(spec: ChainSpec, pivots, start: int, stop: int, tail: int | None = None) -> list[int]:
+    """The ladder walk one step at a time: from ``start``, while the running
+    vertex x is below ``stop``, step by gap - 1 of the first pivot t whose
+    window reaches x, left(t) <= x for the head (``tail`` None) and
+    x <= tail + left(t) for the tail (``tail`` = n)."""
+    edges = spec.edges
+    seq = [start]
+    while seq[-1] < stop:
+        x = seq[-1]
+        i, j = next(
+            edges[t - 1]
+            for t in pivots
+            if (edges[t - 1][0] <= x if tail is None else x <= tail + edges[t - 1][0])
+        )
+        seq.append(x + j - i - 1)
+    return seq
 
 
 def reference_limit_regularity(spec: ChainSpec) -> ClassifierVerdict:

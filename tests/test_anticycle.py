@@ -12,7 +12,7 @@ from chainreg import (
     regularity,
     verify_anticycle,
 )
-from chainreg.anticycle import _require_hypotheses
+from chainreg.anticycle import _ladder, _require_hypotheses
 from chainreg.chain import MATERIALIZE_LIMIT
 from chainreg.errors import ChainRegError, HypothesisViolated, IndexTooSmall, InvalidArgument
 
@@ -21,6 +21,7 @@ from conftest import (
     reference_expand,
     reference_j_trace,
     reference_k_trace,
+    reference_ladder,
 )
 
 
@@ -216,6 +217,55 @@ class TestConstructAgainstReference:
                 check_anticycle(spec, n, witness.vertices)
                 seen.add(trace.case)
         assert seen == {"HypothesisViolated", "IndexTooSmall", "InvalidArgument", "I", "II"}
+
+
+class TestLadderAgainstReference:
+    """``_ladder``, one range per run of steps under one pivot, against
+    ``reference_ladder``, one step at a time."""
+
+    def test_walks_match_reference(self, monkeypatch):
+        # Every walk that construct_anticycle makes over its seeded pool at
+        # n = 2r..6r.
+        from chainreg import anticycle
+
+        real = anticycle._ladder
+        seen = set()
+
+        def checked(spec, pivots, start, stop, tail=None):
+            got = real(spec, pivots, start, stop, tail)
+            assert got == reference_ladder(spec, pivots, start, stop, tail), (spec, start, stop, tail)
+            seen.add(("head" if tail is None else "tail", len({b - a for a, b in zip(got, got[1:])}) > 1))
+            return got
+
+        monkeypatch.setattr(anticycle, "_ladder", checked)
+        for spec in TestConstructAgainstReference.SPECS:
+            if expected_error(spec, 2 * spec.r) is None:
+                for n in range(2 * spec.r, 6 * spec.r + 1):
+                    construct_anticycle(spec, n)
+        assert seen == {(part, switched) for part in ("head", "tail") for switched in (False, True)}
+
+    def test_any_pivots_match_reference(self):
+        # A real head walk seldom lands on an earlier pivot's left end, so
+        # random pivot lists, starts and stops meet both run bounds exactly.
+        rng = random.Random(3636)
+        seen = set()
+        for spec in hypothesis_specs(200, seed=3737):
+            r = spec.r
+            for _ in range(20):
+                pivots = tuple(rng.sample(range(1, spec.s + 1), rng.randint(1, spec.s)))
+                tail = rng.choice((None, rng.randint(0, 2 * r)))
+                start = rng.randint(1, 3 * r)
+                stop = rng.randint(start, 4 * r)
+                try:
+                    want = reference_ladder(spec, pivots, start, stop, tail)
+                except StopIteration:
+                    with pytest.raises(RuntimeError, match="no pivot window reaches vertex"):
+                        _ladder(spec, pivots, start, stop, tail)
+                    seen.add("error")
+                    continue
+                assert _ladder(spec, pivots, start, stop, tail) == want, (spec, pivots, start, stop, tail)
+                seen.add(len({b - a for a, b in zip(want, want[1:])}))
+        assert seen == {"error", 0, 1, 2}
 
 
 class TestInitialVertices:

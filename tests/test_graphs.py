@@ -258,6 +258,56 @@ class TestMaskedCochordality:
             is_cochordal(cycle_graph(4), -1)
 
 
+def passes_refutation(H, v):
+    """Whether v's neighbours in H, but for the lowest, are neighbours of the
+    lowest one: so every simplicial vertex of H passes."""
+    nbrs = [u for u in range(1, H.n + 1) if H.has_edge(v, u)]
+    return all(H.has_edge(nbrs[0], w) for w in nbrs[1:])
+
+
+class TestRefutationPass:
+    """The pass before the search returns False when no vertex of the
+    complement can be simplicial; otherwise the search decides."""
+
+    # Complements with a hole whose only passing vertex is the highest, a
+    # pendant on the hole: a C4 and a C5, each with vertex n hung on vertex 1.
+    PENDANT_HOLES = (
+        (5, [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4)]),
+        (6, [(1, 4), (1, 5), (1, 6), (2, 3), (2, 5), (3, 4)]),
+    )
+
+    @pytest.mark.parametrize("n, co_edges", PENDANT_HOLES)
+    def test_only_the_highest_vertex_passes(self, n, co_edges):
+        h = SimpleGraph(n, co_edges)
+        assert [v for v in range(1, n + 1) if passes_refutation(h, v)] == [n]
+        assert not elimination_is_chordal(h)
+        assert not is_cochordal(complement(h))
+
+    def test_mask_hides_the_failing_neighbour(self):
+        # G = 2K2: its complement is a C4, where no vertex passes; without
+        # vertex 4 it is a path, where vertices 1 and 3 pass.
+        g = SimpleGraph(4, [(1, 3), (2, 4)])
+        assert not is_cochordal(g)
+        assert is_cochordal(g, 0b0111)
+
+    def test_both_exits_on_random_masks(self):
+        rng = random.Random(1961)
+        exits = {"pass": 0, "search": 0}
+        for _ in range(1500):
+            n = rng.randint(3, 12)
+            g = random_graph(rng, n, rng.uniform(0.2, 0.8))
+            W = [v for v in range(1, n + 1) if rng.random() < 0.8]
+            h = complement(induced_subgraph(g, W))
+            want = elimination_is_chordal(h)
+            assert is_cochordal(g, sum(1 << (v - 1) for v in W)) == want, (g, W)
+            if h.n and not any(passes_refutation(h, v) for v in range(1, h.n + 1)):
+                assert not want, (g, W)
+                exits["pass"] += 1
+            elif not want:
+                exits["search"] += 1
+        assert min(exits.values()) > 100, exits
+
+
 class TestInducedMatching:
     def test_basics(self):
         assert induced_matching(SimpleGraph(4, [(1, 2), (3, 4)]))[0] == 2

@@ -479,9 +479,9 @@ class TestFirstHole:
                 continue
             holes = brute_induced_cycles(complement(g), 4, n)
             want = min(holes, key=lambda c: (len(c), sum(1 << (v - 1) for v in c)))
-            reps = [regularity(g, p) for p in (2, 3)]
-            assert reps[0].certificate == {"subset": sorted(want), "dimension": 1}, g
-            assert reps == [reference_regularity(g, p) for p in (2, 3)], g
+            # TestRoutes compares the whole report with the reference scan.
+            for p in (2, 3):
+                assert regularity(g, p).certificate == {"subset": sorted(want), "dimension": 1}, (g, p)
             checked += 1
 
     def test_hole_search_memory(self, ex58_spec):
