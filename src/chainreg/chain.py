@@ -20,7 +20,6 @@ from .errors import (
     EmptyEdgeSet,
     IndexBelowStability,
     InvalidArgument,
-    VertexOutOfRange,
 )
 from .graphs import SimpleGraph
 
@@ -208,12 +207,14 @@ def expand(spec: ChainSpec, n: int) -> SimpleGraph:
     bit past row n, and no bit of ``_row_faults`` (row 0, a loop, a
     neighbour past n), one AND.  Past the shape cache's bound, where there
     is no mask, or when a check fails, ``SimpleGraph._from_rows`` checks the
-    rows one by one and names the first faulty one.  The packed int has
-    about n^2 bits, so near ``MATERIALIZE_LIMIT`` each shift and OR moves megabytes: a
-    six-generator G_10000 takes about 0.25-0.35 s and 85-105 MB at peak
-    (the peak moves with the allocator's layout of the large ints), against
-    0.08-0.15 s and 28 MB for the row-by-row window loop kept as the tests'
-    reference, which is the faster of the two past n of about 1,500.
+    rows one by one and names the first faulty one.  A faulty row is a fault
+    in this program, not in its input, so both checks raise RuntimeError.
+    The packed int has about n^2 bits, so near ``MATERIALIZE_LIMIT`` each
+    shift and OR moves megabytes: a six-generator G_10000 takes about
+    0.25-0.35 s and 85-105 MB at peak (the peak moves with the allocator's
+    layout of the large ints), against 0.08-0.15 s and 28 MB for the
+    row-by-row window loop kept as the tests' reference, which is the
+    faster of the two past n of about 1,500.
     """
     if n < spec.r:
         raise IndexBelowStability(f"n={n} is below the presentation index r={spec.r}")
@@ -221,7 +222,7 @@ def expand(spec: ChainSpec, n: int) -> SimpleGraph:
     stride = _row_stride(n)
     M = _window_matrix(spec.edges, n, n - spec.r)
     if M >> (n + 1) * stride:  # also true for a negative M
-        raise VertexOutOfRange(f"row {n} has a neighbour outside [1, {n}]")
+        raise RuntimeError(f"row {n} has a neighbour outside [1, {n}]")
     if stride == 64:
         rows = array("Q", M.to_bytes(8 * (n + 1), sys.byteorder)).tolist()
     else:

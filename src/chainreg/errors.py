@@ -35,9 +35,10 @@ class InvalidArgument(InvalidInputError, ValueError):
     the materialization limit, a non-positive r, a ChainSpec whose edges are
     unsorted or repeated, a negative oracle budget, a matching size k below
     1, an edge list too long to print, a negative vertex count or a loop
-    given to SimpleGraph, a random spec's r_max below 2 or density outside
-    (0, 1], or an unknown verify suite.  Also a ValueError, so callers
-    catching that still work."""
+    given to SimpleGraph, an anticycle witness of fewer than four or of
+    repeated vertices, a random spec's r_max below 2 or density outside
+    (0, 1], a spec pool with no r values, or an unknown verify suite.  Also
+    a ValueError, so callers catching that still work."""
 
 
 class IndexBelowStability(InvalidInputError):

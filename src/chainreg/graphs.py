@@ -59,7 +59,9 @@ class SimpleGraph:
         """Graph whose adjacency rows are ``rows`` (entry 0 must be 0).
 
         Checks in O(n) that every row stays inside [1, n] and has no loop bit;
-        the caller guarantees that the rows are symmetric.
+        the caller guarantees that the rows are symmetric.  The rows come
+        from this package, never from its input, so a faulty one is a
+        program fault: RuntimeError, naming the row.
         """
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
@@ -67,13 +69,13 @@ class SimpleGraph:
         if len(adj) != n + 1:
             raise ValueError(f"expected {n + 1} adjacency rows, got {len(adj)}")
         if adj[0]:
-            raise VertexOutOfRange("row 0 is unused and must be empty")
+            raise RuntimeError("row 0 is unused and must be empty")
         for v in range(1, n + 1):
             row = adj[v]
             if row >> n:  # also true for a negative row
-                raise VertexOutOfRange(f"row {v} has a neighbour outside [1, {n}]")
+                raise RuntimeError(f"row {v} has a neighbour outside [1, {n}]")
             if row >> (v - 1) & 1:
-                raise VertexOutOfRange(f"row {v} has a loop")
+                raise RuntimeError(f"row {v} has a loop")
         G = cls.__new__(cls)
         G.n = n
         G.adj = adj
@@ -121,9 +123,9 @@ class AnticycleWitness:
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         if len(self.vertices) < 4:
-            raise ValueError("an anticycle needs at least 4 vertices")
+            raise InvalidArgument("an anticycle needs at least 4 vertices")
         if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("anticycle vertices must be distinct")
+            raise InvalidArgument("anticycle vertices must be distinct")
 
     @property
     def m(self) -> int:

@@ -33,6 +33,8 @@ def spec_pool(count: int, r_values, seed: int) -> list[ChainSpec]:
     from [0.15, 0.95] by a generator seeded with seed + 7919 k, and edges
     drawn with seed + k.
     """
+    if not r_values:
+        raise InvalidArgument("r_values must name at least one index")
     specs = []
     for k in range(count):
         r = r_values[k % len(r_values)]

@@ -9,6 +9,7 @@ cannot reach a test's inputs, for the reason given:
 - chordality: brute_induced_cycles (brute, n <= 8); elimination_is_chordal (simple: n = 140).
 - verify_anticycle: brute_induced_cycles on the complement (brute).
 - induced_matching: brute_indmatch (brute, n <= 10); reference_matching_search (simple: G_{4r}).
+- find_induced_kK2: brute_indmatch's size, from the same run as induced_matching's.
 - first_hole: brute_induced_cycles (brute, n <= 10); reference_first_hole (simple: n = 120, 400).
 - homology ranks: reference_homology_ranks (brute: every subset, dense elimination over GF(p)).
 - regularity: reference_regularity (simple: 2^14 subsets to rank at table G_14; no fold prune).
@@ -23,16 +24,30 @@ cannot reach a test's inputs, for the reason given:
   brute form).
 - low-degree monomials, the q-invariant: brute_low_degree_survivors (brute).
 
+Each (contract, reference) pair is compared once per kind of input (random
+graphs, chain windows, golden rows): a second seeded pool of the same kind
+runs in the first pool's test, one loop body over both, and no test repeats
+another's call and expectation.  Where two tests read one pool (expand_pool
+here; the masked and induced-matching pools of test_graphs.py), it is drawn
+once per session with its reference answers, and the tests divide the
+assertions between them.
+
 Each golden fact has one home: the golden checks of ``chainreg verify``
 (run by test_acceptance.py, their report pinned by golden/verify.all.txt),
 the CLI snapshots in golden/ (one case each in test_cli.py's
 TestGoldenSnapshots), or the pinned certificates of test_oracle.py's
 TestFirstHole.  The unit tests do not restate them.
+
+Every child interpreter starts through ``run_python``, which puts ``src`` on
+its ``PYTHONPATH``.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
@@ -75,6 +90,24 @@ def reg3_spec() -> ChainSpec:
     return GOLDEN_CHAINS["reg3"]
 
 
+def run_python(*args: str, popen: bool = False, **kwargs):
+    """Run ``sys.executable`` with ``args`` and the checkout's ``src`` first
+    on ``PYTHONPATH``, so the child, and any interpreter it starts in turn,
+    imports this package.  Its output is captured as text; other keyword
+    arguments (``check``, ``timeout``, ``preexec_fn``) go to
+    ``subprocess.run``, or to ``subprocess.Popen`` when ``popen`` is true."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path])}
+    start = subprocess.Popen if popen else subprocess.run
+    return start(
+        [sys.executable, *args],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        **kwargs,
+    )
+
+
 def brute_expand(spec: ChainSpec, n: int) -> set[tuple[int, int]]:
     """Edges of G_n by applying every strictly increasing map [r] -> [n]."""
     out = set()
@@ -82,6 +115,16 @@ def brute_expand(spec: ChainSpec, n: int) -> set[tuple[int, int]]:
         for i, j in spec.edges:
             out.add((image[i - 1], image[j - 1]))
     return out
+
+
+@lru_cache(maxsize=None)
+def expand_pool() -> tuple[tuple[ChainSpec, int, frozenset[tuple[int, int]]], ...]:
+    """(spec, n, brute_expand(spec, n)) at n = r..r+4 over two seeded pools of
+    60 specs, drawn once per session for test_chain.py and test_graphs.py."""
+    specs = random_specs(60, (2, 3, 4, 5), seed=991) + random_specs(60, (2, 3, 4, 5, 6), seed=9001)
+    return tuple(
+        (spec, n, frozenset(brute_expand(spec, n))) for spec in specs for n in range(spec.r, spec.r + 5)
+    )
 
 
 def reference_expand(spec: ChainSpec, n: int) -> SimpleGraph:

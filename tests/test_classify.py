@@ -110,13 +110,6 @@ class TestStabilizationThreshold:
 
 
 class TestLimitIndmatch:
-    def test_value_two_occurs(self):
-        hits = 0
-        for spec in random_specs(60, (3, 4, 5), seed=816):
-            if limit_indmatch(spec) == 2:
-                hits += 1
-        assert hits > 0
-
     def test_matches_window_value(self, reg3_spec, ex58_spec):
         # The value is checked against the 2K2 search alone, which takes no
         # cochordality shortcut, on each of the three kinds of window.

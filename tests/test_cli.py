@@ -1,12 +1,8 @@
 """Command-line front end: output shapes, exit codes, round-trips."""
 
 import json
-import os
 import resource
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -14,8 +10,8 @@ from chainreg import cli, construct_anticycle, expand, normalize_spec
 from chainreg.cli import load_spec, main
 from chainreg.errors import InvalidArgument
 
-from conftest import GOLDEN_CHAINS, random_specs
-from golden_cases import GOLDEN_CASES, GOLDEN_CHAIN_NAMES, GOLDEN_COMMANDS
+from conftest import GOLDEN_CHAINS, random_specs, run_python
+from golden_cases import GOLDEN_CASES, GOLDEN_CHAIN_NAMES, GOLDEN_COMMANDS, ROOT
 
 
 @pytest.fixture
@@ -112,19 +108,11 @@ class TestExpandCommand:
             "               stdout=subprocess.DEVNULL, check=True)\n"
             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), *sys.path])}
         spec = spec_file({"r": 2, "edges": [[1, 2]]})
         peak_kb = {}
         for fmt in ("text", "json"):
-            proc = subprocess.run(
-                [sys.executable, "-c", launcher, "expand", spec, "--n", "700", "--format", fmt],
-                env=env,
-                capture_output=True,
-                text=True,
-                check=True,
-                timeout=120,
-            )
-            peak_kb[fmt] = int(proc.stdout)
+            argv = ["expand", spec, "--n", "700", "--format", fmt]
+            peak_kb[fmt] = int(run_python("-c", launcher, *argv, check=True, timeout=120).stdout)
         assert peak_kb["json"] <= 1.3 * peak_kb["text"], peak_kb
 
 
@@ -321,16 +309,10 @@ class TestErrors:
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
         verb, *rest = argv
-        code = "import sys\nfrom chainreg.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), *sys.path])}
         start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-c", code, verb, spec_file(payload), *rest],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-            preexec_fn=limit_address_space,
+        proc = run_python(
+            "-m", "chainreg", verb, spec_file(payload), *rest,
+            timeout=60, preexec_fn=limit_address_space,
         )
         elapsed = time.perf_counter() - start
         assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
@@ -351,17 +333,9 @@ class TestErrors:
     def test_large_field_refused_before_trial_division(self, argv):
         # Trial division of the prime 2^61 - 1 would run for minutes.
         verb, *rest = argv
-        spec = str(REPO / "bench" / "specs" / "reg3.json")
-        code = "import sys\nfrom chainreg.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), *sys.path])}
+        spec = str(ROOT / "bench" / "specs" / "reg3.json")
         start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-c", code, verb, spec, *rest, "--field", str(2**61 - 1)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = run_python("-m", "chainreg", verb, spec, *rest, "--field", str(2**61 - 1), timeout=60)
         elapsed = time.perf_counter() - start
         assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
         assert proc.stderr == (
@@ -386,24 +360,36 @@ class TestErrors:
             "cli.expand = broken\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), *sys.path])}
-        argv = ["expand", spec_file(EXPANSION), "--n", "9"]
-        proc = subprocess.run(
-            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
-        )
+        proc = run_python("-c", code, "expand", spec_file(EXPANSION), "--n", "9")
         assert proc.returncode == 1
         assert "ValueError: internal fault" in proc.stderr
+
+    @pytest.mark.parametrize("n", [27, 300], ids=["packed-mask", "past-the-mask"])
+    def test_stray_bit_in_a_built_graph_exits_1(self, n):
+        # A loop bit in row n // 2 of expand's packed matrix: at n = 27 the
+        # row-fault mask finds it, at n = 300 only SimpleGraph._from_rows.
+        code = (
+            "import sys\n"
+            "from chainreg import chain, cli\n"
+            "window_matrix = chain._window_matrix\n"
+            "def faulty(edges, n, m):\n"
+            "    v, stride = n // 2, chain._row_stride(n)\n"
+            "    return window_matrix(edges, n, m) | 1 << (v * stride + v - 1)\n"
+            "chain._window_matrix = faulty\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        spec = str(ROOT / "bench" / "specs" / "six_edge.json")
+        proc = run_python("-c", code, "expand", spec, "--n", str(n), timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        assert proc.stderr.startswith("Traceback"), proc.stderr
+        assert proc.stderr.endswith(f"RuntimeError: row {n // 2} has a loop\n"), proc.stderr
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_closed_stdout_exits_1_without_traceback(self, fmt):
         # G_300 lists 44,537 edges, far more than a pipe holds, so the reader
         # closes the pipe while the command is still writing.
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), *sys.path])}
-        spec = str(REPO / "bench" / "specs" / "table.json")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "chainreg", "expand", spec, "--n", "300", "--format", fmt],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
+        spec = str(ROOT / "bench" / "specs" / "table.json")
+        proc = run_python("-m", "chainreg", "expand", spec, "--n", "300", "--format", fmt, popen=True)
         assert proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
@@ -444,6 +430,10 @@ class TestGenerateRandomSpec:
         for r_max, density in ((1, 0.5), (4, 0.0), (4, 1.5)):
             with pytest.raises(InvalidArgument):
                 generate_random_spec(r_max, density, seed=0)
+
+    def test_pool_needs_an_index(self):
+        with pytest.raises(InvalidArgument, match="r_values"):
+            random_specs(3, (), 1)
 
 
 class TestVerifyCommand:
@@ -508,16 +498,7 @@ class TestVerifyCommand:
             "verify.TABLE_REGS[0] = 99\n"
             "print(verify.run_suite('golden'))\n"
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), *sys.path])}
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-        )
-        lines = proc.stdout.splitlines()
+        lines = run_python("-O", "-c", code, check=True, timeout=120).stdout.splitlines()
         assert lines[2].startswith("FAIL golden-regularity-table: GF(2) table mismatch"), lines
         assert lines[-1] == "False", lines
 
@@ -530,21 +511,13 @@ class TestVerifyCommand:
         assert verify_mod.SIX_EDGE_CHAIN == GOLDEN_CHAINS["six_edge"]
 
     def test_runs_as_a_module(self):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), *sys.path])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "chainreg", "verify", "--suite", "golden"],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        golden = (REPO / "tests" / "golden" / "verify.all.txt").read_text().splitlines()
+        proc = run_python("-m", "chainreg", "verify", "--suite", "golden", timeout=120)
+        golden = (ROOT / "tests" / "golden" / "verify.all.txt").read_text().splitlines()
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == golden[:6]
 
 
-REPO = Path(__file__).resolve().parent.parent
-GOLDEN_DIR = REPO / "tests" / "golden"
+GOLDEN_DIR = ROOT / "tests" / "golden"
 
 
 # The snapshots of the per-chain matrix: every golden chain runs every command
@@ -566,7 +539,7 @@ class TestGoldenSnapshots:
 
     @pytest.fixture(autouse=True)
     def _from_the_root(self, monkeypatch):
-        monkeypatch.chdir(REPO)
+        monkeypatch.chdir(ROOT)
 
     @staticmethod
     def _check(name, capsys):

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from functools import lru_cache
 
 import pytest
 
@@ -278,13 +279,15 @@ def survivors_sandwiched(g, support):
     )
 
 
-def walk_route_graphs(count):
-    """The first ``count`` graphs of a seeded pool with no deletion sequence,
-    where the walk runs, a quarter with isolated vertices in between.  Each
-    of the first 1,000 takes at most 91 draws, so 1,000 draws without a
-    walk mean a broken route test, which fails here instead of looping."""
+@lru_cache(maxsize=None)
+def walk_route_graphs():
+    """1,000 graphs of a seeded pool with no deletion sequence, where the
+    walk runs, a quarter with isolated vertices in between, drawn once per
+    session.  Each takes at most 91 draws, so 1,000 draws without a walk
+    mean a broken route test, which fails here instead of looping."""
     rng = random.Random(141)
-    for i in range(count):
+    pool = []
+    for i in range(1000):
         for _ in range(1000):
             if i % 4:
                 g = random_graph(rng, rng.randint(7, 10), rng.uniform(0.1, 0.9))
@@ -294,7 +297,8 @@ def walk_route_graphs(count):
                 break
         else:
             raise AssertionError("no walk-route graph in 1,000 draws")
-        yield g
+        pool.append(g)
+    return tuple(pool)
 
 
 class TestSurvivorWalk:
@@ -349,7 +353,7 @@ class TestSurvivorWalk:
     def test_walk_drops_only_sets_with_a_chordal_link(self):
         # On graphs where the oracle walks, each set that the per-subset
         # test keeps and the walk drops has a vertex with a chordal link.
-        for g in walk_route_graphs(300):
+        for g in walk_route_graphs()[:300]:
             assert survivors_sandwiched(g, g.support), g
 
     def test_walk_memory(self, table_spec):
@@ -363,7 +367,7 @@ class TestSurvivorWalk:
         # Nearly all of these graphs have reg >= 4, so the walk's first sets
         # of dimension >= 2 must survive the link cut.
         high = 0
-        for g in walk_route_graphs(1000):
+        for g in walk_route_graphs():
             reps = [regularity(g, p) for p in (2, 3)]
             refs = [reference_regularity(g, p) for p in (2, 3)]
             assert reps == refs, g

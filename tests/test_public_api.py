@@ -5,13 +5,10 @@ Any change to the public surface has to edit PUBLIC_NAMES below.
 
 import importlib
 import json
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+from conftest import run_python
+from golden_cases import ROOT
 
 PUBLIC_NAMES = [
     "AnticycleTrace",
@@ -70,11 +67,7 @@ def _fresh_public_names() -> list[str]:
     # A fresh interpreter: importing chainreg.cli or chainreg.verify in this
     # test session would add those submodules to the package's attributes.
     code = "import chainreg\nprint(' '.join(n for n in dir(chainreg) if not n.startswith('_')))\n"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), *sys.path])}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    return proc.stdout.split()
+    return run_python("-c", code, check=True).stdout.split()
 
 
 def test_public_names_match_the_list():
@@ -105,14 +98,14 @@ def test_benchmark_pinned_names_resolve():
     # The benchmark's per-layer counters and its workloads name library
     # functions by module path; a deleted or renamed one would otherwise
     # show only as a KeyError in a traced benchmark run.
-    bench = json.loads((REPO / "BENCHMARK.json").read_text())
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     pinned = set()
     for metric in bench["per_layer"]:
         parts = metric["name"].split(".")
         if len(parts) == 3 and parts[2] == "calls":
             pinned.add((parts[0], parts[1]))
     assert pinned
-    for path in sorted((REPO / "bench").glob("*.py")):
+    for path in sorted((ROOT / "bench").glob("*.py")):
         pinned.update(re.findall(r"\blib\.(\w+)\.(\w+)", path.read_text()))
     assert ("graphs", "induced_subgraph") in pinned
     missing = [
